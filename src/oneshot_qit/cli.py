@@ -39,6 +39,7 @@ from .simulate import (
     search_min_codebook,
     simulate_covering,
     simulate_pa,
+    uniform_function_family,
 )
 
 SCHEMA = "oneshot-qit/1"
@@ -119,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--cap", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("sweep", parents=[common],
                        help="exact-vs-prediction blocklength sweep on a classical pair")
@@ -222,21 +222,17 @@ def _cmd_simulate(args) -> dict:
         "half_width": est.half_width,
     }
     if args.task == "pa":
-        out["hash_family"] = (
-            "exhaustive-uniform-function" if est.method == "exact"
-            else "sampled-uniform-function"
-        )
+        out["hash_family"] = uniform_function_family(
+            state.alphabet_size, args.size, est.method).kind
     return out
 
 
 def _cmd_search(args, quiet: bool) -> dict:
     state = load_state(args.state)
     if args.task == "pa":
-        result = search_max_extractable(state, args.eps, args.cap,
-                                        workers=args.workers)
+        result = search_max_extractable(state, args.eps, args.cap)
     else:
-        result = search_min_codebook(state, args.eps, args.cap,
-                                     workers=args.workers)
+        result = search_min_codebook(state, args.eps, args.cap)
     if result.cap_limited and not quiet:
         print(
             f"note: search is cap-limited at {args.cap}; the certified "

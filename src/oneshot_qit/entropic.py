@@ -10,6 +10,7 @@ every block), not optimized over.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 from .cq import CQState, joint_embed
@@ -19,7 +20,7 @@ from .divergences import (
     relative_entropy,
     relative_entropy_variance,
 )
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 
 
 def hypothesis_test_information(state: CQState, eps: float) -> float:
@@ -55,16 +56,7 @@ def conditional_entropy_with_variance(state: CQState) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 _SQRT2 = math.sqrt(2.0)
-
-# rational approximation coefficients (Acklam), refined below by Newton
-_QA = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-       1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_QB = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-       6.680131188771972e+01, -1.328068155288572e+01)
-_QC = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-       -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_QD = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-       3.754408661907416e+00)
+_STANDARD_NORMAL = statistics.NormalDist()
 
 
 def gaussian_cdf(u: float) -> float:
@@ -72,36 +64,11 @@ def gaussian_cdf(u: float) -> float:
     return 0.5 * math.erfc(-u / _SQRT2)
 
 
-def _quantile_seed(eps: float) -> float:
-    plow, phigh = 0.02425, 1.0 - 0.02425
-    if eps < plow:
-        q = math.sqrt(-2.0 * math.log(eps))
-        return ((((( _QC[0] * q + _QC[1]) * q + _QC[2]) * q + _QC[3]) * q + _QC[4]) * q + _QC[5]) / \
-               (((( _QD[0] * q + _QD[1]) * q + _QD[2]) * q + _QD[3]) * q + 1.0)
-    if eps > phigh:
-        q = math.sqrt(-2.0 * math.log(1.0 - eps))
-        return -((((( _QC[0] * q + _QC[1]) * q + _QC[2]) * q + _QC[3]) * q + _QC[4]) * q + _QC[5]) / \
-                (((( _QD[0] * q + _QD[1]) * q + _QD[2]) * q + _QD[3]) * q + 1.0)
-    q = eps - 0.5
-    r = q * q
-    return ((((( _QA[0] * r + _QA[1]) * r + _QA[2]) * r + _QA[3]) * r + _QA[4]) * r + _QA[5]) * q / \
-           ((((( _QB[0] * r + _QB[1]) * r + _QB[2]) * r + _QB[3]) * r + _QB[4]) * r + 1.0)
-
-
 def normal_quantile(eps: float) -> float:
-    """Inverse of the standard normal CDF, Newton-refined to 1e-10 round trip."""
+    """Inverse of the standard normal CDF."""
     if not 0.0 < eps < 1.0:
         raise DomainError(f"eps must lie strictly between 0 and 1, got {eps}")
-    x = _quantile_seed(eps)
-    for _ in range(4):
-        err = gaussian_cdf(x) - eps
-        pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        if pdf <= 0.0:
-            break
-        x -= err / pdf
-    if abs(gaussian_cdf(x) - eps) > 1e-10:
-        raise NumericalError(f"quantile refinement failed at eps={eps}")
-    return x
+    return _STANDARD_NORMAL.inv_cdf(eps)
 
 
 # ---------------------------------------------------------------------------

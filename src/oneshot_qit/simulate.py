@@ -8,6 +8,15 @@ codebooks of half the trace distance between the codebook average and
 the marginal.  Trace norms of block-diagonal operators are taken block
 by block.
 
+Exact mode never enumerates tables or codebooks.  A uniformly random
+function sends each x to a given output block independently with
+probability 1/z, and the trace norm adds up over the blocks, so the
+extraction average is z times an average over the 2^|X| preimages S of
+one block.  The covering average depends on a codebook only through its
+type, so it is an average over the C(m+|X|-1, |X|-1) types.  Both go
+through one kernel, ``_exact_average``, and the enumeration cap counts
+these subsets and types.
+
 Determinism: Monte-Carlo draws come from a counter-based generator
 keyed by (seed, chunk index) over fixed-size sample chunks, and
 per-sample values are aggregated in sample order, so results are
@@ -16,13 +25,14 @@ bit-identical for any worker count.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cq import ENUMERATION_CAP, CQState, HashFamily
+from .cq import ENUMERATION_CAP, CQState, HashFamily, _compositions
 from .errors import DomainError
 
 _CHUNK = 4096
@@ -34,8 +44,9 @@ class SimulationEstimate:
     """An estimated protocol distance.
 
     ``half_width`` is a 95% normal-approximation confidence half-width
-    (0 for exact enumeration, where ``samples`` is the full enumeration
-    count).
+    (0 in exact mode).  In exact mode ``samples`` is the number of
+    function tables (z^|X|) or codebooks (|X|^m) the value averages over,
+    not the number of subsets or types the computation enumerates.
     """
 
     value: float
@@ -93,6 +104,29 @@ def _codebook_values(tables: np.ndarray, rhos: np.ndarray,
     return _block_distances(acc[:, None], rho_b)
 
 
+def _exact_average(rows, weights, blocks: np.ndarray, reference: np.ndarray) -> float:
+    """Weighted sum over coefficient rows r of ½‖Σ_x r_x blocks[x] − reference‖₁.
+
+    ``rows`` yields batches of at most ``_CHUNK`` rows, and ``weights``
+    maps a batch to the weights of its rows.  The terms are streamed
+    into one exactly rounded ``math.fsum``.
+    """
+    return math.fsum(itertools.chain.from_iterable(
+        (weights(batch) * _block_distances(
+            np.tensordot(batch, blocks, axes=1)[:, None], reference)).tolist()
+        for batch in rows
+    ))
+
+
+def _subset_rows(x_size: int):
+    """Indicator rows of all subsets of range(x_size), one chunk at a time."""
+    bits = np.arange(x_size)
+    total = 1 << x_size
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total))
+        yield ((idx[:, None] >> bits) & 1).astype(float)
+
+
 def _run_chunks(n_items: int, workers: int, job) -> np.ndarray:
     """Fill a value array chunk by chunk; chunk boundaries are fixed, so
     the result does not depend on the worker count."""
@@ -108,14 +142,6 @@ def _run_chunks(n_items: int, workers: int, job) -> np.ndarray:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda s: job(values, *s), spans))
     return values
-
-
-def _mixed_radix_tables(start: int, stop: int, base: int, digits: int) -> np.ndarray:
-    idx = np.arange(start, stop, dtype=np.int64)
-    table = np.empty((idx.size, digits), dtype=np.int64)
-    for pos in range(digits):
-        table[:, pos] = (idx // base ** pos) % base
-    return table
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -136,10 +162,12 @@ def simulate_pa(state: CQState, z_size: int, method: str = "exact",
                 workers: int = 1) -> SimulationEstimate:
     """Expected extraction distance for output alphabet size z_size.
 
-    Exact mode averages over all z_size**alphabet function tables
-    (rejected above the enumeration cap); Monte-Carlo mode draws tables
-    uniformly and reports an unbiased mean with its confidence
-    half-width.
+    Exact mode averages over all z_size**alphabet function tables as z
+    times a weighted sum over the 2**alphabet preimages of one output
+    block, a subset S having weight z^-|S| (1-1/z)^(|X|-|S|); it is
+    rejected when the subsets exceed the enumeration cap, and it ignores
+    ``workers``.  Monte-Carlo mode draws tables uniformly and reports an
+    unbiased mean with its confidence half-width.
     """
     if z_size < 1:
         raise DomainError(f"z_size must be >= 1, got {z_size}")
@@ -149,19 +177,19 @@ def simulate_pa(state: CQState, z_size: int, method: str = "exact",
     target = state.marginal() / z_size
 
     if method == "exact":
-        total = z_size ** x_size
-        if total > ENUMERATION_CAP:
+        if 2 ** x_size > ENUMERATION_CAP:
             raise DomainError(
-                f"{total} function tables exceed the enumeration cap "
+                f"{2 ** x_size} subsets exceed the enumeration cap "
                 f"{ENUMERATION_CAP}; use method='mc'"
             )
+        z = float(z_size)
 
-        def job(values, j, start, stop):
-            tables = _mixed_radix_tables(start, stop, z_size, x_size)
-            values[start:stop] = _hash_values(tables, weights, z_size, target)
+        def subset_weights(rows):
+            size = rows.sum(axis=1)
+            return z ** (1.0 - size) * (1.0 - 1.0 / z) ** (x_size - size)
 
-        values = _run_chunks(total, workers, job)
-        return SimulationEstimate(float(np.mean(values)), "exact", total, seed, 0.0)
+        value = _exact_average(_subset_rows(x_size), subset_weights, weights, target)
+        return SimulationEstimate(value, "exact", z_size ** x_size, seed, 0.0)
 
     if samples < 2:
         raise DomainError("monte-carlo needs at least 2 samples")
@@ -176,24 +204,17 @@ def simulate_pa(state: CQState, z_size: int, method: str = "exact",
     return SimulationEstimate(value, "monte-carlo", samples, seed, half)
 
 
-def _composition_rows(n: int, k: int):
-    if k == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for tail in _composition_rows(n - head, k - 1):
-            yield (head,) + tail
-
-
 def simulate_covering(state: CQState, m: int, method: str = "exact",
                       samples: int = 100_000, seed: int = 0,
                       workers: int = 1) -> SimulationEstimate:
     """Expected covering distance for codebook size m.
 
     Exact mode computes the p^(x)m-weighted average over all alphabet**m
-    codebooks; the average depends on a codebook only through its symbol
-    histogram, so the enumeration is collapsed over types (the reported
-    sample count remains the full codebook count).
+    codebooks.  The average depends on a codebook only through its
+    symbol histogram, so it is a multinomially weighted sum over the
+    C(m+alphabet-1, alphabet-1) types; it is rejected when the types
+    exceed the enumeration cap, and it ignores ``workers``.  The
+    reported sample count remains the full codebook count.
     """
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
@@ -202,28 +223,26 @@ def simulate_covering(state: CQState, m: int, method: str = "exact",
     x_size = state.alphabet_size
 
     if method == "exact":
-        total = x_size ** m
-        if total > ENUMERATION_CAP:
+        n_types = math.comb(m + x_size - 1, x_size - 1)
+        if n_types > ENUMERATION_CAP:
             raise DomainError(
-                f"{total} codebooks exceed the enumeration cap "
+                f"{n_types} codebook types exceed the enumeration cap "
                 f"{ENUMERATION_CAP}; use method='mc'"
             )
-        log_fact = [math.lgamma(j + 1) for j in range(m + 1)]
+        types = _compositions(m, x_size)
+        log_fact = np.array([math.lgamma(j + 1) for j in range(m + 1)])
         with np.errstate(divide="ignore"):
             log_p = np.log(state.p)
-        contributions = []
-        for t in _composition_rows(m, x_size):
-            t_arr = np.array(t, dtype=np.int64)
-            if np.any((t_arr > 0) & (state.p == 0.0)):
-                continue
-            log_w = log_fact[m] - sum(log_fact[j] for j in t)
-            log_w += float(np.where(t_arr > 0, t_arr * log_p, 0.0).sum())
-            avg = np.tensordot(t_arr / m, state.rhos, axes=1)
-            dist = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(avg - rho_b))))
-            contributions.append(math.exp(log_w) * dist)
-        return SimulationEstimate(
-            float(math.fsum(contributions)), "exact", total, seed, 0.0
-        )
+
+        def type_weights(counts):
+            # 0 * log 0 -> 0; a type using a zero-probability symbol gets weight 0
+            with np.errstate(invalid="ignore"):
+                log_like = np.where(counts > 0, counts * log_p, 0.0).sum(axis=1)
+            return np.exp(log_fact[m] - log_fact[counts].sum(axis=1) + log_like)
+
+        batches = (types[i:i + _CHUNK] for i in range(0, len(types), _CHUNK))
+        value = _exact_average(batches, type_weights, state.rhos / m, rho_b)
+        return SimulationEstimate(value, "exact", x_size ** m, seed, 0.0)
 
     if samples < 2:
         raise DomainError("monte-carlo needs at least 2 samples")
@@ -259,28 +278,26 @@ class SearchResult:
     family: HashFamily | None = None
 
 
-def search_max_extractable(state: CQState, eps: float, z_cap: int,
-                           workers: int = 1) -> SearchResult:
+def search_max_extractable(state: CQState, eps: float, z_cap: int) -> SearchResult:
     """Largest output size up to z_cap whose extraction distance stays <= eps.
 
     Runs in exact mode only: a Monte-Carlo curve cannot certify the
-    answer.  Sizes whose enumeration exceeds the cap are rejected up
+    answer.  The curve costs z_cap * 2**alphabet subset evaluations, and
+    a search whose total exceeds the enumeration cap is rejected up
     front.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
     if z_cap < 1:
         raise DomainError(f"z_cap must be >= 1, got {z_cap}")
-    if z_cap ** state.alphabet_size > ENUMERATION_CAP:
+    work = z_cap * 2 ** state.alphabet_size
+    if work > ENUMERATION_CAP:
         raise DomainError(
-            f"exact enumeration infeasible at z={z_cap} "
-            f"({z_cap ** state.alphabet_size} tables); lower the cap — the "
+            f"exact enumeration infeasible up to z={z_cap} "
+            f"({work} subsets); lower the cap — the "
             "search refuses monte-carlo estimates for certification"
         )
-    curve = [
-        (z, simulate_pa(state, z, "exact", workers=workers))
-        for z in range(1, z_cap + 1)
-    ]
+    curve = [(z, simulate_pa(state, z, "exact")) for z in range(1, z_cap + 1)]
     qualifying = [z for z, est in curve if est.value <= eps + 1e-12]
     found = max(qualifying)  # z=1 gives distance 0, so this is never empty
     cap_limited = curve[-1][1].value <= eps + 1e-12
@@ -290,23 +307,26 @@ def search_max_extractable(state: CQState, eps: float, z_cap: int,
     )
 
 
-def search_min_codebook(state: CQState, eps: float, m_cap: int,
-                        workers: int = 1) -> SearchResult:
-    """Smallest codebook size up to m_cap whose covering distance is <= eps."""
+def search_min_codebook(state: CQState, eps: float, m_cap: int) -> SearchResult:
+    """Smallest codebook size up to m_cap whose covering distance is <= eps.
+
+    Runs in exact mode only.  The curve costs sum_{m<=m_cap}
+    C(m+alphabet-1, alphabet-1) = C(m_cap+alphabet, alphabet) type
+    evaluations, and a search whose total exceeds the enumeration cap is
+    rejected up front.
+    """
     if not 0.0 < eps < 1.0:
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
     if m_cap < 1:
         raise DomainError(f"m_cap must be >= 1, got {m_cap}")
-    if state.alphabet_size ** m_cap > ENUMERATION_CAP:
+    work = math.comb(m_cap + state.alphabet_size, state.alphabet_size)
+    if work > ENUMERATION_CAP:
         raise DomainError(
-            f"exact enumeration infeasible at m={m_cap} "
-            f"({state.alphabet_size ** m_cap} codebooks); lower the cap — the "
+            f"exact enumeration infeasible up to m={m_cap} "
+            f"({work} codebook types); lower the cap — the "
             "search refuses monte-carlo estimates for certification"
         )
-    curve = [
-        (m, simulate_covering(state, m, "exact", workers=workers))
-        for m in range(1, m_cap + 1)
-    ]
+    curve = [(m, simulate_covering(state, m, "exact")) for m in range(1, m_cap + 1)]
     qualifying = [m for m, est in curve if est.value <= eps + 1e-12]
     found = min(qualifying) if qualifying else None
     return SearchResult(found, curve, cap_limited=found is None)

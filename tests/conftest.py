@@ -2,12 +2,13 @@
 
 Oracles here deliberately avoid the library's computation paths: the
 scalar test oracle is a greedy ratio fill, the operator test oracle is a
-primal grid search, and trace norms are cross-checked through singular
-values.
+primal grid search, the protocol oracles enumerate every function table
+or codebook, and trace norms are cross-checked through singular values.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -170,3 +171,30 @@ def operator_test_oracle(rho, sigma, eps, n_grid=4000, mu_max=50.0):
 
 def svd_trace_norm(a):
     return float(np.linalg.svd(np.asarray(a), compute_uv=False).sum())
+
+
+def brute_force_pa(state, z):
+    """Extraction distance averaged over all z**|X| function tables."""
+    p, rhos = state.p, state.rhos
+    rho_b = sum(px * rho for px, rho in zip(p, rhos))
+    values = []
+    for table in itertools.product(range(z), repeat=len(p)):
+        for out in range(z):
+            block = -rho_b / z
+            for x, h in enumerate(table):
+                if h == out:
+                    block = block + p[x] * rhos[x]
+            values.append(0.5 * svd_trace_norm(block))
+    return math.fsum(values) / z ** len(p)
+
+
+def brute_force_covering(state, m):
+    """Covering distance averaged over all |X|**m codebooks, p-weighted."""
+    p, rhos = state.p, state.rhos
+    rho_b = sum(px * rho for px, rho in zip(p, rhos))
+    values = []
+    for book in itertools.product(range(len(p)), repeat=m):
+        weight = math.prod(p[c] for c in book)
+        avg = sum(rhos[c] for c in book) / m
+        values.append(weight * 0.5 * svd_trace_norm(avg - rho_b))
+    return math.fsum(values)

@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import oneshot_qit
 from oneshot_qit import dump_state
 from oneshot_qit.cli import run
 
@@ -198,10 +201,14 @@ def test_csv_scalar_output(capsys, bitpair_file):
 
 
 def test_console_entry_point_subprocess(bitpair_file):
+    # the child imports the same package as the tests, installed or not
+    package_root = str(Path(oneshot_qit.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "oneshot_qit.cli", "simulate", "--task", "pa",
          "--state", bitpair_file, "--size", "2", "--method", "exact"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)

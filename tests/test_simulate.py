@@ -16,7 +16,13 @@ from oneshot_qit import (
     uniform_function_family,
 )
 
-from conftest import binary_antipodal, bit_pair_trivial_side, random_cq_state
+from conftest import (
+    binary_antipodal,
+    bit_pair_trivial_side,
+    brute_force_covering,
+    brute_force_pa,
+    random_cq_state,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -37,25 +43,39 @@ def test_pa_bit_pair_four_function_average():
     assert est.samples == 4
 
 
+def _oracle_state(seed, alphabet, dim, zero_p):
+    state = random_cq_state(np.random.default_rng(seed), alphabet, dim)
+    if not zero_p:
+        return state
+    p = state.p.copy()
+    p[0] = 0.0
+    return CQState(p / p.sum(), state.rhos)
+
+
 def test_pa_exact_matches_manual_enumeration():
-    rng = np.random.default_rng(71)
-    state = random_cq_state(rng, 2, 2)
-    z = 2
-    rho_b = state.marginal()
-    total = 0.0
-    for h0 in range(z):
-        for h1 in range(z):
-            value = 0.0
-            for out in range(z):
-                block = -rho_b / z
-                if h0 == out:
-                    block = block + state.p[0] * state.rhos[0]
-                if h1 == out:
-                    block = block + state.p[1] * state.rhos[1]
-                value += 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(block))))
-            total += value
-    expected = total / z ** 2
-    assert simulate_pa(state, z, "exact").value == pytest.approx(expected, abs=1e-12)
+    # (|X|, z, d, zero entry in p)
+    for alphabet, z, dim, zero_p in [
+        (2, 2, 2, False),
+        (3, 3, 2, False),
+        (4, 2, 3, False),
+        (3, 1, 2, False),
+        (3, 3, 1, False),
+        (1, 4, 2, False),
+        (3, 2, 2, True),
+    ]:
+        state = _oracle_state(71, alphabet, dim, zero_p)
+        est = simulate_pa(state, z, "exact")
+        assert est.value == pytest.approx(brute_force_pa(state, z), abs=1e-12)
+        assert est.samples == z ** alphabet
+
+
+def test_pa_deterministic_source_large_output():
+    # 2^14 subsets; the 1000^14 function tables are never enumerated
+    z = 1000
+    state = CQState([1.0] + [0.0] * 13, [[[1.0]]] * 14)
+    est = simulate_pa(state, z, "exact")
+    assert est.value == pytest.approx(1.0 - 1.0 / z, abs=1e-12)
+    assert est.samples == z ** 14
 
 
 def test_pa_rejects_oversized_enumeration_and_zero_output():
@@ -64,6 +84,24 @@ def test_pa_rejects_oversized_enumeration_and_zero_output():
         simulate_pa(state, 4, "exact")
     with pytest.raises(DomainError):
         simulate_pa(state, 0, "exact")
+
+
+def test_exact_refusals_precede_any_eigensolver_call(monkeypatch):
+    state = CQState([1.0 / 30] * 30, [np.eye(2) / 2] * 30)
+
+    def no_eigensolver(*args, **kwargs):
+        raise AssertionError("eigensolver called before the refusal")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolver)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigensolver)
+    with pytest.raises(DomainError, match="cap"):
+        simulate_pa(state, 2, "exact")
+    with pytest.raises(DomainError, match="cap"):
+        simulate_covering(state, 10, "exact")
+    with pytest.raises(DomainError, match="certific"):
+        search_max_extractable(state, 0.3, 2)
+    with pytest.raises(DomainError, match="certific"):
+        search_min_codebook(state, 0.3, 10)
 
 
 def test_pa_monte_carlo_matches_exact_within_half_width():
@@ -117,19 +155,29 @@ def test_covering_antipodal_exact_values():
 
 
 def test_covering_exact_matches_manual_enumeration():
-    rng = np.random.default_rng(73)
-    state = random_cq_state(rng, 3, 2)
-    m = 2
-    rho_b = state.marginal()
-    expected = 0.0
-    for c0 in range(3):
-        for c1 in range(3):
-            avg = (state.rhos[c0] + state.rhos[c1]) / 2
-            dist = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(avg - rho_b))))
-            expected += state.p[c0] * state.p[c1] * dist
-    assert simulate_covering(state, m, "exact").value == pytest.approx(
-        expected, abs=1e-12
+    # (|X|, m, d, zero entry in p)
+    for alphabet, m, dim, zero_p in [
+        (3, 2, 2, False),
+        (2, 5, 3, False),
+        (3, 3, 1, False),
+        (1, 3, 2, False),
+        (4, 3, 2, True),
+    ]:
+        state = _oracle_state(73, alphabet, dim, zero_p)
+        est = simulate_covering(state, m, "exact")
+        assert est.value == pytest.approx(brute_force_covering(state, m), abs=1e-12)
+        assert est.samples == alphabet ** m
+
+
+def test_covering_antipodal_binomial_closed_form():
+    # 51 types stand in for 2^50 codebooks
+    m = 50
+    expected = math.fsum(
+        math.comb(m, k) * 2.0 ** -m * abs(k / m - 0.5) for k in range(m + 1)
     )
+    est = simulate_covering(binary_antipodal(), m, "exact")
+    assert est.value == pytest.approx(expected, abs=1e-12)
+    assert est.samples == 2 ** m
 
 
 def test_covering_monte_carlo_scaling_sanity():
@@ -212,9 +260,9 @@ def test_search_refuses_infeasible_enumeration():
     state = CQState([1.0 / 30] * 30, [[[1.0]]] * 30)
     with pytest.raises(DomainError, match="certific"):
         search_max_extractable(state, 0.3, 4)
-    small = bit_pair_trivial_side()
+    # C(40, 30) ~ 8.5e8 codebook types over the curve up to m=10
     with pytest.raises(DomainError, match="certific"):
-        search_min_codebook(small, 0.3, 50)
+        search_min_codebook(state, 0.3, 10)
 
 
 def test_family_descriptor_kinds():
