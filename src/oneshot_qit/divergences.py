@@ -17,15 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cq import ENUMERATION_CAP
 from .errors import DomainError, NumericalError
 from .linalg import (
     DEFAULT_CLUSTER_TOL,
+    _eigh_checked,
     _positive_part_trace_raw,
     _radius,
     as_hermitian,
     eig_herm,
     mat_func,
-    projector_leq,
     support_projector,
 )
 
@@ -34,6 +35,8 @@ LN2 = math.log(2.0)
 _COMMUTATOR_TOL = 1e-10
 _SUPPORT_TOL = 1e-8
 _DEFAULT_GRID = 2048
+# thresholds per stacked eigensolve in the D_s scan; bounds its memory
+_DS_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -130,9 +133,17 @@ def _ds_exact_bits(rho: np.ndarray, sigma: np.ndarray, eps: float) -> float:
     return math.inf  # event mass never exceeds eps (unreachable for densities)
 
 
-def _ds_event_mass(rho: np.ndarray, sigma: np.ndarray, c: float) -> float:
-    proj = projector_leq(rho, c * sigma)
-    return float(np.trace(rho @ proj).real)
+def _ds_event_masses(rho: np.ndarray, sigma: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """Tr[rho {rho <= c sigma}] for every threshold c, in one stacked eigensolve.
+
+    Same non-strict convention as ``projector_leq``: eigenvectors of
+    c sigma - rho with eigenvalue >= -DEFAULT_CLUSTER_TOL * radius count.
+    """
+    lam, v = _eigh_checked(cs[:, None, None] * sigma - rho)
+    atol = DEFAULT_CLUSTER_TOL * np.max(np.abs(lam), axis=-1, keepdims=True)
+    # Re(v_i^dagger rho v_i) for every eigenvector column i
+    weights = np.sum(v.conj() * (rho @ v), axis=-2).real
+    return np.sum(weights, axis=-1, where=lam >= -atol)
 
 
 def _ds_grid_bracket(
@@ -147,11 +158,13 @@ def _ds_grid_bracket(
         return -math.inf, -math.inf, -math.inf
     lo_span, hi_span = float(pencil.min()) * 0.5, float(pencil.max()) * 2.0
     candidates = np.unique(
-        np.concatenate([pencil, np.geomspace(lo_span, hi_span, max(grid, 2))])
+        np.concatenate([pencil, np.geomspace(lo_span, hi_span, grid)])
     )
-    feasible = np.array(
-        [_ds_event_mass(rho, sigma, c) <= eps + 1e-12 for c in candidates]
-    )
+    masses = np.concatenate([
+        _ds_event_masses(rho, sigma, candidates[i:i + _DS_CHUNK])
+        for i in range(0, candidates.size, _DS_CHUNK)
+    ])
+    feasible = masses <= eps + 1e-12
     if not feasible.any():
         return -math.inf, -math.inf, -math.inf
     c_lo = float(candidates[feasible].max())
@@ -163,7 +176,7 @@ def _ds_grid_bracket(
     # bisect in log space down to a fixed relative width
     while math.log2(c_hi) - math.log2(c_lo) > 1e-12:
         mid = math.sqrt(c_lo * c_hi)
-        if _ds_event_mass(rho, sigma, mid) <= eps + 1e-12:
+        if _ds_event_masses(rho, sigma, np.array([mid]))[0] <= eps + 1e-12:
             c_lo = mid
         else:
             c_hi = mid
@@ -178,8 +191,11 @@ def info_spectrum_divergence_bracket(
     The value is the largest log-threshold c (base 2) at which the mass
     of the event {rho <= 2^c sigma} under rho still stays at or below
     eps; the supremum itself is a left limit and is not attained.
+    ``grid`` (the log-uniform scan size) must lie in [2, ENUMERATION_CAP].
     """
     _check_eps(eps)
+    if not 2 <= grid <= ENUMERATION_CAP:
+        raise DomainError(f"grid must lie in [2, {ENUMERATION_CAP}], got {grid}")
     if pair.commuting:
         value = _ds_exact_bits(pair.rho, pair.sigma, eps)
         return value, value, value

@@ -74,20 +74,31 @@ class EigenSystem:
         return [np.flatnonzero(labels == k) for k in range(labels[-1] + 1)]
 
 
-def eig_herm(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> EigenSystem:
-    """Eigendecompose a Hermitian operator (ascending eigenvalues)."""
-    a = as_hermitian(a)
+def _eigh_checked(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of a (..., n, n) stack of trusted Hermitian arrays.
+
+    Every matrix must reconstruct from its eigenpairs to within
+    ``_RECONSTRUCTION_TOL`` * max(1, its spectral radius).
+    """
     try:
-        lam, v = np.linalg.eigh(a)
+        lam, v = np.linalg.eigh(stack)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"eigensolver did not converge: {exc}") from exc
-    system = EigenSystem(lam, v, cluster_tol)
-    residual = float(np.max(np.abs(system.reconstruct() - a)))
-    if residual > _RECONSTRUCTION_TOL * max(1.0, _radius(lam)):
+    recon = (v * lam[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    residual = np.abs(recon - stack).max(axis=(-2, -1))
+    radius = np.abs(lam).max(axis=-1)
+    if (residual > _RECONSTRUCTION_TOL * np.maximum(1.0, radius)).any():
         raise NumericalError(
-            f"eigendecomposition residual {residual:.3e} exceeds tolerance"
+            f"eigendecomposition residual {float(residual.max()):.3e} "
+            "exceeds tolerance"
         )
-    return system
+    return lam, v
+
+
+def eig_herm(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> EigenSystem:
+    """Eigendecompose a Hermitian operator (ascending eigenvalues)."""
+    lam, v = _eigh_checked(as_hermitian(a))
+    return EigenSystem(lam, v, cluster_tol)
 
 
 def mat_func(

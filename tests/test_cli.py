@@ -70,6 +70,18 @@ def test_divergence_requires_eps(capsys, bitpair_file):
     assert captured.out == ""
 
 
+def test_divergence_refuses_bad_grid(capsys, bitpair_file):
+    for grid in ("0", "1", "2000001"):
+        code = run([
+            "divergence", "--kind", "ds", "--state-a", bitpair_file,
+            "--state-b", bitpair_file, "--eps", "0.3", "--grid", grid,
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "grid" in captured.err
+        assert captured.out == ""
+
+
 def test_bounds_domain_error_exit_code(capsys, antipodal_file):
     code = run([
         "bounds", "--task", "covering", "--state", antipodal_file,

@@ -17,7 +17,9 @@ from oneshot_qit import (
     relative_entropy_variance,
     spec_count,
 )
-from oneshot_qit.divergences import dual_test_objective
+from oneshot_qit.cq import ENUMERATION_CAP
+from oneshot_qit.divergences import _ds_event_masses, dual_test_objective
+from oneshot_qit.linalg import projector_leq
 
 from conftest import (
     operator_test_oracle,
@@ -100,6 +102,67 @@ def test_ds_rejects_bad_eps_and_support():
     bad = DivergencePair.of(np.diag([0.5, 0.5]), np.diag([1.0, 0.0]))
     with pytest.raises(DomainError, match="support"):
         info_spectrum_divergence(bad, 0.3)
+
+
+def random_noncommuting_pair(rng, d):
+    rho = random_density(rng, d)
+    sigma = random_density(rng, d) + 0.1 * np.eye(d)
+    pair = DivergencePair.of(rho, sigma / np.trace(sigma).real)
+    assert not pair.commuting
+    return pair
+
+
+def test_ds_grid_refused_before_any_eigensolver_call(monkeypatch):
+    pairs = [
+        random_noncommuting_pair(np.random.default_rng(48), 3),
+        classical_pair([0.2, 0.8], [0.5, 0.5]),
+    ]
+
+    def no_eigensolver(*args, **kwargs):
+        raise AssertionError("eigensolver called before the refusal")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolver)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigensolver)
+    for pair in pairs:
+        for grid in (-7, 0, 1, ENUMERATION_CAP + 1):
+            with pytest.raises(DomainError, match="grid"):
+                info_spectrum_divergence_bracket(pair, 0.3, grid)
+            with pytest.raises(DomainError, match="grid"):
+                info_spectrum_divergence(pair, 0.3, grid)
+    monkeypatch.undo()
+    for pair in pairs:
+        value, lower, upper = info_spectrum_divergence_bracket(pair, 0.3, 2)
+        assert lower <= value <= upper
+
+
+def test_ds_event_masses_match_projector_oracle():
+    rng = np.random.default_rng(49)
+    for d in (2, 3, 4, 8):
+        for _ in range(3):
+            pair = random_noncommuting_pair(rng, d)
+            rho, sigma = pair.rho, pair.sigma
+            # the pencil eigenvalues put a zero eigenvalue into c sigma - rho,
+            # where the non-strict convention decides membership
+            pencil = np.sort(np.linalg.eigvals(np.linalg.solve(sigma, rho)).real)
+            cs = np.concatenate([
+                pencil,
+                np.geomspace(pencil[0] / 4, pencil[-1] * 4, 40),
+                [0.0],
+            ])
+            masses = _ds_event_masses(rho, sigma, cs)
+            oracle = [np.trace(rho @ projector_leq(rho, c * sigma)).real for c in cs]
+            assert np.max(np.abs(masses - oracle)) <= 1e-12
+
+
+def test_ds_bracket_stable_under_grid_refinement():
+    rng = np.random.default_rng(50)
+    for _ in range(8):
+        pair = random_noncommuting_pair(rng, int(rng.integers(2, 5)))
+        eps = float(rng.uniform(0.05, 0.6))
+        coarse = info_spectrum_divergence_bracket(pair, eps, 2048)
+        fine = info_spectrum_divergence_bracket(pair, eps, 16 * 2048)
+        assert math.isfinite(coarse[0])
+        assert fine[0] == pytest.approx(coarse[0], abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from oneshot_qit import (
     DomainError,
+    NumericalError,
     as_hermitian,
     eig_herm,
     mat_func,
@@ -17,7 +18,11 @@ from oneshot_qit import (
     spec_count,
     trace_norm,
 )
-from oneshot_qit.divergences import collision_divergence, DivergencePair
+from oneshot_qit.divergences import (
+    collision_divergence,
+    DivergencePair,
+    info_spectrum_divergence_bracket,
+)
 
 from conftest import random_density, random_hermitian, random_psd, random_projector
 
@@ -47,6 +52,32 @@ def test_eig_reconstruction_residual():
     v = system.eigenvectors
     assert np.max(np.abs(v.conj().T @ v - np.eye(6))) <= 1e-10
     assert np.all(np.diff(system.eigenvalues) >= 0)
+
+
+def test_reconstruction_residual_check_fires(monkeypatch):
+    rng = np.random.default_rng(2)
+    a = random_hermitian(rng, 4)
+    rho = random_density(rng, 3)
+    sigma = random_density(rng, 3) + 0.1 * np.eye(3)
+    pair = DivergencePair.of(rho, sigma / np.trace(sigma).real)
+    assert not pair.commuting
+    eigh = np.linalg.eigh
+
+    def perturbed_eigh(stack, min_ndim):
+        lam, v = eigh(stack)
+        if np.ndim(stack) >= min_ndim:
+            v = v + 1e-6
+        return lam, v
+
+    # a single matrix through eig_herm
+    monkeypatch.setattr(np.linalg, "eigh", lambda s: perturbed_eigh(s, 2))
+    with pytest.raises(NumericalError, match="residual"):
+        eig_herm(a)
+    # only the stacked D_s scan sees perturbed eigenvectors
+    monkeypatch.setattr(np.linalg, "eigh", lambda s: perturbed_eigh(s, 3))
+    eig_herm(a)
+    with pytest.raises(NumericalError, match="residual"):
+        info_spectrum_divergence_bracket(pair, 0.3)
 
 
 def test_mat_func_diagonal_and_identity():
