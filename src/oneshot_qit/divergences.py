@@ -13,6 +13,7 @@ factor and leaves the variance unchanged.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,11 +192,13 @@ def info_spectrum_divergence_bracket(
     The value is the largest log-threshold c (base 2) at which the mass
     of the event {rho <= 2^c sigma} under rho still stays at or below
     eps; the supremum itself is a left limit and is not attained.
-    ``grid`` (the log-uniform scan size) must lie in [2, ENUMERATION_CAP].
+    ``grid`` (the log-uniform scan size) must be an integer in
+    [2, ENUMERATION_CAP].
     """
     _check_eps(eps)
-    if not 2 <= grid <= ENUMERATION_CAP:
-        raise DomainError(f"grid must lie in [2, {ENUMERATION_CAP}], got {grid}")
+    if not isinstance(grid, numbers.Integral) or not 2 <= grid <= ENUMERATION_CAP:
+        raise DomainError(
+            f"grid must be an integer in [2, {ENUMERATION_CAP}], got {grid!r}")
     if pair.commuting:
         value = _ds_exact_bits(pair.rho, pair.sigma, eps)
         return value, value, value

@@ -17,6 +17,10 @@ type, so it is an average over the C(m+|X|-1, |X|-1) types.  Both go
 through one kernel, ``_exact_average``, and the enumeration cap counts
 these subsets and types.
 
+Monte-Carlo extraction costs O(|X|) per table plus one eigensolve per
+output block with two or more preimages, whatever z is: empty blocks
+and single-preimage blocks have closed-form or precomputed distances.
+
 Determinism: Monte-Carlo draws come from a counter-based generator
 keyed by (seed, chunk index) over fixed-size sample chunks, and
 per-sample values are aggregated in sample order, so results are
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cq import ENUMERATION_CAP, CQState, HashFamily, _compositions
+from .cq import ENUMERATION_CAP, CQState, HashFamily
 from .errors import DomainError
 
 _CHUNK = 4096
@@ -62,9 +66,11 @@ def uniform_function_family(domain_size: int, range_size: int, method: str) -> H
     return HashFamily(domain_size, range_size, kind)
 
 
-def _check_method(method: str) -> None:
+def _check_run(method: str, workers: int) -> None:
     if method not in ("exact", "mc", "monte-carlo"):
         raise DomainError(f"method must be 'exact' or 'mc', got {method!r}")
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
 
 
 def _block_distances(assembled: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -81,15 +87,40 @@ def _block_distances(assembled: np.ndarray, reference: np.ndarray) -> np.ndarray
 
 
 def _hash_values(tables: np.ndarray, weights: np.ndarray, z_size: int,
-                 target: np.ndarray) -> np.ndarray:
-    """Evaluate the extraction distance for a batch of function tables."""
+                 target: np.ndarray, singles: np.ndarray) -> np.ndarray:
+    """Evaluate the extraction distance for a batch of function tables.
+
+    Only occupied output blocks cost work.  Each of the z − #outputs
+    empty blocks adds ½Tr(target); a block with the single preimage x
+    adds ``singles[x]`` = ½‖weights[x] − target‖₁; the blocks with two or
+    more preimages are assembled and solved in one stacked eigensolve.
+    """
     batch, x_size = tables.shape
-    d = weights.shape[-1]
-    acc = np.zeros((batch, z_size, d, d), dtype=complex)
-    rows = np.arange(batch)
-    for x in range(x_size):
-        acc[rows, tables[:, x]] += weights[x]
-    return _block_distances(acc, target)
+    # group each row's inputs by output value: sorted runs are the blocks
+    order = np.argsort(tables, axis=1, kind="stable")
+    ordered = np.take_along_axis(tables, order, axis=1)
+    starts = np.ones((batch, x_size), dtype=bool)
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    first = np.flatnonzero(starts)  # flat position of each block's first preimage
+    sizes = np.diff(first, append=batch * x_size)
+    rows = first // x_size
+    preimages = order.ravel()
+
+    empty = z_size - starts.sum(axis=1)
+    values = empty * (0.5 * np.trace(target).real)
+    single = sizes == 1
+    values += np.bincount(rows[single], weights=singles[preimages[first[single]]],
+                          minlength=batch)
+
+    first, sizes, rows = first[~single], sizes[~single], rows[~single]
+    if first.size:
+        acc = weights[preimages[first]]
+        for k in range(1, sizes.max()):
+            live = sizes > k
+            acc[live] += weights[preimages[first[live] + k]]
+        values += np.bincount(rows, weights=_block_distances(acc[:, None], target),
+                              minlength=batch)
+    return values
 
 
 def _codebook_values(tables: np.ndarray, rhos: np.ndarray,
@@ -127,6 +158,22 @@ def _subset_rows(x_size: int):
         yield ((idx[:, None] >> bits) & 1).astype(float)
 
 
+def _type_rows(m: int, x_size: int):
+    """All codebook types (counts over range(x_size) summing to m), one
+    chunk at a time.
+
+    Stars and bars: each choice of x_size − 1 bar positions among
+    m + x_size − 1 slots is one type, whose counts are the gaps between
+    consecutive bars.
+    """
+    slots = m + x_size - 1
+    bars = itertools.combinations(range(slots), x_size - 1)
+    for batch in iter(lambda: list(itertools.islice(bars, _CHUNK)), []):
+        edges = np.pad(np.array(batch, dtype=np.int64), ((0, 0), (1, 1)),
+                       constant_values=((0, 0), (-1, slots)))
+        yield np.diff(edges, axis=1) - 1
+
+
 def _run_chunks(n_items: int, workers: int, job) -> np.ndarray:
     """Fill a value array chunk by chunk; chunk boundaries are fixed, so
     the result does not depend on the worker count."""
@@ -135,7 +182,8 @@ def _run_chunks(n_items: int, workers: int, job) -> np.ndarray:
         (j, start, min(start + _CHUNK, n_items))
         for j, start in enumerate(range(0, n_items, _CHUNK))
     ]
-    if workers <= 1:
+    workers = min(workers, len(spans))
+    if workers == 1:
         for span in spans:
             job(values, *span)
     else:
@@ -171,7 +219,7 @@ def simulate_pa(state: CQState, z_size: int, method: str = "exact",
     """
     if z_size < 1:
         raise DomainError(f"z_size must be >= 1, got {z_size}")
-    _check_method(method)
+    _check_run(method, workers)
     x_size = state.alphabet_size
     weights = state.p[:, None, None] * state.rhos
     target = state.marginal() / z_size
@@ -193,11 +241,12 @@ def simulate_pa(state: CQState, z_size: int, method: str = "exact",
 
     if samples < 2:
         raise DomainError("monte-carlo needs at least 2 samples")
+    singles = _block_distances(weights[:, None], target)
 
     def job(values, j, start, stop):
         rng = _chunk_rng(seed, j)
         tables = rng.integers(0, z_size, size=(stop - start, x_size), dtype=np.int64)
-        values[start:stop] = _hash_values(tables, weights, z_size, target)
+        values[start:stop] = _hash_values(tables, weights, z_size, target, singles)
 
     values = _run_chunks(samples, workers, job)
     value, half = _mc_summary(values)
@@ -218,7 +267,7 @@ def simulate_covering(state: CQState, m: int, method: str = "exact",
     """
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    _check_method(method)
+    _check_run(method, workers)
     rho_b = state.marginal()
     x_size = state.alphabet_size
 
@@ -229,7 +278,6 @@ def simulate_covering(state: CQState, m: int, method: str = "exact",
                 f"{n_types} codebook types exceed the enumeration cap "
                 f"{ENUMERATION_CAP}; use method='mc'"
             )
-        types = _compositions(m, x_size)
         log_fact = np.array([math.lgamma(j + 1) for j in range(m + 1)])
         with np.errstate(divide="ignore"):
             log_p = np.log(state.p)
@@ -240,8 +288,7 @@ def simulate_covering(state: CQState, m: int, method: str = "exact",
                 log_like = np.where(counts > 0, counts * log_p, 0.0).sum(axis=1)
             return np.exp(log_fact[m] - log_fact[counts].sum(axis=1) + log_like)
 
-        batches = (types[i:i + _CHUNK] for i in range(0, len(types), _CHUNK))
-        value = _exact_average(batches, type_weights, state.rhos / m, rho_b)
+        value = _exact_average(_type_rows(m, x_size), type_weights, state.rhos / m, rho_b)
         return SimulationEstimate(value, "exact", x_size ** m, seed, 0.0)
 
     if samples < 2:

@@ -82,6 +82,18 @@ def test_divergence_refuses_bad_grid(capsys, bitpair_file):
         assert captured.out == ""
 
 
+def test_simulate_refuses_non_positive_workers(capsys, bitpair_file):
+    for method in ("mc", "exact"):
+        code = run([
+            "simulate", "--task", "pa", "--state", bitpair_file, "--size", "2",
+            "--method", method, "--samples", "100", "--workers", "0",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "workers" in captured.err
+        assert captured.out == ""
+
+
 def test_bounds_domain_error_exit_code(capsys, antipodal_file):
     code = run([
         "bounds", "--task", "covering", "--state", antipodal_file,

@@ -124,7 +124,7 @@ def test_ds_grid_refused_before_any_eigensolver_call(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolver)
     monkeypatch.setattr(np.linalg, "eigh", no_eigensolver)
     for pair in pairs:
-        for grid in (-7, 0, 1, ENUMERATION_CAP + 1):
+        for grid in (-7, 0, 1, 2.5, 4.0, ENUMERATION_CAP + 1):
             with pytest.raises(DomainError, match="grid"):
                 info_spectrum_divergence_bracket(pair, 0.3, grid)
             with pytest.raises(DomainError, match="grid"):

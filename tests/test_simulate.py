@@ -1,6 +1,8 @@
 """Protocol simulators and certified size searches."""
 
+import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +13,7 @@ from oneshot_qit import (
     DomainError,
     search_max_extractable,
     search_min_codebook,
+    simulate,
     simulate_covering,
     simulate_pa,
     uniform_function_family,
@@ -22,6 +25,7 @@ from conftest import (
     brute_force_covering,
     brute_force_pa,
     random_cq_state,
+    svd_trace_norm,
 )
 
 
@@ -125,6 +129,117 @@ def test_pa_monte_carlo_deterministic_across_workers():
     assert runs[0].half_width == runs[1].half_width == runs[2].half_width
 
 
+def _dense_table_value(state, z, table):
+    """Extraction distance of one function table, all z blocks assembled."""
+    rho_b = np.einsum("x,xij->ij", state.p, state.rhos)
+    blocks = np.repeat(-rho_b[None] / z, z, axis=0)
+    for x, h in enumerate(table):
+        blocks[h] += state.p[x] * state.rhos[x]
+    return 0.5 * svd_trace_norm(blocks)
+
+
+def _recorded_mc(monkeypatch, state, z, samples, seed):
+    """A Monte-Carlo extraction estimate with the tables and per-table
+    values of every chunk."""
+    chunks = []
+    kernel = simulate._hash_values
+
+    def recording(tables, *args):
+        values = kernel(tables, *args)
+        chunks.append((tables, values))
+        return values
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "_hash_values", recording)
+        est = simulate_pa(state, z, "mc", samples=samples, seed=seed)
+    return est, chunks
+
+
+def test_pa_monte_carlo_tables_match_dense_oracle(monkeypatch):
+    # (|X|, z, d, zero entry in p): z below, at and above |X|
+    for alphabet, z, dim, zero_p in [
+        (5, 3, 2, False),
+        (4, 4, 3, False),
+        (4, 9, 2, False),
+        (3, 40, 2, True),
+        (5, 7, 1, False),
+        (1, 3, 2, False),
+    ]:
+        state = _oracle_state(76, alphabet, dim, zero_p)
+        est, chunks = _recorded_mc(monkeypatch, state, z, 48, seed=9)
+        [(tables, values)] = chunks
+        assert tables.shape == (48, alphabet)
+        assert est.value == np.mean(values)
+        for table, value in zip(tables, values):
+            assert value == pytest.approx(_dense_table_value(state, z, table), abs=1e-12)
+        # the tables hit empty, singleton and (for |X| > 1) colliding blocks
+        counts = np.stack([np.bincount(t, minlength=z) for t in tables])
+        assert (counts == 0).any() and (counts == 1).any()
+        assert (counts >= 2).any() == (alphabet > 1)
+
+
+def test_pa_monte_carlo_deterministic_across_workers_large_output():
+    state = _oracle_state(77, 4, 2, False)
+    runs = [
+        simulate_pa(state, 16, "mc", samples=10_000, seed=12, workers=w)
+        for w in (1, 2)
+    ]
+    assert runs[0].value == runs[1].value
+    assert runs[0].half_width == runs[1].half_width
+
+
+def test_pa_monte_carlo_memory_does_not_grow_with_output_size(monkeypatch):
+    state = _oracle_state(78, 8, 8, False)
+    tracemalloc.start()
+    try:
+        est = simulate_pa(state, 1024, "mc", samples=4096, seed=13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one dense (4096, 1024, 8, 8) complex chunk would take 4.3 GB
+    assert peak < 64e6
+    again, [(tables, values)] = _recorded_mc(monkeypatch, state, 1024, 4096, 13)
+    assert again.value == est.value
+    for table, value in zip(tables[:3], values[:3]):
+        assert value == pytest.approx(_dense_table_value(state, 1024, table), abs=1e-12)
+
+
+def test_mc_workers_validated_and_pool_sized_by_chunks(monkeypatch):
+    pool_sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", SerialPool)
+    state = bit_pair_trivial_side()
+    three_chunks = 3 * simulate._CHUNK
+    serial = simulate_pa(state, 2, "mc", samples=three_chunks, seed=1)
+    assert pool_sizes == []
+    pooled = simulate_pa(state, 2, "mc", samples=three_chunks, seed=1, workers=8)
+    assert pool_sizes == [3]
+    assert pooled.value == serial.value
+    simulate_covering(state, 2, "mc", samples=three_chunks, seed=1, workers=2)
+    assert pool_sizes == [3, 2]
+    simulate_pa(state, 2, "mc", samples=100, seed=1, workers=8)  # one chunk
+    assert pool_sizes == [3, 2]
+    for workers in (0, -3):
+        for runner, method in itertools.product(
+                (simulate_pa, simulate_covering), ("mc", "exact")):
+            with pytest.raises(DomainError, match="workers"):
+                runner(state, 2, method, samples=100, workers=workers)
+    assert pool_sizes == [3, 2]
+
+
 def test_pa_estimates_in_range(corpus):
     for state in corpus[:5]:
         for z in (1, 2, 3):
@@ -178,6 +293,18 @@ def test_covering_antipodal_binomial_closed_form():
     est = simulate_covering(binary_antipodal(), m, "exact")
     assert est.value == pytest.approx(expected, abs=1e-12)
     assert est.samples == 2 ** m
+
+
+def test_covering_exact_streams_types_of_a_large_alphabet():
+    # 1,200 types at m=1, generated without recursion
+    state = random_cq_state(np.random.default_rng(79), 1200, 2)
+    rho_b = np.einsum("x,xij->ij", state.p, state.rhos)
+    expected = math.fsum(
+        px * 0.5 * svd_trace_norm(rho - rho_b) for px, rho in zip(state.p, state.rhos)
+    )
+    est = simulate_covering(state, 1, "exact")
+    assert est.value == pytest.approx(expected, abs=1e-12)
+    assert est.samples == 1200
 
 
 def test_covering_monte_carlo_scaling_sanity():
