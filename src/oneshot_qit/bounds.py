@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cq import CQState
+from .cq import CQState, joint_embed
+from .divergences import _commuting_pairs
 from .entropic import conditional_test_entropy, hypothesis_test_information
 from .errors import DomainError
-from .linalg import DEFAULT_CLUSTER_TOL, eig_herm, spec_count
+from .linalg import DEFAULT_CLUSTER_TOL, _radius, spec_count
 
 
 @dataclass(frozen=True)
@@ -59,31 +60,21 @@ def validate_sandwich_params(eps: float, delta: float, c: float) -> None:
 def _pinched_exceedance_mass(
     state: CQState, c: float, weight_threshold: bool
 ) -> float:
-    """Mass of the joint state where its marginal-pinched version exceeds
+    """Mass of the joint state where its reference-pinched version exceeds
     c times the reference.
 
     The reference is the identity-weighted marginal when
     ``weight_threshold`` is False (extraction) and the p(x)-weighted
-    marginal when True (covering).  Both operators commute with the
-    marginal, so the comparison is exact in its eigenbasis.
+    marginal when True (covering).  Both are block-diagonal multiples of
+    the marginal, so the comparison is exact in their joint spectrum.
+    Exceeding means by more than the cluster tolerance, relative to the
+    larger of the two operators, so exact ties never count.
     """
-    system = eig_herm(state.marginal())
-    v = system.eigenvectors
-    clusters = system.clusters()
-    cluster_vals = [float(np.mean(system.eigenvalues[idx])) for idx in clusters]
-
-    masses, gaps = [], []
-    for x in range(state.alphabet_size):
-        block = v.conj().T @ (state.p[x] * state.rhos[x]) @ v
-        t_x = state.p[x] if weight_threshold else 1.0
-        for idx, lam in zip(clusters, cluster_vals):
-            beta = np.linalg.eigvalsh(block[np.ix_(idx, idx)])
-            masses.append(beta)
-            gaps.append(beta - c * t_x * lam)
-    masses = np.concatenate(masses)
-    gaps = np.concatenate(gaps)
-    atol = DEFAULT_CLUSTER_TOL * float(np.max(np.abs(gaps)))
-    return float(np.sum(masses[gaps > atol]))
+    emb = joint_embed(state)
+    reference = emb.rho_x_tensor_rho_b if weight_threshold else emb.one_x_tensor_rho_b
+    masses, thresholds = _commuting_pairs(emb.rho_xb, c * reference)
+    atol = DEFAULT_CLUSTER_TOL * max(_radius(masses), _radius(thresholds))
+    return float(np.sum(masses[masses - thresholds > atol]))
 
 
 def pa_direct_bound(state: CQState, c: float, z_size: int) -> float:

@@ -66,18 +66,17 @@ class CQState:
             raise DomainError(
                 f"rhos must have shape (alphabet, d, d); got {rhos.shape}"
             )
-        blocks = np.empty_like(rhos)
-        for x in range(rhos.shape[0]):
-            block = as_hermitian(rhos[x])
-            lam = np.linalg.eigvalsh(block)
-            if lam[0] < -_PSD_TOL:
+        blocks = as_hermitian(rhos)
+        lam_min = np.linalg.eigvalsh(blocks)[:, 0]
+        traces = np.trace(blocks, axis1=1, axis2=2).real
+        bad = np.flatnonzero((lam_min < -_PSD_TOL) | (np.abs(traces - 1.0) > _PSD_TOL))
+        if bad.size:
+            x = bad[0]
+            if lam_min[x] < -_PSD_TOL:
                 raise DomainError(
-                    f"block {x} is not PSD: eigenvalue {lam[0]:.3e}"
+                    f"block {x} is not PSD: eigenvalue {lam_min[x]:.3e}"
                 )
-            tr = float(np.trace(block).real)
-            if abs(tr - 1.0) > _PSD_TOL:
-                raise DomainError(f"block {x} has trace {tr}, expected 1")
-            blocks[x] = block
+            raise DomainError(f"block {x} has trace {traces[x]}, expected 1")
 
         p.setflags(write=False)
         blocks.setflags(write=False)
@@ -99,11 +98,12 @@ class CQState:
 
 @dataclass(frozen=True)
 class JointEmbedding:
-    """The four block-diagonal operators derived from a CQState.
+    """The block-diagonal operators derived from a CQState.
 
-    Blocks are indexed by the classical symbol; ``rho_xb`` holds
-    p(x) * rho^x, ``rho_x_tensor_rho_b`` holds p(x) * rho_b, and
-    ``one_x_tensor_rho_b`` holds rho_b in every block.
+    Each is an (alphabet_size, d, d) stack of diagonal blocks indexed by
+    the classical symbol: ``rho_xb`` holds p(x) * rho^x,
+    ``rho_x_tensor_rho_b`` holds p(x) * rho_b, and ``one_x_tensor_rho_b``
+    holds rho_b in every block (a read-only view).
     """
 
     rho_xb: np.ndarray
@@ -113,19 +113,15 @@ class JointEmbedding:
 
 
 def joint_embed(state: CQState) -> JointEmbedding:
-    """Assemble the joint operator and its two product references."""
-    x_size, d = state.alphabet_size, state.dim_b
+    """The joint operator and its two product references, as block stacks."""
     rho_b = state.marginal()
-    dim = x_size * d
-    rho_xb = np.zeros((dim, dim), dtype=complex)
-    rho_x_rho_b = np.zeros((dim, dim), dtype=complex)
-    one_x_rho_b = np.zeros((dim, dim), dtype=complex)
-    for x in range(x_size):
-        sl = slice(x * d, (x + 1) * d)
-        rho_xb[sl, sl] = state.p[x] * state.rhos[x]
-        rho_x_rho_b[sl, sl] = state.p[x] * rho_b
-        one_x_rho_b[sl, sl] = rho_b
-    return JointEmbedding(rho_xb, rho_x_rho_b, one_x_rho_b, rho_b)
+    weights = state.p[:, None, None]
+    return JointEmbedding(
+        weights * state.rhos,
+        weights * rho_b,
+        np.broadcast_to(rho_b, state.rhos.shape),
+        rho_b,
+    )
 
 
 def regularize(state: CQState, eps: float) -> CQState:
@@ -284,20 +280,22 @@ class TypeClassSpectrum:
 
 
 def _compositions(n: int, k: int) -> np.ndarray:
-    """All length-k tuples of non-negative integers summing to n."""
-    if k == 1:
-        return np.array([[n]], dtype=np.int64)
-    if k == 2:
-        t0 = np.arange(n + 1, dtype=np.int64)
-        return np.stack([t0, n - t0], axis=1)
-    rows = []
-    for head in range(n + 1):
-        tail = _compositions(n - head, k - 1)
-        block = np.empty((tail.shape[0], k), dtype=np.int64)
-        block[:, 0] = head
-        block[:, 1:] = tail
-        rows.append(block)
-    return np.concatenate(rows, axis=0)
+    """All length-k tuples of non-negative integers summing to n, in
+    lexicographic order."""
+    remaining = np.array([n], dtype=np.int64)
+    levels = []
+    for _ in range(k - 1):
+        # each prefix branches into next coordinates 0..remaining
+        counts = remaining + 1
+        parent = np.repeat(np.arange(remaining.size), counts)
+        head = np.arange(parent.size) - (np.cumsum(counts) - counts)[parent]
+        remaining = remaining[parent] - head
+        levels.append((head, parent))
+    columns, index = [remaining], np.arange(remaining.size)
+    for head, parent in reversed(levels):
+        columns.append(head[index])
+        index = parent[index]
+    return np.column_stack(columns[::-1])
 
 
 def iid_type_spectrum(p, q, n: int) -> TypeClassSpectrum:

@@ -8,6 +8,10 @@ values are reported in bits; natural logarithms are used internally.
 ``sigma`` may be any PSD operator (not necessarily normalized); shifting
 it by a positive factor shifts the first four quantities by -log2 of the
 factor and leaves the variance unchanged.
+
+A pair may also be two (k, d, d) stacks of diagonal blocks (cq joint
+operators); kernels work block by block with tolerances relative to the
+whole stack, so a stack gives the values of the dense block-diagonal pair.
 """
 
 from __future__ import annotations
@@ -22,13 +26,12 @@ from .cq import ENUMERATION_CAP
 from .errors import DomainError, NumericalError
 from .linalg import (
     DEFAULT_CLUSTER_TOL,
+    _cluster_labels,
     _eigh_checked,
     _positive_part_trace_raw,
     _radius,
     as_hermitian,
-    eig_herm,
     mat_func,
-    support_projector,
 )
 
 LN2 = math.log(2.0)
@@ -46,7 +49,8 @@ class DivergencePair:
 
     ``rho`` is a density operator (unit trace unless constructed with
     ``normalized=False``, which only relaxes the trace check); ``sigma``
-    is PSD and may be unnormalized.
+    is PSD and may be unnormalized.  Both are (d, d), or both are
+    (k, d, d) stacks of diagonal blocks.
     """
 
     rho: np.ndarray
@@ -60,11 +64,11 @@ class DivergencePair:
         if rho.shape != sigma.shape:
             raise DomainError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
         for name, op in (("rho", rho), ("sigma", sigma)):
-            lam_min = float(np.linalg.eigvalsh(op)[0])
+            lam_min = float(np.linalg.eigvalsh(op).min())
             if lam_min < -1e-10:
                 raise DomainError(f"{name} is not PSD: eigenvalue {lam_min:.3e}")
         if normalized:
-            tr = float(np.trace(rho).real)
+            tr = _trace(rho)
             if abs(tr - 1.0) > 1e-10:
                 raise DomainError(f"rho has trace {tr}, expected 1")
         comm = rho @ sigma - sigma @ rho
@@ -77,10 +81,21 @@ def _check_eps(eps: float) -> None:
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
 
 
+def _trace(a: np.ndarray) -> float:
+    """Real trace of an operator, summed over the blocks of a stack."""
+    return float(np.trace(a, axis1=-2, axis2=-1).real.sum())
+
+
+def _weights(rho: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Re(v_i^dagger rho v_i) for every eigenvector column i of v."""
+    return np.sum(v.conj() * (rho @ v), axis=-2).real
+
+
 def _check_support(pair: DivergencePair) -> None:
     """Require the support of rho to sit inside the support of sigma."""
-    proj = support_projector(pair.sigma)
-    leak = float(np.trace(pair.rho @ (np.eye(proj.shape[0]) - proj)).real)
+    lam, v = _eigh_checked(pair.sigma)
+    kernel = lam <= DEFAULT_CLUSTER_TOL * _radius(lam)
+    leak = float(np.sum(_weights(pair.rho, v)[kernel]))
     if leak > _SUPPORT_TOL:
         raise DomainError(
             f"support violation: rho carries mass {leak:.3e} outside the "
@@ -93,17 +108,21 @@ def _check_support(pair: DivergencePair) -> None:
 # ---------------------------------------------------------------------------
 
 def _commuting_pairs(rho: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Joint spectrum (r_i, s_i) of a commuting pair in a common eigenbasis."""
-    system = eig_herm(sigma)
-    v = system.eigenvectors
-    m = v.conj().T @ rho @ v
+    """Joint spectrum (r_i, s_i) of a commuting pair in a common eigenbasis.
+
+    Block by block, rho is diagonalized within each eigenvalue cluster of
+    sigma; for a non-commuting pair this pinches rho to those clusters.
+    """
+    d = sigma.shape[-1]
+    lam, v = _eigh_checked(sigma.reshape(-1, d, d))
+    m = v.conj().swapaxes(-1, -2) @ rho.reshape(-1, d, d) @ v
+    labels = _cluster_labels(lam, DEFAULT_CLUSTER_TOL)
     r_parts, s_parts = [], []
-    for idx in system.clusters():
-        block = m[np.ix_(idx, idx)]
-        r = np.linalg.eigvalsh(block)
-        s_val = float(np.mean(system.eigenvalues[idx]))
-        r_parts.append(r)
-        s_parts.append(np.full(idx.size, s_val))
+    for lam_x, m_x, labels_x in zip(lam, m, labels):
+        for label in range(labels_x[-1] + 1):
+            idx = np.flatnonzero(labels_x == label)
+            r_parts.append(np.linalg.eigvalsh(m_x[np.ix_(idx, idx)]))
+            s_parts.append(np.full(idx.size, np.mean(lam_x[idx])))
     return np.concatenate(r_parts), np.concatenate(s_parts)
 
 
@@ -140,10 +159,10 @@ def _ds_event_masses(rho: np.ndarray, sigma: np.ndarray, cs: np.ndarray) -> np.n
     Same non-strict convention as ``projector_leq``: eigenvectors of
     c sigma - rho with eigenvalue >= -DEFAULT_CLUSTER_TOL * radius count.
     """
-    lam, v = _eigh_checked(cs[:, None, None] * sigma - rho)
+    lam, v = _eigh_checked(np.multiply.outer(cs, sigma) - rho)
+    lam = lam.reshape(cs.size, -1)
+    weights = _weights(rho, v).reshape(cs.size, -1)
     atol = DEFAULT_CLUSTER_TOL * np.max(np.abs(lam), axis=-1, keepdims=True)
-    # Re(v_i^dagger rho v_i) for every eigenvector column i
-    weights = np.sum(v.conj() * (rho @ v), axis=-2).real
     return np.sum(weights, axis=-1, where=lam >= -atol)
 
 
@@ -152,7 +171,7 @@ def _ds_grid_bracket(
 ) -> tuple[float, float, float]:
     """Certified bracket for the non-commuting supremum (values in bits)."""
     inv_sqrt = mat_func(sigma, lambda x: x ** -0.5, support_only=True)
-    pencil = np.linalg.eigvalsh(inv_sqrt @ rho @ inv_sqrt)
+    pencil = np.linalg.eigvalsh(inv_sqrt @ rho @ inv_sqrt).ravel()
     atol = DEFAULT_CLUSTER_TOL * _radius(pencil)
     pencil = pencil[pencil > atol]
     if pencil.size == 0:
@@ -296,7 +315,7 @@ def collision_divergence(pair: DivergencePair) -> float:
     _check_support(pair)
     quarter = mat_func(pair.sigma, lambda x: x ** -0.25, support_only=True)
     w = quarter @ pair.rho @ quarter
-    value = float(np.trace(w @ w).real)
+    value = _trace(w @ w)
     if value <= 0.0:
         return -math.inf
     return math.log2(value)
@@ -312,13 +331,13 @@ def relative_entropy(pair: DivergencePair) -> float:
     """Tr[rho (log rho - log sigma)] in bits, support-restricted logs."""
     _check_support(pair)
     delta = _log_operators(pair)
-    return float(np.trace(pair.rho @ delta).real) / LN2
+    return _trace(pair.rho @ delta) / LN2
 
 
 def relative_entropy_variance(pair: DivergencePair) -> float:
     """Second central moment of the log-likelihood operator, in bits^2."""
     _check_support(pair)
     delta = _log_operators(pair)
-    mean = float(np.trace(pair.rho @ delta).real)
-    second = float(np.trace(pair.rho @ delta @ delta).real)
+    mean = _trace(pair.rho @ delta)
+    second = _trace(pair.rho @ delta @ delta)
     return max(second - mean * mean, 0.0) / (LN2 * LN2)

@@ -2,8 +2,9 @@
 
 Operators are plain complex numpy arrays; ``as_hermitian`` is the gate
 through which every routine pulls its inputs, symmetrizing and rejecting
-anything that is not (numerically) Hermitian.  All functions are pure,
-hold no state, and are safe to call concurrently.
+anything that is not (numerically) Hermitian; it and ``mat_func`` also
+take (..., n, n) stacks of diagonal blocks.  All functions are pure, hold
+no state, and are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ _RECONSTRUCTION_TOL = 1e-10
 def as_hermitian(entries, tol: float = _HERMITICITY_TOL) -> np.ndarray:
     """Return the Hermitian part (A + A†)/2 after validating near-symmetry."""
     a = np.asarray(entries, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.size < 1:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
+    a_h = a.conj().swapaxes(-1, -2)
     scale = max(1.0, float(np.max(np.abs(a))))
-    asym = float(np.max(np.abs(a - a.conj().T)))
+    asym = float(np.max(np.abs(a - a_h)))
     if asym > tol * scale:
         raise DomainError(f"matrix is not Hermitian: max asymmetry {asym:.3e}")
-    return (a + a.conj().T) / 2
+    return (a + a_h) / 2
 
 
 def _radius(eigenvalues: np.ndarray) -> float:
@@ -40,13 +42,12 @@ def _radius(eigenvalues: np.ndarray) -> float:
 
 
 def _cluster_labels(eigenvalues: np.ndarray, cluster_tol: float) -> np.ndarray:
-    """Label ascending eigenvalues, merging gaps below cluster_tol * radius."""
+    """Label ascending eigenvalues (each row of a stack), merging gaps below
+    cluster_tol * radius of the whole stack."""
     lam = np.asarray(eigenvalues, dtype=float)
-    atol = cluster_tol * _radius(lam)
-    labels = np.zeros(lam.size, dtype=int)
-    for i in range(1, lam.size):
-        labels[i] = labels[i - 1] + (1 if lam[i] - lam[i - 1] > atol else 0)
-    return labels
+    steps = np.diff(lam, axis=-1) > cluster_tol * _radius(lam)
+    head = np.zeros(lam.shape[:-1] + (1,), dtype=int)
+    return np.concatenate([head, np.cumsum(steps, axis=-1)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -68,10 +69,6 @@ class EigenSystem:
 
     def cluster_labels(self) -> np.ndarray:
         return _cluster_labels(self.eigenvalues, self.cluster_tol)
-
-    def clusters(self) -> list[np.ndarray]:
-        labels = self.cluster_labels()
-        return [np.flatnonzero(labels == k) for k in range(labels[-1] + 1)]
 
 
 def _eigh_checked(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,15 +109,15 @@ def mat_func(
     With ``support_only`` the function acts on eigenvalues above the
     relative support threshold and the kernel maps to 0 (Moore-Penrose
     style); use it for inverses, logarithms, and negative powers of
-    positive semi-definite operators.
+    positive semi-definite operators.  A (..., n, n) stack is mapped block
+    by block, with the support threshold relative to the whole stack.
     """
-    system = eig_herm(a, cluster_tol)
-    lam = system.eigenvalues
-    out = np.zeros(lam.size, dtype=float)
+    lam, v = _eigh_checked(as_hermitian(a))
+    out = np.zeros(lam.shape, dtype=float)
     if support_only:
         mask = lam > cluster_tol * _radius(lam)
     else:
-        mask = np.ones(lam.size, dtype=bool)
+        mask = np.ones(lam.shape, dtype=bool)
     try:
         with np.errstate(all="ignore"):
             out[mask] = [float(f(x)) for x in lam[mask]]
@@ -134,8 +131,7 @@ def mat_func(
             "function undefined on a retained eigenvalue; "
             "pass support_only to restrict to the support"
         )
-    v = system.eigenvectors
-    return as_hermitian((v * out) @ v.conj().T)
+    return as_hermitian((v * out[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def positive_part_trace(a) -> float:
@@ -212,10 +208,3 @@ def projector_leq(a, b, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> np.ndarray:
     cols = system.eigenvectors[:, system.eigenvalues >= -atol]
     return cols @ cols.conj().T
 
-
-def support_projector(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> np.ndarray:
-    """Projector onto the span of eigenvectors with eigenvalue above threshold."""
-    system = eig_herm(a, cluster_tol)
-    atol = cluster_tol * _radius(system.eigenvalues)
-    cols = system.eigenvectors[:, system.eigenvalues > atol]
-    return cols @ cols.conj().T

@@ -64,6 +64,16 @@ def random_cq_state(rng, alphabet, dim):
     return CQState(p, [random_density(rng, dim) for _ in range(alphabet)])
 
 
+def block_diagonal(blocks):
+    """The dense operator with the (k, d, d) blocks on its diagonal."""
+    blocks = np.asarray(blocks)
+    k, d = blocks.shape[0], blocks.shape[-1]
+    dense = np.zeros((k * d, k * d), dtype=complex)
+    for x in range(k):
+        dense[x * d:(x + 1) * d, x * d:(x + 1) * d] = blocks[x]
+    return dense
+
+
 # ---------------------------------------------------------------------------
 # Named states
 # ---------------------------------------------------------------------------

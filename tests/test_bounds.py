@@ -10,15 +10,24 @@ from oneshot_qit import (
     DomainError,
     covering_direct_bound,
     covering_size_bounds,
+    dump_state,
     pa_direct_bound,
     pa_size_bounds,
+    pinch,
+    projector_leq,
     simulate_covering,
     simulate_pa,
     spec_count,
     validate_sandwich_params,
 )
+from oneshot_qit.cli import run
 
-from conftest import binary_antipodal, bit_pair_trivial_side, random_cq_state
+from conftest import (
+    binary_antipodal,
+    bit_pair_trivial_side,
+    block_diagonal,
+    random_cq_state,
+)
 
 
 def test_pa_direct_bound_uniform_four():
@@ -83,6 +92,71 @@ def test_direct_bounds_dominate_on_corpus(corpus):
             for c in c_grid:
                 assert pa_direct_bound(state, c, size) >= pa_exact - 1e-9
                 assert covering_direct_bound(state, c, size) >= cov_exact - 1e-9
+
+
+def dense_direct_bound(state, c, size, covering):
+    """The direct bound from dense (|X|d)x(|X|d) operators: the joint state
+    pinched to the reference's eigenvalue clusters, its mass where it
+    exceeds c times the reference by more than 1e-9 of their radius, plus
+    the overshoot term."""
+    rho_b = np.tensordot(state.p, state.rhos, axes=1)
+    weights = state.p if covering else np.ones(state.alphabet_size)
+    rho = block_diagonal(state.p[:, None, None] * state.rhos)
+    reference = c * block_diagonal(weights[:, None, None] * rho_b)
+    pinched = pinch(reference, rho)
+    eye = np.eye(rho.shape[0])
+    atol = 1e-9 * max(np.linalg.norm(pinched, 2), np.linalg.norm(reference, 2))
+    above = eye - projector_leq(pinched, reference + atol * eye)
+    tail = float(np.trace(pinched @ above).real)
+    nu = spec_count(rho_b)
+    return tail + math.sqrt(c * nu / size if covering else c * nu * size)
+
+
+def test_direct_bounds_match_dense_oracle():
+    rng = np.random.default_rng(64)
+    states = [random_cq_state(rng, x, d) for x, d in ((1, 3), (3, 1), (3, 2), (4, 3), (6, 2))]
+    uniform = random_cq_state(rng, 4, 2)
+    states.append(CQState(np.full(4, 0.25), uniform.rhos))
+    zero = random_cq_state(rng, 4, 3)
+    states.append(CQState([0.5, 0.0, 0.3, 0.2], zero.rhos))
+    # a maximally mixed marginal: one eigenvalue cluster, nothing to pinch
+    rho = random_cq_state(rng, 1, 3).rhos[0]
+    states.append(CQState([1 / 3, 2 / 3], [rho, (np.eye(3) - rho) / 2]))
+    for state in states:
+        for c in (0.05, 0.3, 1.0, 2.5):
+            assert pa_direct_bound(state, c, 3) == pytest.approx(
+                dense_direct_bound(state, c, 3, covering=False), abs=1e-10)
+            assert covering_direct_bound(state, c, 3) == pytest.approx(
+                dense_direct_bound(state, c, 3, covering=True), abs=1e-10)
+
+
+def test_cq_paths_solve_only_block_sized_matrices(monkeypatch, tmp_path, capsys):
+    rng = np.random.default_rng(65)
+    state, other = random_cq_state(rng, 16, 2), random_cq_state(rng, 16, 2)
+    path_a, path_b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    dump_state(state, path_a)
+    dump_state(other, path_b)
+    sizes = []
+    for name in ("eigh", "eigvalsh"):
+        def recording(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return _solve(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recording)
+
+    pa_direct_bound(state, 0.3, 4)
+    covering_direct_bound(state, 0.3, 4)
+    sandwich = ("--eps", "0.3", "--delta", "0.09", "--c", "0.04")
+    argvs = [("bounds", "--task", task, "--state", path_a, *sandwich)
+             for task in ("pa", "covering")]
+    argvs += [("rates", "--task", task, "--state", path_a, "--eps", "0.2", "--n", "100")
+              for task in ("pa", "covering")]
+    argvs += [("divergence", "--kind", kind, "--state-a", path_a, "--state-b", path_b,
+               "--eps", "0.2", "--grid", "64")
+              for kind in ("ds", "dh", "d2", "kl", "var")]
+    for argv in argvs:
+        assert run(list(argv)) == 0, capsys.readouterr().err
+    capsys.readouterr()
+    assert sizes and max(sizes) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,16 @@ def test_sweep_second_order_csv(capsys):
     assert len(lines) == 3
 
 
+def test_sweep_large_alphabet_at_blocklength_one(capsys):
+    uniform = ",".join([repr(1.0 / 1200)] * 1200)
+    payload, _ = run_json(capsys, [
+        "sweep", "--regime", "second", "--p", uniform, "--q", uniform,
+        "--eps", "0.2", "--n-list", "1",
+    ])
+    (row,) = payload["results"]["rows"]
+    assert row["exact_bits"] == pytest.approx(-math.log2(0.8), abs=1e-12)
+
+
 def test_sweep_moderate_has_both_branches(capsys):
     payload, _ = run_json(capsys, [
         "sweep", "--regime", "moderate", "--p", "0.3,0.7", "--q", "0.5,0.5",

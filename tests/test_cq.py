@@ -1,5 +1,6 @@
 """Classical-quantum state construction, I/O, and type spectra."""
 
+import itertools
 import json
 import math
 
@@ -20,6 +21,8 @@ from oneshot_qit import (
     state_from_document,
     state_to_document,
 )
+
+from oneshot_qit.cq import _compositions
 
 from conftest import binary_antipodal, bit_pair_trivial_side, random_cq_state
 
@@ -42,6 +45,18 @@ def test_non_psd_block_rejected_with_eigenvalue():
         CQState(p=[1.0], rhos=[block])
 
 
+def test_first_failing_block_is_named():
+    good = np.eye(2) / 2
+    not_psd = [[0.505, 0.51], [0.51, 0.505]]
+    bad_trace = np.eye(2)
+    with pytest.raises(DomainError, match="block 1 is not PSD"):
+        CQState(p=[0.3, 0.3, 0.4], rhos=[good, not_psd, bad_trace])
+    with pytest.raises(DomainError, match="block 1 has trace 2"):
+        CQState(p=[0.3, 0.3, 0.4], rhos=[good, bad_trace, not_psd])
+    with pytest.raises(DomainError, match="not Hermitian"):
+        CQState(p=[0.5, 0.5], rhos=[good, [[0.5, 0.1], [0.0, 0.5]]])
+
+
 def test_probability_renormalized_within_tolerance():
     state = CQState(p=[0.5 + 2e-10, 0.5], rhos=[[[1.0]], [[1.0]]])
     assert state.p.sum() == pytest.approx(1.0, abs=1e-15)
@@ -60,11 +75,9 @@ def test_joint_embed_blocks_and_marginal():
     state = binary_antipodal()
     emb = joint_embed(state)
     assert np.allclose(emb.rho_b, np.eye(2) / 2)
-    d = state.dim_b
     for x in range(state.alphabet_size):
-        sl = slice(x * d, (x + 1) * d)
-        assert np.max(np.abs(emb.rho_xb[sl, sl] - state.p[x] * state.rhos[x])) <= 1e-12
-        assert np.max(np.abs(emb.one_x_tensor_rho_b[sl, sl] - emb.rho_b)) <= 1e-12
+        assert np.max(np.abs(emb.rho_xb[x] - state.p[x] * state.rhos[x])) <= 1e-12
+        assert np.max(np.abs(emb.one_x_tensor_rho_b[x] - emb.rho_b)) <= 1e-12
 
 
 def test_joint_embed_singleton_alphabet():
@@ -79,11 +92,7 @@ def test_joint_embed_partial_trace_consistency():
     rng = np.random.default_rng(21)
     state = random_cq_state(rng, 3, 2)
     emb = joint_embed(state)
-    d = state.dim_b
-    partial = sum(
-        emb.rho_xb[x * d:(x + 1) * d, x * d:(x + 1) * d]
-        for x in range(state.alphabet_size)
-    )
+    partial = sum(emb.rho_xb[x] for x in range(state.alphabet_size))
     direct = sum(state.p[x] * state.rhos[x] for x in range(state.alphabet_size))
     assert np.max(np.abs(partial - direct)) <= 1e-12
     assert np.max(np.abs(emb.rho_b - direct)) <= 1e-12
@@ -240,6 +249,16 @@ def test_type_spectrum_mass_sums_to_one_various_n():
     for n in (1, 3, 10, 50):
         spec = iid_type_spectrum(p, q, n)
         assert spec.total_p_mass() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_compositions_in_lexicographic_order():
+    for n, k in ((0, 1), (4, 1), (0, 3), (1, 4), (5, 2), (5, 3), (4, 4), (3, 6)):
+        expected = sorted(
+            t for t in itertools.product(range(n + 1), repeat=k) if sum(t) == n
+        )
+        assert _compositions(n, k).tolist() == [list(t) for t in expected]
+    # one coordinate per symbol, with no recursion on the alphabet size
+    assert _compositions(1, 1200).tolist() == np.eye(1200, dtype=int)[::-1].tolist()
 
 
 def test_type_spectrum_rejects_bad_inputs():

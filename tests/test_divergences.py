@@ -6,12 +6,18 @@ import numpy as np
 import pytest
 
 from oneshot_qit import (
+    CQState,
     DivergencePair,
     DomainError,
     collision_divergence,
+    conditional_entropy_with_variance,
+    conditional_test_entropy,
     hypothesis_test_divergence,
+    hypothesis_test_information,
     info_spectrum_divergence,
     info_spectrum_divergence_bracket,
+    joint_embed,
+    mutual_information_with_variance,
     pinch,
     relative_entropy,
     relative_entropy_variance,
@@ -22,8 +28,10 @@ from oneshot_qit.divergences import _ds_event_masses, dual_test_objective
 from oneshot_qit.linalg import projector_leq
 
 from conftest import (
+    block_diagonal,
     operator_test_oracle,
     random_commuting_pair,
+    random_cq_state,
     random_density,
     random_psd,
     scalar_test_oracle,
@@ -419,3 +427,91 @@ def test_commuting_path_matches_scalar_closed_forms():
         v_scalar = float(np.sum(p * llr ** 2)) - d_scalar ** 2
         assert relative_entropy(pair) == pytest.approx(d_scalar, abs=1e-9)
         assert relative_entropy_variance(pair) == pytest.approx(v_scalar, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Block stacks against the dense block-diagonal operator
+# ---------------------------------------------------------------------------
+
+def _all_divergences(pair):
+    values = list(info_spectrum_divergence_bracket(pair, 0.2, 256))
+    values += [hypothesis_test_divergence(pair, eps) for eps in (0.1, 0.4)]
+    values += [
+        collision_divergence(pair),
+        relative_entropy(pair),
+        relative_entropy_variance(pair),
+    ]
+    return values
+
+
+def _assert_same(stack_values, dense_values):
+    for got, want in zip(stack_values, dense_values, strict=True):
+        assert got == want or abs(got - want) <= 1e-10, (got, want)
+
+
+def _check_stack_against_dense(rho, sigma):
+    stacked = DivergencePair.of(rho, sigma)
+    dense = DivergencePair.of(block_diagonal(rho), block_diagonal(sigma))
+    assert stacked.commuting == dense.commuting
+    _assert_same(_all_divergences(stacked), _all_divergences(dense))
+    return stacked
+
+
+def _commuting_cq_pair(rng, p, q, d):
+    """Block stacks p(x) r_x and q(x) s_x with each block pair commuting."""
+    blocks = [random_commuting_pair(rng, d) for _ in p]
+    rho = np.array([w * r for w, (r, _) in zip(p, blocks)])
+    sigma = np.array([w * s for w, (_, s) in zip(q, blocks)])
+    return rho, sigma
+
+
+def test_block_stacks_match_dense_block_diagonal_operators():
+    rng = np.random.default_rng(93)
+    # (|X|, d, index of a zero-probability symbol or None)
+    cases = [(1, 3, None), (4, 1, None), (3, 1, 1), (3, 2, None), (4, 2, 2),
+             (2, 4, None), (5, 3, 0), (6, 2, None)]
+    for alphabet, d, zero in cases:
+        state_a = random_cq_state(rng, alphabet, d)
+        state_b = random_cq_state(rng, alphabet, d)
+        if zero is not None:
+            p = state_a.p.copy()
+            p[zero] = 0.0
+            state_a = CQState(p / p.sum(), state_a.rhos)
+
+        # two joint states, as the CLI divergence compares them
+        pair = _check_stack_against_dense(
+            joint_embed(state_a).rho_xb, joint_embed(state_b).rho_xb
+        )
+        assert pair.commuting == (d == 1)
+
+        # the entropic quantities against dense operators built here
+        emb = joint_embed(state_a)
+        p = state_a.p[:, None, None]
+        rho_b = np.sum(p * state_a.rhos, axis=0)
+        rho = block_diagonal(p * state_a.rhos)
+        product = DivergencePair.of(rho, block_diagonal(p * rho_b))
+        one_x = DivergencePair.of(rho, block_diagonal([rho_b] * alphabet))
+        _check_stack_against_dense(emb.rho_xb, emb.rho_x_tensor_rho_b)
+        _check_stack_against_dense(emb.rho_xb, emb.one_x_tensor_rho_b)
+        for eps in (0.1, 0.4):
+            _assert_same(
+                [hypothesis_test_information(state_a, eps),
+                 conditional_test_entropy(state_a, eps)],
+                [hypothesis_test_divergence(product, eps),
+                 -hypothesis_test_divergence(one_x, eps)],
+            )
+        _assert_same(
+            [*mutual_information_with_variance(state_a),
+             *conditional_entropy_with_variance(state_a)],
+            [relative_entropy(product), relative_entropy_variance(product),
+             -relative_entropy(one_x), relative_entropy_variance(one_x)],
+        )
+
+        # a commuting cq pair: D_s stays exact, block by block
+        p = state_a.p
+        q = rng.dirichlet(np.ones(alphabet)) + 0.05
+        rho, sigma = _commuting_cq_pair(rng, p, q / q.sum(), d)
+        pair = _check_stack_against_dense(rho, sigma)
+        assert pair.commuting
+        value, lower, upper = info_spectrum_divergence_bracket(pair, 0.3)
+        assert lower == value == upper
