@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -86,7 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state-a", required=True)
     p.add_argument("--state-b", required=True)
     p.add_argument("--eps", type=float)
-    p.add_argument("--grid", type=int, default=2048)
+    p.add_argument("--grid", type=int, default=2048,
+                   help="integer in [2, 2e6]; validated for ds but no longer "
+                        "sets its accuracy (ds bisects over the pencil "
+                        "eigenvalues)")
 
     p = sub.add_parser("rates", parents=[common],
                        help="first/second-order rate expansions of a state")
@@ -131,6 +135,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", type=_int_list, required=True)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run`` reuses; parsing leaves it unchanged."""
+    return build_parser()
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +332,8 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse has already reported on stderr
         return 2 if exc.code not in (0, None) else 0
 

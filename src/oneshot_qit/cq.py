@@ -33,7 +33,8 @@ from .linalg import as_hermitian
 _PSD_TOL = 1e-10
 _PROB_SUM_TOL = 1e-9
 
-# Feasibility caps for exhaustive enumeration and type-class generation.
+# Feasibility caps for exhaustive enumeration and type-class generation;
+# the type-class cap counts entries, classes x alphabet size.
 ENUMERATION_CAP = 2_000_000
 TYPE_CLASS_CAP = 5_000_000
 
@@ -319,10 +320,10 @@ def iid_type_spectrum(p, q, n: int) -> TypeClassSpectrum:
         raise DomainError(f"blocklength n={n} outside [1, 10^4]")
     k = p.size
     count = math.comb(n + k - 1, k - 1)
-    if count > TYPE_CLASS_CAP:
+    if count * k > TYPE_CLASS_CAP:
         raise DomainError(
-            f"{count} type classes exceed the cap {TYPE_CLASS_CAP}; "
-            "reduce n or the alphabet size"
+            f"{count} type classes of {k} entries exceed the cap of "
+            f"{TYPE_CLASS_CAP} entries; reduce n or the alphabet size"
         )
     types = _compositions(n, k)
 

@@ -39,8 +39,6 @@ LN2 = math.log(2.0)
 _COMMUTATOR_TOL = 1e-10
 _SUPPORT_TOL = 1e-8
 _DEFAULT_GRID = 2048
-# thresholds per stacked eigensolve in the D_s scan; bounds its memory
-_DS_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -166,37 +164,45 @@ def _ds_event_masses(rho: np.ndarray, sigma: np.ndarray, cs: np.ndarray) -> np.n
     return np.sum(weights, axis=-1, where=lam >= -atol)
 
 
-def _ds_grid_bracket(
-    rho: np.ndarray, sigma: np.ndarray, eps: float, grid: int
+def _ds_pencil_bracket(
+    rho: np.ndarray, sigma: np.ndarray, eps: float
 ) -> tuple[float, float, float]:
-    """Certified bracket for the non-commuting supremum (values in bits)."""
+    """Certified bracket for the non-commuting supremum (values in bits).
+
+    The event mass is 1 - f'_-(1/c) for the convex f(mu) = Tr[(mu rho -
+    sigma)_+], so it is non-decreasing in c and can jump only at a pencil
+    eigenvalue: bisection over the sorted pencil eigenvalues finds the
+    adjacent feasible/infeasible pair, and log-space bisection narrows it.
+    """
     inv_sqrt = mat_func(sigma, lambda x: x ** -0.5, support_only=True)
     pencil = np.linalg.eigvalsh(inv_sqrt @ rho @ inv_sqrt).ravel()
     atol = DEFAULT_CLUSTER_TOL * _radius(pencil)
-    pencil = pencil[pencil > atol]
+    pencil = np.unique(pencil[pencil > atol])
     if pencil.size == 0:
         return -math.inf, -math.inf, -math.inf
-    lo_span, hi_span = float(pencil.min()) * 0.5, float(pencil.max()) * 2.0
-    candidates = np.unique(
-        np.concatenate([pencil, np.geomspace(lo_span, hi_span, grid)])
-    )
-    masses = np.concatenate([
-        _ds_event_masses(rho, sigma, candidates[i:i + _DS_CHUNK])
-        for i in range(0, candidates.size, _DS_CHUNK)
-    ])
-    feasible = masses <= eps + 1e-12
-    if not feasible.any():
+
+    def feasible(c: float) -> bool:
+        return _ds_event_masses(rho, sigma, np.array([c]))[0] <= eps + 1e-12
+
+    candidates = np.concatenate([[pencil[0] * 0.5], pencil, [pencil[-1] * 2.0]])
+    lo, hi = 0, candidates.size - 1
+    if not feasible(candidates[lo]):
         return -math.inf, -math.inf, -math.inf
-    c_lo = float(candidates[feasible].max())
-    above = candidates[(candidates > c_lo) & ~feasible]
-    if above.size == 0:
-        # the scan never found an infeasible point above; report saturation
+    if feasible(candidates[hi]):
+        # no infeasible threshold above the pencil; report saturation
+        c_lo = float(candidates[hi])
         return math.log2(c_lo), math.log2(c_lo), math.inf
-    c_hi = float(above.min())
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if feasible(candidates[mid]):
+            lo = mid
+        else:
+            hi = mid
+    c_lo, c_hi = float(candidates[lo]), float(candidates[hi])
     # bisect in log space down to a fixed relative width
     while math.log2(c_hi) - math.log2(c_lo) > 1e-12:
         mid = math.sqrt(c_lo * c_hi)
-        if _ds_event_masses(rho, sigma, np.array([mid]))[0] <= eps + 1e-12:
+        if feasible(mid):
             c_lo = mid
         else:
             c_hi = mid
@@ -210,9 +216,12 @@ def info_spectrum_divergence_bracket(
 
     The value is the largest log-threshold c (base 2) at which the mass
     of the event {rho <= 2^c sigma} under rho still stays at or below
-    eps; the supremum itself is a left limit and is not attained.
-    ``grid`` (the log-uniform scan size) must be an integer in
-    [2, ENUMERATION_CAP].
+    eps; the supremum itself is a left limit and is not attained.  For
+    non-commuting pairs the mass, non-decreasing in the threshold, is
+    bisected over the sorted pencil eigenvalues and then in log space to
+    a bracket of width at most 1e-12 bits.  ``grid`` must be an integer
+    in [2, ENUMERATION_CAP]; it is validated but no longer sets the
+    accuracy.
     """
     _check_eps(eps)
     if not isinstance(grid, numbers.Integral) or not 2 <= grid <= ENUMERATION_CAP:
@@ -222,7 +231,7 @@ def info_spectrum_divergence_bracket(
         value = _ds_exact_bits(pair.rho, pair.sigma, eps)
         return value, value, value
     _check_support(pair)
-    return _ds_grid_bracket(pair.rho, pair.sigma, eps, grid)
+    return _ds_pencil_bracket(pair.rho, pair.sigma, eps)
 
 
 def info_spectrum_divergence(
@@ -231,9 +240,9 @@ def info_spectrum_divergence(
     """Largest feasible log-threshold, in bits.
 
     Exact for commuting pairs (sorted eigenvalue ratios).  For
-    non-commuting pairs the threshold scan over the pencil candidates
-    plus a log-uniform grid is refined by bisection; the certified
-    bracket is available from :func:`info_spectrum_divergence_bracket`.
+    non-commuting pairs a bisection over the pencil eigenvalues, refined
+    in log space, locates the threshold; the certified bracket is
+    available from :func:`info_spectrum_divergence_bracket`.
     """
     return info_spectrum_divergence_bracket(pair, eps, grid)[0]
 

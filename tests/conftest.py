@@ -2,8 +2,9 @@
 
 Oracles here deliberately avoid the library's computation paths: the
 scalar test oracle is a greedy ratio fill, the operator test oracle is a
-primal grid search, the protocol oracles enumerate every function table
-or codebook, and trace norms are cross-checked through singular values.
+primal grid search, the D_s crossing oracle is a dense threshold scan,
+the protocol oracles enumerate every function table or codebook, and
+trace norms are cross-checked through singular values.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from oneshot_qit import CQState
+from oneshot_qit.linalg import projector_leq
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +179,48 @@ def operator_test_oracle(rho, sigma, eps, n_grid=4000, mu_max=50.0):
             w = (target - a1) / (a2 - a1)
             best = min(best, (1 - w) * b1 + w * b2)
     return best
+
+
+def dense_event_mass(rho, sigma, c):
+    """Tr[rho {rho <= c sigma}] on dense operators, via ``projector_leq``."""
+    return float(np.trace(rho @ projector_leq(rho, c * sigma)).real)
+
+
+def ds_crossing_oracle(rho, sigma, grid=2048):
+    """A dense threshold scan for the D_s crossing, reusable across eps.
+
+    (rho, sigma) are (d, d) or (k, d, d) block stacks; both are made
+    dense.  The event mass is evaluated at every eigenvalue of the pencil
+    sigma^-1 rho (a dense generalized eigenproblem) and on a ``grid``-point
+    log grid spanning them.  ``crossing(eps)`` takes the largest feasible
+    scanned point, which assumes no monotonicity, and bisects in log
+    space towards the next scanned point; it returns log2 of the
+    infeasible end (the supremum as a left limit), in bits.
+    """
+    if np.ndim(rho) == 3:
+        rho, sigma = block_diagonal(rho), block_diagonal(sigma)
+    pencil = np.linalg.eigvals(np.linalg.solve(sigma, rho)).real
+    pencil = pencil[pencil > 1e-12 * pencil.max()]
+    points = np.unique(np.concatenate([
+        pencil, np.geomspace(pencil.min() / 4, pencil.max() * 4, grid)]))
+    masses = np.array([dense_event_mass(rho, sigma, c) for c in points])
+
+    def mass(c):
+        return dense_event_mass(rho, sigma, c)
+
+    def crossing(eps):
+        feasible = np.flatnonzero(masses <= eps + 1e-12)
+        assert feasible.size and feasible[-1] + 1 < points.size
+        c_lo, c_hi = points[feasible[-1]], points[feasible[-1] + 1]
+        while math.log2(c_hi / c_lo) > 1e-12:
+            mid = math.sqrt(c_lo * c_hi)
+            if mass(mid) <= eps + 1e-12:
+                c_lo = mid
+            else:
+                c_hi = mid
+        return math.log2(c_hi)
+
+    return mass, crossing
 
 
 def svd_trace_norm(a):

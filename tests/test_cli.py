@@ -11,6 +11,7 @@ import pytest
 
 import oneshot_qit
 from oneshot_qit import dump_state
+from oneshot_qit import cli
 from oneshot_qit.cli import run
 
 from conftest import binary_antipodal, bit_pair_trivial_side
@@ -232,6 +233,44 @@ def test_csv_scalar_output(capsys, bitpair_file):
     lines = captured.out.strip().splitlines()
     assert lines[0] == "key,value"
     assert any(line.startswith("results.value_bits,") for line in lines)
+
+
+def test_cached_parser_matches_fresh_parsers(capsys, monkeypatch, bitpair_file,
+                                             antipodal_file):
+    sequence = [
+        ["simulate", "--task", "pa", "--state", bitpair_file, "--size", "2",
+         "--method", "exact"],
+        ["divergence", "--kind", "ds", "--state-a", bitpair_file,
+         "--state-b", bitpair_file, "--eps", "0.3", "--format", "csv"],
+        ["rates", "--task", "covering", "--state", antipodal_file, "--eps", "0.2",
+         "--n-list", "10,100"],
+        ["divergence", "--kind", "ds", "--state-a", bitpair_file],  # usage error
+        ["bounds", "--task", "pa", "--state", antipodal_file, "--eps", "0.3",
+         "--delta", "0.09", "--c", "0.04", "--quiet"],
+        ["sweep", "--regime", "second", "--p", "0.3,0.7", "--q", "0.5,0.5",
+         "--eps", "0.2", "--n-list", "4"],
+        ["simulate", "--task", "pa", "--state", bitpair_file, "--size", "2",
+         "--method", "exact", "--workers", "x"],  # usage error
+        ["bounds", "--help"],
+        ["divergence", "--kind", "kl", "--state-a", bitpair_file,
+         "--state-b", bitpair_file],
+    ]
+
+    def outcomes():
+        results = []
+        for argv in sequence:
+            code = run(argv)
+            results.append((code, capsys.readouterr().out))
+        return results
+
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    cached = outcomes()
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parser", cli.build_parser)
+        fresh = outcomes()
+    assert cached == fresh
+    assert [code for code, _ in cached] == [0, 0, 0, 2, 0, 0, 2, 0, 0]
 
 
 def test_console_entry_point_subprocess(bitpair_file):

@@ -22,6 +22,7 @@ from oneshot_qit import (
     state_to_document,
 )
 
+from oneshot_qit import cq
 from oneshot_qit.cq import _compositions
 
 from conftest import binary_antipodal, bit_pair_trivial_side, random_cq_state
@@ -268,3 +269,15 @@ def test_type_spectrum_rejects_bad_inputs():
         iid_type_spectrum([0.5, 0.5], [0.5, 0.5], 0)
     with pytest.raises(DomainError):
         iid_type_spectrum([0.7, 0.3], [0.5, 0.5], 20_000)
+
+
+def test_type_spectrum_caps_entries_before_building_them(monkeypatch):
+    def no_compositions(*args, **kwargs):
+        raise AssertionError("type classes built before the refusal")
+
+    monkeypatch.setattr(cq, "_compositions", no_compositions)
+    # 720,600 classes pass a cap on classes alone, but hold 864.7M entries
+    k = 1200
+    uniform = np.full(k, 1.0 / k)
+    with pytest.raises(DomainError, match="cap"):
+        iid_type_spectrum(uniform, uniform, 2)

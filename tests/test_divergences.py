@@ -29,6 +29,7 @@ from oneshot_qit.linalg import projector_leq
 
 from conftest import (
     block_diagonal,
+    ds_crossing_oracle,
     operator_test_oracle,
     random_commuting_pair,
     random_cq_state,
@@ -112,10 +113,18 @@ def test_ds_rejects_bad_eps_and_support():
         info_spectrum_divergence(bad, 0.3)
 
 
-def random_noncommuting_pair(rng, d):
-    rho = random_density(rng, d)
-    sigma = random_density(rng, d) + 0.1 * np.eye(d)
-    pair = DivergencePair.of(rho, sigma / np.trace(sigma).real)
+def random_noncommuting_pair(rng, d, k=0):
+    """A non-commuting (d, d) pair, or a pair of (k, d, d) cq stacks if k > 0."""
+    if k == 0:
+        rho = random_density(rng, d)
+        sigma = random_density(rng, d) + 0.1 * np.eye(d)
+        pair = DivergencePair.of(rho, sigma / np.trace(sigma).real)
+    else:
+        p = rng.dirichlet(np.ones(k))
+        q = rng.dirichlet(np.ones(k)) + 0.05
+        rho = np.array([w * random_density(rng, d) for w in p])
+        sigma = np.array([w * (random_density(rng, d) + 0.1 * np.eye(d)) for w in q])
+        pair = DivergencePair.of(rho, sigma / np.trace(sigma, axis1=1, axis2=2).real.sum())
     assert not pair.commuting
     return pair
 
@@ -162,15 +171,56 @@ def test_ds_event_masses_match_projector_oracle():
             assert np.max(np.abs(masses - oracle)) <= 1e-12
 
 
-def test_ds_bracket_stable_under_grid_refinement():
+# (d, k): single (d, d) operators when k == 0, else (k, d, d) stacks
+_DS_CASES = [(2, 0), (2, 4), (3, 0), (3, 3), (4, 0), (4, 2), (8, 0), (8, 2),
+             (16, 0), (16, 2)]
+
+
+def test_ds_bracket_matches_dense_scan_oracle():
     rng = np.random.default_rng(50)
-    for _ in range(8):
-        pair = random_noncommuting_pair(rng, int(rng.integers(2, 5)))
-        eps = float(rng.uniform(0.05, 0.6))
-        coarse = info_spectrum_divergence_bracket(pair, eps, 2048)
-        fine = info_spectrum_divergence_bracket(pair, eps, 16 * 2048)
-        assert math.isfinite(coarse[0])
-        assert fine[0] == pytest.approx(coarse[0], abs=1e-9)
+    for d, k in _DS_CASES:
+        pair = random_noncommuting_pair(rng, d, k)
+        mass, crossing = ds_crossing_oracle(pair.rho, pair.sigma)
+        for eps in (0.05, 0.2, 0.5, 0.8):
+            value, lower, upper = info_spectrum_divergence_bracket(pair, eps)
+            assert mass(2.0 ** lower) <= eps + 1e-12 < mass(2.0 ** upper)
+            assert abs(value - crossing(eps)) <= 1e-9, (d, k, eps)
+
+
+def test_ds_event_mass_non_decreasing_in_threshold():
+    rng = np.random.default_rng(51)
+    for d, k in _DS_CASES * 2:
+        pair = random_noncommuting_pair(rng, d, k)
+        pencil = np.sort(
+            np.linalg.eigvals(np.linalg.solve(pair.sigma, pair.rho)).real.ravel())
+        cs = np.empty(2 * pencil.size - 1)
+        cs[0::2] = pencil
+        cs[1::2] = np.sqrt(pencil[:-1] * pencil[1:])
+        masses = _ds_event_masses(pair.rho, pair.sigma, cs)
+        assert np.all(np.diff(masses) >= -1e-12), (d, k)
+
+
+def test_ds_eigensolve_budget(monkeypatch):
+    rng = np.random.default_rng(52)
+    matrices_per_call = []
+
+    def counting(solver):
+        def wrapped(a, *args, **kwargs):
+            a = np.asarray(a)
+            matrices_per_call.append(int(np.prod(a.shape[:-2])))
+            return solver(a, *args, **kwargs)
+        return wrapped
+
+    for d, k in ((16, 0), (4, 4)):
+        pair = random_noncommuting_pair(rng, d, k)
+        for eps in (0.05, 0.2, 0.5, 0.8):
+            matrices_per_call.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+                patch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+                info_spectrum_divergence_bracket(pair, eps)
+            assert 0 < len(matrices_per_call) <= 64, (d, k, eps)
+            assert max(matrices_per_call) <= max(k, 1), (d, k, eps)
 
 
 # ---------------------------------------------------------------------------
