@@ -112,7 +112,18 @@ def mat_func(
     positive semi-definite operators.  A (..., n, n) stack is mapped block
     by block, with the support threshold relative to the whole stack.
     """
-    lam, v = _eigh_checked(as_hermitian(a))
+    return as_hermitian(_mat_func_raw(as_hermitian(a), f, support_only, cluster_tol))
+
+
+def _mat_func_raw(
+    a: np.ndarray,
+    f: Callable[[float], float],
+    support_only: bool = False,
+    cluster_tol: float = DEFAULT_CLUSTER_TOL,
+) -> np.ndarray:
+    """``mat_func`` of a trusted Hermitian array, without re-validation or
+    output symmetrization; the residual and finiteness checks still run."""
+    lam, v = _eigh_checked(a)
     out = np.zeros(lam.shape, dtype=float)
     if support_only:
         mask = lam > cluster_tol * _radius(lam)
@@ -131,7 +142,7 @@ def mat_func(
             "function undefined on a retained eigenvalue; "
             "pass support_only to restrict to the support"
         )
-    return as_hermitian((v * out[..., None, :]) @ v.conj().swapaxes(-1, -2))
+    return (v * out[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def positive_part_trace(a) -> float:
@@ -192,7 +203,7 @@ def quotient(k, l, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> np.ndarray:
             f"denominator is singular (min eigenvalue {l_lam[0]:.3e}); "
             "regularize it, e.g. mix with eps * identity, before dividing"
         )
-    inv_sqrt = mat_func(l, lambda x: x ** -0.5)
+    inv_sqrt = _mat_func_raw(l, lambda x: x ** -0.5)
     return as_hermitian(inv_sqrt @ k @ inv_sqrt)
 
 

@@ -9,6 +9,7 @@ trace norms are cross-checked through singular values.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 
@@ -221,6 +222,25 @@ def ds_crossing_oracle(rho, sigma, grid=2048):
         return math.log2(c_hi)
 
     return mass, crossing
+
+
+@contextlib.contextmanager
+def counting_eigensolves(monkeypatch):
+    """Patch numpy's ``eigh`` and ``eigvalsh`` to record, per call, the
+    number of matrices solved; yields the list of those counts."""
+    matrices_per_call = []
+
+    def counting(solver):
+        def wrapped(a, *args, **kwargs):
+            a = np.asarray(a)
+            matrices_per_call.append(int(np.prod(a.shape[:-2])))
+            return solver(a, *args, **kwargs)
+        return wrapped
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+        patch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+        yield matrices_per_call
 
 
 def svd_trace_norm(a):

@@ -29,12 +29,14 @@ from oneshot_qit.linalg import projector_leq
 
 from conftest import (
     block_diagonal,
+    counting_eigensolves,
     ds_crossing_oracle,
     operator_test_oracle,
     random_commuting_pair,
     random_cq_state,
     random_density,
     random_psd,
+    random_unitary,
     scalar_test_oracle,
 )
 
@@ -202,22 +204,10 @@ def test_ds_event_mass_non_decreasing_in_threshold():
 
 def test_ds_eigensolve_budget(monkeypatch):
     rng = np.random.default_rng(52)
-    matrices_per_call = []
-
-    def counting(solver):
-        def wrapped(a, *args, **kwargs):
-            a = np.asarray(a)
-            matrices_per_call.append(int(np.prod(a.shape[:-2])))
-            return solver(a, *args, **kwargs)
-        return wrapped
-
     for d, k in ((16, 0), (4, 4)):
         pair = random_noncommuting_pair(rng, d, k)
         for eps in (0.05, 0.2, 0.5, 0.8):
-            matrices_per_call.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
-                patch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+            with counting_eigensolves(monkeypatch) as matrices_per_call:
                 info_spectrum_divergence_bracket(pair, eps)
             assert 0 < len(matrices_per_call) <= 64, (d, k, eps)
             assert max(matrices_per_call) <= max(k, 1), (d, k, eps)
@@ -235,6 +225,17 @@ def test_dh_self_identity():
         assert hypothesis_test_divergence(pair, eps) == pytest.approx(
             -math.log2(1.0 - eps), abs=1e-9
         )
+    # one-dimensional, large and stacked pairs, eps near 0 and 1: to rounding
+    for d, k in ((1, 0), (16, 0), (3, 4)):
+        if k:
+            p = rng.dirichlet(np.ones(k))
+            rho = np.array([w * random_density(rng, d) for w in p])
+        else:
+            rho = random_density(rng, d)
+        pair = DivergencePair.of(rho, rho)
+        for eps in (0.05, 0.5, 0.97):
+            assert hypothesis_test_divergence(pair, eps) == pytest.approx(
+                -math.log2(1.0 - eps), abs=1e-12), (d, k, eps)
 
 
 def test_dh_pure_state_against_maximally_mixed():
@@ -280,6 +281,76 @@ def test_dh_scaling_identity():
             DivergencePair.of(rho, lam * sigma), 0.3
         )
         assert shifted == pytest.approx(base - math.log2(lam), abs=1e-9)
+
+
+def test_dh_scaling_identity_at_extreme_scales():
+    # D_h(rho, lam sigma) = D_h(rho, sigma) - log2 lam also when the optimal
+    # dual point mu* scales far from 1; the search stops on relative tests
+    rng = np.random.default_rng(71)
+    for _ in range(30):
+        d = int(rng.integers(2, 7))
+        rho = random_density(rng, d)
+        sigma = random_density(rng, d) + 0.1 * np.eye(d)
+        sigma /= np.trace(sigma).real
+        for eps in (0.1, 0.5, 0.9):
+            base = hypothesis_test_divergence(DivergencePair.of(rho, sigma), eps)
+            for lam in (1e-4, 1e-3, 1e3):
+                shifted = hypothesis_test_divergence(
+                    DivergencePair.of(rho, lam * sigma), eps)
+                assert abs(shifted - (base - math.log2(lam))) <= 1e-9, (d, eps, lam)
+
+
+def test_dh_eigensolve_budget(monkeypatch):
+    rng = np.random.default_rng(72)
+    for d, k in ((16, 0), (4, 4), (8, 8)):
+        pair = random_noncommuting_pair(rng, d, k)
+        for scale in (1e-3, 1.0, 1e3):
+            scaled = DivergencePair.of(pair.rho, scale * pair.sigma)
+            for eps in (0.05, 0.5, 0.97):
+                with counting_eigensolves(monkeypatch) as matrices_per_call:
+                    hypothesis_test_divergence(scaled, eps)
+                assert 0 < len(matrices_per_call) <= 32, (d, k, scale, eps)
+                assert max(matrices_per_call) <= max(k, 1), (d, k, scale, eps)
+
+
+def test_dh_orthogonal_supports_are_infinite_at_once(monkeypatch):
+    single = (np.diag([0.6, 0.4, 0.0]), np.diag([0.0, 0.0, 1.0]))
+    stack = (
+        np.array([np.diag([0.5, 0.0]), np.diag([0.0, 0.0]), np.diag([0.0, 0.5])]),
+        np.array([np.diag([0.0, 0.3]), np.diag([0.2, 0.1]), np.diag([0.4, 0.0])]),
+    )
+    for rho, sigma in (single, stack):
+        pair = DivergencePair.of(rho, sigma)
+        for eps in (0.05, 0.5, 0.97):
+            with counting_eigensolves(monkeypatch) as matrices_per_call:
+                value = hypothesis_test_divergence(pair, eps)
+            assert value == math.inf
+            assert len(matrices_per_call) <= 2
+
+
+def test_dh_matches_scalar_oracle_tightly_on_commuting_pairs():
+    # commuting pairs make the dual piecewise linear, so the search must
+    # land on a kink and match the greedy fill to near rounding
+    rng = np.random.default_rng(74)
+    for _ in range(30):
+        d = int(rng.integers(2, 9))
+        eps = float(rng.uniform(0.02, 0.98))
+        u = random_unitary(rng, d)
+        r = rng.dirichlet(np.ones(d))
+        s = rng.dirichlet(np.ones(d)) + 0.01
+        rho, sigma = u @ np.diag(r) @ u.conj().T, u @ np.diag(s) @ u.conj().T
+        want = -math.log2(scalar_test_oracle(r, s, eps))
+        got = hypothesis_test_divergence(DivergencePair.of(rho, sigma), eps)
+        assert abs(got - want) <= 1e-10, (d, eps)
+        k = int(rng.integers(2, 5))
+        p = rng.dirichlet(np.ones(k * d))
+        q = rng.dirichlet(np.ones(k * d)) + 0.01
+        q /= q.sum()
+        stack = DivergencePair.of(
+            np.array([np.diag(row) for row in p.reshape(k, d)]),
+            np.array([np.diag(row) for row in q.reshape(k, d)]))
+        want = -math.log2(scalar_test_oracle(p, q, eps))
+        assert abs(hypothesis_test_divergence(stack, eps) - want) <= 1e-10, (k, d, eps)
 
 
 def test_dh_monotone_in_eps():
