@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .bounds import covering_size_bounds, pa_size_bounds, validate_sandwich_params
-from .cq import joint_embed, load_state
+from .cq import ENUMERATION_CAP, joint_embed, load_state
 from .divergences import (
     DivergencePair,
     collision_divergence,
@@ -67,6 +67,14 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints: {exc}")
 
 
+def _grid(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if not 2 <= value <= ENUMERATION_CAP:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in [2, {ENUMERATION_CAP}], got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
@@ -87,10 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state-a", required=True)
     p.add_argument("--state-b", required=True)
     p.add_argument("--eps", type=float)
-    p.add_argument("--grid", type=int, default=2048,
-                   help="integer in [2, 2e6]; validated for ds but no longer "
-                        "sets its accuracy (ds bisects over the pencil "
-                        "eigenvalues)")
+    p.add_argument("--grid", type=_grid, default=2048,
+                   help="integer in [2, 2e6], only range-checked: ds has no "
+                        "grid (it bisects over the pencil eigenvalues)")
 
     p = sub.add_parser("rates", parents=[common],
                        help="first/second-order rate expansions of a state")
@@ -157,9 +164,7 @@ def _cmd_divergence(args) -> dict:
     if kind in ("ds", "dh") and args.eps is None:
         raise DomainError(f"--eps is required for kind {kind}")
     if kind == "ds":
-        value, lower, upper = info_spectrum_divergence_bracket(
-            pair, args.eps, args.grid
-        )
+        value, lower, upper = info_spectrum_divergence_bracket(pair, args.eps)
         return {
             "value_bits": value,
             "bracket_lower_bits": lower,

@@ -299,6 +299,15 @@ def _compositions(n: int, k: int) -> np.ndarray:
     return np.column_stack(columns[::-1])
 
 
+def _log_likelihood(types: np.ndarray, log_p: np.ndarray) -> np.ndarray:
+    """Σ_x t_x log p_x for each type row t, with 0·log 0 = 0.
+
+    A row that uses a symbol of log-probability −inf gets −inf.
+    """
+    with np.errstate(invalid="ignore"):
+        return np.where(types > 0, types * log_p, 0.0).sum(axis=1)
+
+
 def iid_type_spectrum(p, q, n: int) -> TypeClassSpectrum:
     """Exact per-type-class weights of the n-fold product of (p, q).
 
@@ -334,9 +343,8 @@ def iid_type_spectrum(p, q, n: int) -> TypeClassSpectrum:
     with np.errstate(divide="ignore"):
         log_p = np.log(p)
         log_q = np.log(q)
-    # 0 * log 0 -> 0 by convention
-    p_contrib = np.where(types > 0, types * log_p[None, :], 0.0).sum(axis=1)
-    q_contrib = np.where(types > 0, types * log_q[None, :], 0.0).sum(axis=1)
+    p_contrib = _log_likelihood(types, log_p)
+    q_contrib = _log_likelihood(types, log_q)
 
     return TypeClassSpectrum(
         log_p_mass=log_mult + p_contrib,

@@ -17,12 +17,10 @@ whole stack, so a stack gives the values of the dense block-diagonal pair.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cq import ENUMERATION_CAP
 from .errors import DomainError, NumericalError
 from .linalg import (
     DEFAULT_CLUSTER_TOL,
@@ -38,7 +36,6 @@ LN2 = math.log(2.0)
 
 _COMMUTATOR_TOL = 1e-10
 _SUPPORT_TOL = 1e-8
-_DEFAULT_GRID = 2048
 
 
 @dataclass(frozen=True)
@@ -210,7 +207,7 @@ def _ds_pencil_bracket(
 
 
 def info_spectrum_divergence_bracket(
-    pair: DivergencePair, eps: float, grid: int = _DEFAULT_GRID
+    pair: DivergencePair, eps: float
 ) -> tuple[float, float, float]:
     """(value, lower, upper) in bits; exact collapses the bracket to a point.
 
@@ -219,14 +216,9 @@ def info_spectrum_divergence_bracket(
     eps; the supremum itself is a left limit and is not attained.  For
     non-commuting pairs the mass, non-decreasing in the threshold, is
     bisected over the sorted pencil eigenvalues and then in log space to
-    a bracket of width at most 1e-12 bits.  ``grid`` must be an integer
-    in [2, ENUMERATION_CAP]; it is validated but no longer sets the
-    accuracy.
+    a bracket of width at most 1e-12 bits.
     """
     _check_eps(eps)
-    if not isinstance(grid, numbers.Integral) or not 2 <= grid <= ENUMERATION_CAP:
-        raise DomainError(
-            f"grid must be an integer in [2, {ENUMERATION_CAP}], got {grid!r}")
     if pair.commuting:
         value = _ds_exact_bits(pair.rho, pair.sigma, eps)
         return value, value, value
@@ -234,9 +226,7 @@ def info_spectrum_divergence_bracket(
     return _ds_pencil_bracket(pair.rho, pair.sigma, eps)
 
 
-def info_spectrum_divergence(
-    pair: DivergencePair, eps: float, grid: int = _DEFAULT_GRID
-) -> float:
+def info_spectrum_divergence(pair: DivergencePair, eps: float) -> float:
     """Largest feasible log-threshold, in bits.
 
     Exact for commuting pairs (sorted eigenvalue ratios).  For
@@ -244,7 +234,7 @@ def info_spectrum_divergence(
     in log space, locates the threshold; the certified bracket is
     available from :func:`info_spectrum_divergence_bracket`.
     """
-    return info_spectrum_divergence_bracket(pair, eps, grid)[0]
+    return info_spectrum_divergence_bracket(pair, eps)[0]
 
 
 # ---------------------------------------------------------------------------

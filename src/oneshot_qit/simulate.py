@@ -20,6 +20,10 @@ these subsets and types.
 Monte-Carlo extraction costs O(|X|) per table plus one eigensolve per
 output block with two or more preimages, whatever z is: empty blocks
 and single-preimage blocks have closed-form or precomputed distances.
+Monte-Carlo covering counts each sampled codebook into its type and
+evaluates the types with the kernel exact covering uses, so covering in
+both modes goes through ``_row_distances``; a chunk holds a (4096, |X|)
+count array.
 
 Determinism: Monte-Carlo draws come from a counter-based generator
 keyed by (seed, chunk index) over fixed-size sample chunks, and
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cq import ENUMERATION_CAP, CQState, HashFamily
+from .cq import ENUMERATION_CAP, CQState, HashFamily, _log_likelihood
 from .errors import DomainError
 
 _CHUNK = 4096
@@ -73,17 +77,14 @@ def _check_run(method: str, workers: int) -> None:
         raise DomainError(f"workers must be >= 1, got {workers}")
 
 
-def _block_distances(assembled: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Half trace-norm of (assembled - reference) summed over z-blocks.
+def _distances(stack: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """½‖stack[i] − reference‖₁ for each (d, d) operator of a (batch, d, d) stack."""
+    return 0.5 * np.abs(np.linalg.eigvalsh(stack - reference)).sum(axis=1)
 
-    ``assembled`` has shape (batch, blocks, d, d); the reference is a
-    single (d, d) block subtracted from every one.
-    """
-    diff = assembled - reference
-    if diff.shape[-1] == 1:
-        return 0.5 * np.abs(diff[..., 0, 0]).sum(axis=1)
-    lam = np.linalg.eigvalsh(diff)
-    return 0.5 * np.abs(lam).sum(axis=(1, 2))
+
+def _row_distances(rows: np.ndarray, blocks: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """½‖Σ_x r_x blocks[x] − reference‖₁ for each coefficient row r."""
+    return _distances(np.tensordot(rows, blocks, axes=1), reference)
 
 
 def _hash_values(tables: np.ndarray, weights: np.ndarray, z_size: int,
@@ -118,21 +119,8 @@ def _hash_values(tables: np.ndarray, weights: np.ndarray, z_size: int,
         for k in range(1, sizes.max()):
             live = sizes > k
             acc[live] += weights[preimages[first[live] + k]]
-        values += np.bincount(rows, weights=_block_distances(acc[:, None], target),
-                              minlength=batch)
+        values += np.bincount(rows, weights=_distances(acc, target), minlength=batch)
     return values
-
-
-def _codebook_values(tables: np.ndarray, rhos: np.ndarray,
-                     rho_b: np.ndarray) -> np.ndarray:
-    """Evaluate the covering distance for a batch of codebooks."""
-    batch, m = tables.shape
-    d = rhos.shape[-1]
-    acc = np.zeros((batch, d, d), dtype=complex)
-    for j in range(m):
-        acc += rhos[tables[:, j]]
-    acc /= m
-    return _block_distances(acc[:, None], rho_b)
 
 
 def _exact_average(rows, weights, blocks: np.ndarray, reference: np.ndarray) -> float:
@@ -143,8 +131,7 @@ def _exact_average(rows, weights, blocks: np.ndarray, reference: np.ndarray) -> 
     into one exactly rounded ``math.fsum``.
     """
     return math.fsum(itertools.chain.from_iterable(
-        (weights(batch) * _block_distances(
-            np.tensordot(batch, blocks, axes=1)[:, None], reference)).tolist()
+        (weights(batch) * _row_distances(batch, blocks, reference)).tolist()
         for batch in rows
     ))
 
@@ -241,7 +228,7 @@ def simulate_pa(state: CQState, z_size: int, method: str = "exact",
 
     if samples < 2:
         raise DomainError("monte-carlo needs at least 2 samples")
-    singles = _block_distances(weights[:, None], target)
+    singles = _distances(weights, target)
 
     def job(values, j, start, stop):
         rng = _chunk_rng(seed, j)
@@ -263,13 +250,16 @@ def simulate_covering(state: CQState, m: int, method: str = "exact",
     symbol histogram, so it is a multinomially weighted sum over the
     C(m+alphabet-1, alphabet-1) types; it is rejected when the types
     exceed the enumeration cap, and it ignores ``workers``.  The
-    reported sample count remains the full codebook count.
+    reported sample count remains the full codebook count.  Monte-Carlo
+    mode draws codebooks i.i.d. from p and evaluates each through its
+    type, with the same kernel.
     """
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     _check_run(method, workers)
     rho_b = state.marginal()
     x_size = state.alphabet_size
+    blocks = state.rhos / m
 
     if method == "exact":
         n_types = math.comb(m + x_size - 1, x_size - 1)
@@ -283,12 +273,11 @@ def simulate_covering(state: CQState, m: int, method: str = "exact",
             log_p = np.log(state.p)
 
         def type_weights(counts):
-            # 0 * log 0 -> 0; a type using a zero-probability symbol gets weight 0
-            with np.errstate(invalid="ignore"):
-                log_like = np.where(counts > 0, counts * log_p, 0.0).sum(axis=1)
-            return np.exp(log_fact[m] - log_fact[counts].sum(axis=1) + log_like)
+            # a type using a zero-probability symbol gets weight 0
+            return np.exp(log_fact[m] - log_fact[counts].sum(axis=1)
+                          + _log_likelihood(counts, log_p))
 
-        value = _exact_average(_type_rows(m, x_size), type_weights, state.rhos / m, rho_b)
+        value = _exact_average(_type_rows(m, x_size), type_weights, blocks, rho_b)
         return SimulationEstimate(value, "exact", x_size ** m, seed, 0.0)
 
     if samples < 2:
@@ -296,8 +285,12 @@ def simulate_covering(state: CQState, m: int, method: str = "exact",
 
     def job(values, j, start, stop):
         rng = _chunk_rng(seed, j)
-        tables = rng.choice(x_size, size=(stop - start, m), p=state.p)
-        values[start:stop] = _codebook_values(tables, state.rhos, rho_b)
+        batch = stop - start
+        tables = rng.choice(x_size, size=(batch, m), p=state.p)
+        # count each codebook's symbols into a row of its own: its type
+        cells = tables + x_size * np.arange(batch)[:, None]
+        counts = np.bincount(cells.ravel(), minlength=batch * x_size)
+        values[start:stop] = _row_distances(counts.reshape(batch, x_size), blocks, rho_b)
 
     values = _run_chunks(samples, workers, job)
     value, half = _mc_summary(values)

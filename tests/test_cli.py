@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -184,6 +185,18 @@ def test_sweep_second_order_csv(capsys):
     lines = captured.out.strip().splitlines()
     assert lines[0].split(",")[:3] == ["n", "exact_bits", "prediction_bits"]
     assert len(lines) == 3
+
+
+def test_sweep_zero_probability_symbol_writes_no_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([
+            "sweep", "--regime", "second", "--p", "0.5,0.5,0", "--q", "0.3,0.3,0.4",
+            "--eps", "0.2", "--n-list", "3",
+        ])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
 
 
 def test_sweep_large_alphabet_at_blocklength_one(capsys):

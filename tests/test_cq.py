@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +251,18 @@ def test_type_spectrum_mass_sums_to_one_various_n():
     for n in (1, 3, 10, 50):
         spec = iid_type_spectrum(p, q, n)
         assert spec.total_p_mass() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_type_spectrum_zero_probability_symbol_without_warnings():
+    p, q = [0.5, 0.5, 0.0], [0.3, 0.3, 0.4]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = iid_type_spectrum(p, q, 3)
+    types = _compositions(3, 3)
+    uses_zero = types[:, 2] > 0
+    assert np.all(spec.log_p_mass[uses_zero] == -np.inf)
+    assert np.all(np.isfinite(spec.log_p_mass[~uses_zero]))
+    assert spec.total_p_mass() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_compositions_in_lexicographic_order():

@@ -324,6 +324,53 @@ def test_covering_monte_carlo_deterministic_across_workers():
     assert runs[0].value == runs[1].value
 
 
+def _dense_codebook_values(state, m, samples, seed):
+    """Covering distance of every sampled codebook, each chunk's codebooks
+    redrawn from its generator and averaged codeword by codeword."""
+    rho_b = np.einsum("x,xij->ij", state.p, state.rhos)
+    values = []
+    for j, start in enumerate(range(0, samples, 4096)):
+        rng = simulate._chunk_rng(seed, j)
+        books = rng.choice(state.alphabet_size, size=(min(4096, samples - start), m),
+                           p=state.p)
+        values += [0.5 * svd_trace_norm(state.rhos[book].mean(axis=0) - rho_b)
+                   for book in books]
+    return np.array(values)
+
+
+def test_covering_monte_carlo_matches_dense_codebook_oracle():
+    # (|X|, m, d, zero entry in p, samples): m = 1, below and above |X|;
+    # the last case spans three chunks, the third one partial
+    for alphabet, m, dim, zero_p, samples in [
+        (4, 1, 2, False, 64),
+        (5, 3, 2, False, 64),
+        (3, 9, 3, False, 64),
+        (4, 6, 2, True, 64),
+        (3, 4, 1, False, 64),
+        (1, 5, 2, False, 64),
+        (3, 5, 2, False, 2 * 4096 + 100),
+    ]:
+        state = _oracle_state(80, alphabet, dim, zero_p)
+        est = simulate_covering(state, m, "mc", samples=samples, seed=14, workers=2)
+        values = _dense_codebook_values(state, m, samples, seed=14)
+        half = 1.96 * np.std(values, ddof=1) / math.sqrt(samples)
+        assert est.samples == samples
+        assert est.value == pytest.approx(np.mean(values), abs=1e-12)
+        assert est.half_width == pytest.approx(half, abs=1e-12)
+
+
+def test_covering_monte_carlo_memory_is_one_count_array_per_chunk():
+    state = random_cq_state(np.random.default_rng(81), 1200, 2)
+    tracemalloc.start()
+    try:
+        simulate_covering(state, 4, "mc", samples=4096, seed=15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # (4096, 1200) integer counts and their complex copy take 118 MB
+    assert peak < 160e6
+
+
 def test_covering_monotone_curve_flagged_not_asserted(corpus):
     # empirical monotonicity; report violations as warnings only
     for state in corpus[:5]:
