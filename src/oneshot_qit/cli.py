@@ -34,7 +34,7 @@ from .entropic import (
     normal_quantile,
 )
 from .errors import DomainError, NumericalError
-from .rates import moderate_sweep, second_order_sweep
+from .rates import _moderate_rows, second_order_sweep
 from .simulate import (
     search_max_extractable,
     search_min_codebook,
@@ -276,8 +276,7 @@ def _cmd_sweep(args) -> dict:
     else:
         if args.t is None:
             raise DomainError("--t is required for the moderate regime")
-        sweeps = moderate_sweep(args.p, args.q, args.t, args.n_list, -1)
-        sweeps += moderate_sweep(args.p, args.q, args.t, args.n_list, +1)
+        sweeps = _moderate_rows(args.p, args.q, args.t, args.n_list, (-1, +1))
     rows = [
         {
             "n": row.n,

@@ -308,13 +308,8 @@ def _log_likelihood(types: np.ndarray, log_p: np.ndarray) -> np.ndarray:
         return np.where(types > 0, types * log_p, 0.0).sum(axis=1)
 
 
-def iid_type_spectrum(p, q, n: int) -> TypeClassSpectrum:
-    """Exact per-type-class weights of the n-fold product of (p, q).
-
-    Avoids materializing the k**n outcome space: the returned spectrum
-    has one row per type class and carries everything needed to evaluate
-    optimal tests at blocklength n.  Requires q > 0 entrywise.
-    """
+def _check_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """The classical pair as float vectors; q must be strictly positive."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape or p.ndim != 1:
@@ -325,16 +320,42 @@ def iid_type_spectrum(p, q, n: int) -> TypeClassSpectrum:
         raise DomainError("p must be a probability vector")
     if abs(q.sum() - 1.0) > _PROB_SUM_TOL:
         raise DomainError("q must be a probability vector")
-    if n < 1 or n > 10_000:
-        raise DomainError(f"blocklength n={n} outside [1, 10^4]")
-    k = p.size
-    count = math.comb(n + k - 1, k - 1)
+    return p, q
+
+
+def _check_blocklength(n, k: int) -> int:
+    """n as an int, refused unless it is an integer in [1, 10^4] whose
+    type classes over an alphabet of size k fit ``TYPE_CLASS_CAP``."""
+    try:
+        whole = int(n)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != n:
+        raise DomainError(f"blocklength n={n!r} is not an integer")
+    if whole < 1 or whole > 10_000:
+        raise DomainError(f"blocklength n={whole} outside [1, 10^4]")
+    count = math.comb(whole + k - 1, k - 1)
     if count * k > TYPE_CLASS_CAP:
         raise DomainError(
             f"{count} type classes of {k} entries exceed the cap of "
             f"{TYPE_CLASS_CAP} entries; reduce n or the alphabet size"
         )
-    types = _compositions(n, k)
+    return whole
+
+
+def iid_type_spectrum(p, q, n: int) -> TypeClassSpectrum:
+    """Exact per-type-class weights of the n-fold product of (p, q).
+
+    Avoids materializing the k**n outcome space: the returned spectrum
+    has one row per type class and carries everything needed to evaluate
+    optimal tests at blocklength n.  Requires q > 0 entrywise.  Each log
+    mass is a sum of k + 1 log-factorials and k log-likelihood terms, so
+    its absolute rounding error is a few units in the last place of the
+    largest term, log n! or n * |log p_x|: some 1e-11 nats at n = 10^4.
+    """
+    p, q = _check_pair(p, q)
+    n = _check_blocklength(n, p.size)
+    types = _compositions(n, p.size)
 
     # log multinomial coefficients via a lookup of log-factorials
     log_fact = np.array([math.lgamma(j + 1) for j in range(n + 1)])
@@ -342,9 +363,8 @@ def iid_type_spectrum(p, q, n: int) -> TypeClassSpectrum:
 
     with np.errstate(divide="ignore"):
         log_p = np.log(p)
-        log_q = np.log(q)
     p_contrib = _log_likelihood(types, log_p)
-    q_contrib = _log_likelihood(types, log_q)
+    q_contrib = types @ np.log(q)  # q > 0, so no 0·log 0 terms
 
     return TypeClassSpectrum(
         log_p_mass=log_mult + p_contrib,

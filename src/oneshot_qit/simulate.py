@@ -23,7 +23,7 @@ and single-preimage blocks have closed-form or precomputed distances.
 Monte-Carlo covering counts each sampled codebook into its type and
 evaluates the types with the kernel exact covering uses, so covering in
 both modes goes through ``_row_distances``; a chunk holds a (4096, |X|)
-count array.
+float64 count array.
 
 Determinism: Monte-Carlo draws come from a counter-based generator
 keyed by (seed, chunk index) over fixed-size sample chunks, and
@@ -83,8 +83,15 @@ def _distances(stack: np.ndarray, reference: np.ndarray) -> np.ndarray:
 
 
 def _row_distances(rows: np.ndarray, blocks: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """½‖Σ_x r_x blocks[x] − reference‖₁ for each coefficient row r."""
-    return _distances(np.tensordot(rows, blocks, axes=1), reference)
+    """½‖Σ_x r_x blocks[x] − reference‖₁ for each real coefficient row r.
+
+    The rows are contracted against a real (|X|, 2·d·d) view of the
+    blocks' interleaved real and imaginary parts, so they are never
+    copied to complex.
+    """
+    x_size, d, _ = blocks.shape
+    flat = np.ascontiguousarray(blocks).view(float).reshape(x_size, 2 * d * d)
+    return _distances((rows @ flat).view(complex).reshape(-1, d, d), reference)
 
 
 def _hash_values(tables: np.ndarray, weights: np.ndarray, z_size: int,
@@ -287,9 +294,11 @@ def simulate_covering(state: CQState, m: int, method: str = "exact",
         rng = _chunk_rng(seed, j)
         batch = stop - start
         tables = rng.choice(x_size, size=(batch, m), p=state.p)
-        # count each codebook's symbols into a row of its own: its type
+        # count each codebook's symbols into a row of its own, its type,
+        # in the float64 that the real contraction in _row_distances takes
         cells = tables + x_size * np.arange(batch)[:, None]
-        counts = np.bincount(cells.ravel(), minlength=batch * x_size)
+        counts = np.bincount(cells.ravel(), weights=np.ones(cells.size),
+                             minlength=batch * x_size)
         values[start:stop] = _row_distances(counts.reshape(batch, x_size), blocks, rho_b)
 
     values = _run_chunks(samples, workers, job)

@@ -282,6 +282,8 @@ def test_type_spectrum_rejects_bad_inputs():
         iid_type_spectrum([0.5, 0.5], [0.5, 0.5], 0)
     with pytest.raises(DomainError):
         iid_type_spectrum([0.7, 0.3], [0.5, 0.5], 20_000)
+    with pytest.raises(DomainError, match="not an integer"):
+        iid_type_spectrum([0.7, 0.3], [0.5, 0.5], 2.5)
 
 
 def test_type_spectrum_caps_entries_before_building_them(monkeypatch):

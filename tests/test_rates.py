@@ -1,5 +1,7 @@
 """Exact blocklength values against asymptotic predictions."""
 
+import itertools
+import json
 import math
 
 import numpy as np
@@ -17,6 +19,8 @@ from oneshot_qit import (
     relative_entropy_variance,
     second_order_sweep,
 )
+from oneshot_qit import rates
+from oneshot_qit.cli import run
 
 from conftest import scalar_test_oracle
 
@@ -50,6 +54,93 @@ def test_blocklength_two_brute_force():
             q2.append(Q[i] * Q[j])
     expected = -math.log2(scalar_test_oracle(p2, q2, eps))
     assert iid_test_divergence(P, Q, 2, eps) == pytest.approx(expected, abs=1e-10)
+
+
+def test_blocklengths_to_seven_with_a_null_symbol_brute_force():
+    # all 3^n strings, with a symbol that p never emits
+    p = [0.55, 0.45, 0.0]
+    q = [0.2, 0.3, 0.5]
+    for n in range(1, 8):
+        strings = list(itertools.product(range(3), repeat=n))
+        pn = [math.prod(p[x] for x in s) for s in strings]
+        qn = [math.prod(q[x] for x in s) for s in strings]
+        for eps in (1e-6, 0.05, 0.5, 1.0 - 1e-6):
+            expected = -math.log2(scalar_test_oracle(pn, qn, eps))
+            assert iid_test_divergence(p, q, n, eps) == pytest.approx(
+                expected, abs=1e-10
+            ), (n, eps)
+
+
+def _fsum_test_bits(tests, eps):
+    """The optimal test read off sorted type classes, its q-mass added
+    with exactly rounded sums."""
+    log_q, p_mass, cum = tests
+    target = 1.0 - eps
+    boundary = int(np.searchsorted(cum, target, side="left"))
+    prior = cum[boundary - 1] if boundary > 0 else 0.0
+    fraction = (target - prior) / p_mass[boundary]
+    peak = float(log_q[:boundary + 1].max())
+    total = math.fsum(math.exp(v - peak) for v in log_q[:boundary].tolist())
+    total += fraction * math.exp(log_q[boundary] - peak)
+    return -(peak + math.log(total)) / math.log(2.0)
+
+
+def test_vectorised_sum_matches_exactly_rounded_sum():
+    p = [0.2, 0.3, 0.5]
+    q = [0.45, 0.35, 0.2]
+    tests = rates._sorted_tests(p, q, 256)
+    assert tests[0].size == math.comb(258, 2)
+    for eps in (1e-6, 0.05, 0.5, 1.0 - 1e-6):
+        value = iid_test_divergence(p, q, 256, eps)
+        expected = _fsum_test_bits(tests, eps)
+        assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+@pytest.fixture
+def spectrum_calls(monkeypatch):
+    calls = []
+    build = rates.iid_type_spectrum
+
+    def counted(p, q, n):
+        calls.append(n)
+        return build(p, q, n)
+
+    monkeypatch.setattr(rates, "iid_type_spectrum", counted)
+    return calls
+
+
+def test_cli_moderate_sweep_builds_each_spectrum_once(capsys, spectrum_calls):
+    p, q, t, n_list = [0.3, 0.7], [0.5, 0.5], 0.33, [16, 64, 256]
+    code = run([
+        "sweep", "--regime", "moderate", "--p", "0.3,0.7", "--q", "0.5,0.5",
+        "--t", str(t), "--n-list", "256,16,64",
+    ])
+    assert code == 0
+    assert sorted(spectrum_calls) == n_list
+    expected = moderate_sweep(p, q, t, n_list, -1) + moderate_sweep(p, q, t, n_list, +1)
+    rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+    assert [
+        (r["n"], r["exact_bits"], r["prediction_bits"], r["residual_bits"], r["direction"])
+        for r in rows
+    ] == [
+        (r.n, r.exact_bits, r.prediction_bits, r.residual, r.direction)
+        for r in expected
+    ]
+
+
+def test_sweeps_refuse_bad_blocklengths_before_any_spectrum(spectrum_calls):
+    uniform = np.full(1200, 1.0 / 1200)
+    for p, q, n_list, match in (
+        (P, Q, [2.5], "not an integer"),
+        (P, Q, [64, 20_000], r"outside \[1, 10\^4\]"),
+        (P, Q, [64, 0], r"outside \[1, 10\^4\]"),
+        (uniform, uniform, [1, 3], "cap"),
+    ):
+        with pytest.raises(DomainError, match=match):
+            second_order_sweep(p, q, 0.2, n_list)
+        with pytest.raises(DomainError, match=match):
+            moderate_sweep(p, q, 1.0 / 3.0, n_list, +1)
+    assert spectrum_calls == []
 
 
 def test_acceptance_mass_construction():
@@ -124,6 +215,33 @@ def test_moderate_sweep_validation():
         moderate_sweep(P, Q, 0.0, [16, 64], -1)
     with pytest.raises(DomainError):
         moderate_sweep(P, Q, 1.0 / 3.0, [16, 64], 2)
+
+
+def test_moderate_sweep_refuses_levels_that_round_off(spectrum_calls):
+    # eps_n = exp(-2000^0.98) underflows to 0, so both branches are lost;
+    # n = 64 comes first but is refused with it, before its spectrum is built
+    for direction in (-1, +1):
+        with pytest.raises(DomainError, match=r"n=2000, t=0\.01"):
+            moderate_sweep(P, Q, 0.01, [2000], direction)
+    with pytest.raises(DomainError, match=r"n=2000, t=0\.01"):
+        moderate_sweep(P, Q, 0.01, [64, 2000], -1)
+    # eps_n = exp(-40) is positive, but 1 - eps_n rounds to 1
+    with pytest.raises(DomainError, match=r"n=1600, t=0\.25"):
+        moderate_sweep(P, Q, 0.25, [1600], +1)
+    assert spectrum_calls == []
+    (row,) = moderate_sweep(P, Q, 0.25, [1600], -1)
+    assert math.isfinite(row.exact_bits)
+
+
+def test_cli_moderate_sweep_level_round_off_exit_code(capsys):
+    code = run([
+        "sweep", "--regime", "moderate", "--p", "0.3,0.7", "--q", "0.5,0.5",
+        "--t", "0.01", "--n-list", "2000",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "n=2000, t=0.01" in captured.err
+    assert captured.out == ""
 
 
 def test_moderate_sweep_identical_distributions():

@@ -367,8 +367,9 @@ def test_covering_monte_carlo_memory_is_one_count_array_per_chunk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # (4096, 1200) integer counts and their complex copy take 118 MB
-    assert peak < 160e6
+    # the (4096, 1200) float64 counts take 39 MB and are contracted
+    # without a complex copy
+    assert peak < 64e6
 
 
 def test_covering_monotone_curve_flagged_not_asserted(corpus):
