@@ -14,8 +14,13 @@ probability 1/z, and the trace norm adds up over the blocks, so the
 extraction average is z times an average over the 2^|X| preimages S of
 one block.  The covering average depends on a codebook only through its
 type, so it is an average over the C(m+|X|-1, |X|-1) types.  Both go
-through one kernel, ``_exact_average``, and the enumeration cap counts
-these subsets and types.
+through one kernel, ``_exact_curve``, which evaluates a curve of sizes
+in one streamed pass: a single exact call is a curve of one size, a
+search is the curve over 1..cap.  It packs the (size, subset) or
+(size, type) operators of consecutive sizes into stacked eigensolves of
+at most ``_CHUNK`` matrices and sums each size's terms with one exactly
+rounded ``math.fsum``, so memory stays one batch.  The enumeration cap
+counts these subsets and types.
 
 Monte-Carlo extraction costs O(|X|) per table plus one eigensolve per
 output block with two or more preimages, whatever z is: empty blocks
@@ -70,20 +75,42 @@ def uniform_function_family(domain_size: int, range_size: int, method: str) -> H
     return HashFamily(domain_size, range_size, kind)
 
 
-def _check_run(method: str, workers: int) -> None:
+def _whole(name: str, value, least: int | None = None) -> int:
+    """value as an int, refused unless it is an integer (and >= least)."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise DomainError(f"{name}={value!r} is not an integer")
+    if least is not None and whole < least:
+        raise DomainError(f"{name} must be >= {least}, got {whole}")
+    return whole
+
+
+def _check_run(method: str, samples, seed, workers) -> tuple[int, int, int]:
+    """The run arguments (samples, seed, workers) as ints, validated."""
     if method not in ("exact", "mc", "monte-carlo"):
         raise DomainError(f"method must be 'exact' or 'mc', got {method!r}")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
+    samples, seed = _whole("samples", samples), _whole("seed", seed)
+    workers = _whole("workers", workers, 1)
+    if method != "exact" and samples < 2:
+        raise DomainError("monte-carlo needs at least 2 samples")
+    return samples, seed, workers
+
+
+def _half_norms(stack: np.ndarray) -> np.ndarray:
+    """½‖stack[i]‖₁ for each Hermitian (d, d) operator of a (batch, d, d) stack."""
+    return 0.5 * np.abs(np.linalg.eigvalsh(stack)).sum(axis=1)
 
 
 def _distances(stack: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """½‖stack[i] − reference‖₁ for each (d, d) operator of a (batch, d, d) stack."""
-    return 0.5 * np.abs(np.linalg.eigvalsh(stack - reference)).sum(axis=1)
+    return _half_norms(stack - reference)
 
 
-def _row_distances(rows: np.ndarray, blocks: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """½‖Σ_x r_x blocks[x] − reference‖₁ for each real coefficient row r.
+def _contract(rows: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Σ_x r_x blocks[x] for each real coefficient row r, as a (batch, d, d) stack.
 
     The rows are contracted against a real (|X|, 2·d·d) view of the
     blocks' interleaved real and imaginary parts, so they are never
@@ -91,7 +118,12 @@ def _row_distances(rows: np.ndarray, blocks: np.ndarray, reference: np.ndarray) 
     """
     x_size, d, _ = blocks.shape
     flat = np.ascontiguousarray(blocks).view(float).reshape(x_size, 2 * d * d)
-    return _distances((rows @ flat).view(complex).reshape(-1, d, d), reference)
+    return (rows @ flat).view(complex).reshape(-1, d, d)
+
+
+def _row_distances(rows: np.ndarray, blocks: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """½‖Σ_x r_x blocks[x] − reference‖₁ for each real coefficient row r."""
+    return _distances(_contract(rows, blocks), reference)
 
 
 def _hash_values(tables: np.ndarray, weights: np.ndarray, z_size: int,
@@ -130,17 +162,96 @@ def _hash_values(tables: np.ndarray, weights: np.ndarray, z_size: int,
     return values
 
 
-def _exact_average(rows, weights, blocks: np.ndarray, reference: np.ndarray) -> float:
-    """Weighted sum over coefficient rows r of ½‖Σ_x r_x blocks[x] − reference‖₁.
+def _exact_curve(sizes, terms) -> list[float]:
+    """Exact distance at each of ``sizes``, in order.
 
-    ``rows`` yields batches of at most ``_CHUNK`` rows, and ``weights``
-    maps a batch to the weights of its rows.  The terms are streamed
-    into one exactly rounded ``math.fsum``.
+    ``terms(size)`` yields the size's pieces (W, reference, w): a
+    (k, d, d) stack W, one (d, d) reference and k weights, worth
+    Σ_i w_i·½‖W_i − reference‖₁.  Consecutive pieces, across sizes, are
+    packed into stacked eigensolves of exactly ``_CHUNK`` operators (the
+    last one may be shorter), splitting a piece where a batch fills.
+    Sizes stay in order, so each size's weighted terms form one
+    contiguous run that a single exactly rounded ``math.fsum`` consumes;
+    nothing but its value is kept per size.
     """
-    return math.fsum(itertools.chain.from_iterable(
-        (weights(batch) * _row_distances(batch, blocks, reference)).tolist()
-        for batch in rows
-    ))
+    pieces = ((size, *piece) for size in sizes for piece in terms(size))
+    runs = itertools.groupby(_solved(pieces), key=lambda segment: segment[0])
+    return [math.fsum(itertools.chain.from_iterable(t.tolist() for _, t in run))
+            for _, run in runs]
+
+
+def _solved(pieces):
+    """(size, w·½‖W − reference‖₁) for each piece, solved in batches of
+    at most ``_CHUNK`` operators."""
+    def solve(batch):
+        bounds = list(itertools.accumulate((len(w) for _, _, _, w in batch), initial=0))
+        stack = np.empty((bounds[-1], *batch[0][1].shape[1:]), dtype=complex)
+        for (_, part, reference, _), start, stop in zip(batch, bounds, bounds[1:]):
+            np.subtract(part, reference, out=stack[start:stop])
+        norms = _half_norms(stack)
+        for (size, _, _, weights), start, stop in zip(batch, bounds, bounds[1:]):
+            yield size, weights * norms[start:stop]
+
+    batch, room = [], _CHUNK
+    for size, stack, reference, weights in pieces:
+        while len(weights):
+            take = min(len(weights), room)
+            batch.append((size, stack[:take], reference, weights[:take]))
+            stack, weights, room = stack[take:], weights[take:], room - take
+            if not room:
+                yield from solve(batch)
+                batch, room = [], _CHUNK
+    if batch:
+        yield from solve(batch)
+
+
+def _extraction_terms(state: CQState):
+    """Pieces of the exact extraction distance at z: z times the
+    average over the preimages S of one output block, a subset S having
+    weight z^-|S| (1-1/z)^(|X|-|S|).
+
+    The subset sums Σ_{x∈S} p_x ρ_x do not depend on z.  When one chunk
+    holds every subset they are built once for the whole curve; larger
+    alphabets rebuild them chunk by chunk for each z, so memory stays
+    one chunk.
+    """
+    x_size = state.alphabet_size
+    blocks = state.p[:, None, None] * state.rhos
+    rho_b = state.marginal()
+
+    def subset_sums():
+        for rows in _subset_rows(x_size):
+            yield rows.sum(axis=1), _contract(rows, blocks)
+
+    built = list(subset_sums()) if 2 ** x_size <= _CHUNK else None
+
+    def terms(z_size):
+        z = float(z_size)
+        target = rho_b / z_size
+        for size, sums in built or subset_sums():
+            yield sums, target, z ** (1.0 - size) * (1.0 - 1.0 / z) ** (x_size - size)
+
+    return terms
+
+
+def _covering_terms(state: CQState, m_max: int):
+    """Pieces of the exact covering distance at m <= m_max: the types of
+    the codebooks, each with its multinomial p-weight."""
+    x_size = state.alphabet_size
+    rho_b = state.marginal()
+    log_fact = np.array([math.lgamma(j + 1) for j in range(m_max + 1)])
+    with np.errstate(divide="ignore"):
+        log_p = np.log(state.p)
+
+    def terms(m):
+        blocks = state.rhos / m
+        for counts in _type_rows(m, x_size):
+            # a type using a zero-probability symbol gets weight 0
+            yield (_contract(counts, blocks), rho_b,
+                   np.exp(log_fact[m] - log_fact[counts].sum(axis=1)
+                          + _log_likelihood(counts, log_p)))
+
+    return terms
 
 
 def _subset_rows(x_size: int):
@@ -161,10 +272,13 @@ def _type_rows(m: int, x_size: int):
     consecutive bars.
     """
     slots = m + x_size - 1
-    bars = itertools.combinations(range(slots), x_size - 1)
-    for batch in iter(lambda: list(itertools.islice(bars, _CHUNK)), []):
-        edges = np.pad(np.array(batch, dtype=np.int64), ((0, 0), (1, 1)),
-                       constant_values=((0, 0), (-1, slots)))
+    total = math.comb(slots, x_size - 1)
+    bars = itertools.chain.from_iterable(itertools.combinations(range(slots), x_size - 1))
+    for start in range(0, total, _CHUNK):
+        n = min(_CHUNK, total - start)
+        edges = np.empty((n, x_size + 1), dtype=np.int64)
+        edges[:, 0], edges[:, -1] = -1, slots
+        edges[:, 1:-1] = np.fromiter(bars, np.int64, n * (x_size - 1)).reshape(n, x_size - 1)
         yield np.diff(edges, axis=1) - 1
 
 
@@ -211,12 +325,9 @@ def simulate_pa(state: CQState, z_size: int, method: str = "exact",
     ``workers``.  Monte-Carlo mode draws tables uniformly and reports an
     unbiased mean with its confidence half-width.
     """
-    if z_size < 1:
-        raise DomainError(f"z_size must be >= 1, got {z_size}")
-    _check_run(method, workers)
+    z_size = _whole("z_size", z_size, 1)
+    samples, seed, workers = _check_run(method, samples, seed, workers)
     x_size = state.alphabet_size
-    weights = state.p[:, None, None] * state.rhos
-    target = state.marginal() / z_size
 
     if method == "exact":
         if 2 ** x_size > ENUMERATION_CAP:
@@ -224,17 +335,11 @@ def simulate_pa(state: CQState, z_size: int, method: str = "exact",
                 f"{2 ** x_size} subsets exceed the enumeration cap "
                 f"{ENUMERATION_CAP}; use method='mc'"
             )
-        z = float(z_size)
-
-        def subset_weights(rows):
-            size = rows.sum(axis=1)
-            return z ** (1.0 - size) * (1.0 - 1.0 / z) ** (x_size - size)
-
-        value = _exact_average(_subset_rows(x_size), subset_weights, weights, target)
+        [value] = _exact_curve([z_size], _extraction_terms(state))
         return SimulationEstimate(value, "exact", z_size ** x_size, seed, 0.0)
 
-    if samples < 2:
-        raise DomainError("monte-carlo needs at least 2 samples")
+    weights = state.p[:, None, None] * state.rhos
+    target = state.marginal() / z_size
     singles = _distances(weights, target)
 
     def job(values, j, start, stop):
@@ -261,12 +366,9 @@ def simulate_covering(state: CQState, m: int, method: str = "exact",
     mode draws codebooks i.i.d. from p and evaluates each through its
     type, with the same kernel.
     """
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-    _check_run(method, workers)
-    rho_b = state.marginal()
+    m = _whole("m", m, 1)
+    samples, seed, workers = _check_run(method, samples, seed, workers)
     x_size = state.alphabet_size
-    blocks = state.rhos / m
 
     if method == "exact":
         n_types = math.comb(m + x_size - 1, x_size - 1)
@@ -275,20 +377,11 @@ def simulate_covering(state: CQState, m: int, method: str = "exact",
                 f"{n_types} codebook types exceed the enumeration cap "
                 f"{ENUMERATION_CAP}; use method='mc'"
             )
-        log_fact = np.array([math.lgamma(j + 1) for j in range(m + 1)])
-        with np.errstate(divide="ignore"):
-            log_p = np.log(state.p)
-
-        def type_weights(counts):
-            # a type using a zero-probability symbol gets weight 0
-            return np.exp(log_fact[m] - log_fact[counts].sum(axis=1)
-                          + _log_likelihood(counts, log_p))
-
-        value = _exact_average(_type_rows(m, x_size), type_weights, blocks, rho_b)
+        [value] = _exact_curve([m], _covering_terms(state, m))
         return SimulationEstimate(value, "exact", x_size ** m, seed, 0.0)
 
-    if samples < 2:
-        raise DomainError("monte-carlo needs at least 2 samples")
+    rho_b = state.marginal()
+    blocks = state.rhos / m
 
     def job(values, j, start, stop):
         rng = _chunk_rng(seed, j)
@@ -337,8 +430,7 @@ def search_max_extractable(state: CQState, eps: float, z_cap: int) -> SearchResu
     """
     if not 0.0 < eps < 1.0:
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
-    if z_cap < 1:
-        raise DomainError(f"z_cap must be >= 1, got {z_cap}")
+    z_cap = _whole("z_cap", z_cap, 1)
     work = z_cap * 2 ** state.alphabet_size
     if work > ENUMERATION_CAP:
         raise DomainError(
@@ -346,7 +438,10 @@ def search_max_extractable(state: CQState, eps: float, z_cap: int) -> SearchResu
             f"({work} subsets); lower the cap — the "
             "search refuses monte-carlo estimates for certification"
         )
-    curve = [(z, simulate_pa(state, z, "exact")) for z in range(1, z_cap + 1)]
+    sizes = range(1, z_cap + 1)
+    values = _exact_curve(sizes, _extraction_terms(state))
+    curve = [(z, SimulationEstimate(value, "exact", z ** state.alphabet_size, 0, 0.0))
+             for z, value in zip(sizes, values)]
     qualifying = [z for z, est in curve if est.value <= eps + 1e-12]
     found = max(qualifying)  # z=1 gives distance 0, so this is never empty
     cap_limited = curve[-1][1].value <= eps + 1e-12
@@ -366,8 +461,7 @@ def search_min_codebook(state: CQState, eps: float, m_cap: int) -> SearchResult:
     """
     if not 0.0 < eps < 1.0:
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
-    if m_cap < 1:
-        raise DomainError(f"m_cap must be >= 1, got {m_cap}")
+    m_cap = _whole("m_cap", m_cap, 1)
     work = math.comb(m_cap + state.alphabet_size, state.alphabet_size)
     if work > ENUMERATION_CAP:
         raise DomainError(
@@ -375,7 +469,10 @@ def search_min_codebook(state: CQState, eps: float, m_cap: int) -> SearchResult:
             f"({work} codebook types); lower the cap — the "
             "search refuses monte-carlo estimates for certification"
         )
-    curve = [(m, simulate_covering(state, m, "exact")) for m in range(1, m_cap + 1)]
+    sizes = range(1, m_cap + 1)
+    values = _exact_curve(sizes, _covering_terms(state, m_cap))
+    curve = [(m, SimulationEstimate(value, "exact", state.alphabet_size ** m, 0, 0.0))
+             for m, value in zip(sizes, values)]
     qualifying = [m for m, est in curve if est.value <= eps + 1e-12]
     found = min(qualifying) if qualifying else None
     return SearchResult(found, curve, cap_limited=found is None)

@@ -24,6 +24,7 @@ from conftest import (
     bit_pair_trivial_side,
     brute_force_covering,
     brute_force_pa,
+    counting_eigensolves,
     random_cq_state,
     svd_trace_norm,
 )
@@ -446,3 +447,132 @@ def test_family_descriptor_kinds():
     assert fam.table_count == 8
     fam = uniform_function_family(3, 2, "mc")
     assert fam.kind == "sampled-uniform-function"
+
+
+def test_refuses_non_integral_sizes_before_any_work(monkeypatch):
+    state = _oracle_state(82, 3, 2, False)
+
+    def no_eigensolver(*args, **kwargs):
+        raise AssertionError("eigensolver called before the refusal")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", no_eigensolver)
+        patch.setattr(np.linalg, "eigh", no_eigensolver)
+        for runner, method in itertools.product(
+                (simulate_pa, simulate_covering), ("exact", "mc")):
+            for bad in (2.5, "2", None, math.nan, math.inf):
+                with pytest.raises(DomainError, match="not an integer"):
+                    runner(state, bad, method, samples=100)
+            for name, bad in (("samples", 100.5), ("workers", 1.5), ("seed", 0.5)):
+                with pytest.raises(DomainError, match=f"{name}=.* not an integer"):
+                    runner(state, 2, method, **{name: bad})
+        for search in (search_max_extractable, search_min_codebook):
+            for bad in (2.5, "3", None):
+                with pytest.raises(DomainError, match="not an integer"):
+                    search(state, 0.3, bad)
+    # integral values of other types are used as ints
+    exact = simulate_pa(state, 2.0, "exact", seed=np.int64(4))
+    assert exact == simulate_pa(state, 2, "exact", seed=4)
+    assert type(exact.samples) is int and type(exact.seed) is int
+    mc = simulate_covering(state, np.int64(3), "mc", samples=300.0, workers=2.0)
+    assert mc == simulate_covering(state, 3, "mc", samples=300)
+    assert type(mc.samples) is int
+    assert search_min_codebook(state, 0.3, 4.0) == search_min_codebook(state, 0.3, 4)
+
+
+# (|X|, d, zero entry in p); every curve below is a single batch that
+# mixes all of its sizes
+_CURVE_STATES = [
+    (1, 1, False),
+    (1, 2, False),
+    (2, 1, False),
+    (2, 2, False),
+    (3, 1, False),
+    (3, 2, False),
+    (3, 2, True),
+]
+
+
+def test_exact_curves_match_brute_force_and_single_size_calls(monkeypatch):
+    cap = 5
+    for alphabet, dim, zero_p in _CURVE_STATES:
+        state = _oracle_state(83, alphabet, dim, zero_p)
+        with counting_eigensolves(monkeypatch) as matrices_per_call:
+            pa = search_max_extractable(state, 0.3, cap)
+            cov = search_min_codebook(state, 0.3, cap)
+        assert matrices_per_call == [cap * 2 ** alphabet,
+                                     math.comb(cap + alphabet, alphabet) - 1]
+        assert [z for z, _ in pa.curve] == [m for m, _ in cov.curve] == list(range(1, cap + 1))
+        for (z, est), (m, cov_est) in zip(pa.curve, cov.curve):
+            case = (alphabet, dim, zero_p, z)
+            assert est.value == pytest.approx(brute_force_pa(state, z), abs=1e-12), case
+            assert cov_est.value == pytest.approx(brute_force_covering(state, m), abs=1e-12), case
+            single = simulate_pa(state, z, "exact")
+            assert est.value == pytest.approx(single.value, abs=1e-14), case
+            assert (est.samples, est.method, est.half_width) == (single.samples, "exact", 0.0)
+            single = simulate_covering(state, m, "exact")
+            assert cov_est.value == pytest.approx(single.value, abs=1e-14), case
+            assert cov_est.samples == single.samples
+
+
+def test_exact_curve_splits_sizes_across_batches(monkeypatch):
+    # batches of 7 operators: sizes straddle batch boundaries and a
+    # batch can hold the tail of one size, whole sizes and the head of
+    # another
+    for alphabet, dim, zero_p in _CURVE_STATES[3:]:
+        state = _oracle_state(84, alphabet, dim, zero_p)
+        whole_pa = search_max_extractable(state, 0.3, 6).curve
+        whole_cov = search_min_codebook(state, 0.3, 6).curve
+        monkeypatch.setattr(simulate, "_CHUNK", 7)
+        with counting_eigensolves(monkeypatch) as matrices_per_call:
+            split_pa = search_max_extractable(state, 0.3, 6).curve
+        assert matrices_per_call == [7] * (6 * 2 ** alphabet // 7) + [6 * 2 ** alphabet % 7]
+        with counting_eigensolves(monkeypatch) as matrices_per_call:
+            split_cov = search_min_codebook(state, 0.3, 6).curve
+        types = math.comb(6 + alphabet, alphabet) - 1
+        assert sum(matrices_per_call) == types
+        assert len(matrices_per_call) == math.ceil(types / 7)
+        monkeypatch.undo()
+        for (z, whole), (z_split, split) in zip(whole_pa + whole_cov, split_pa + split_cov):
+            assert z == z_split
+            assert split.value == pytest.approx(whole.value, abs=1e-14)
+
+
+def test_search_eigensolve_budget(monkeypatch):
+    chunk = simulate._CHUNK
+    # (search, |X|, cap, evaluations): subsets z_cap * 2^|X| for
+    # extraction, all types up to m_cap for covering
+    for search, alphabet, cap, work in [
+        (search_min_codebook, 4, 8, math.comb(12, 4) - 1),
+        (search_min_codebook, 3, 40, math.comb(43, 3) - 1),
+        (search_max_extractable, 4, 8, 8 * 2 ** 4),
+        (search_max_extractable, 10, 10, 10 * 2 ** 10),
+        (search_max_extractable, 13, 3, 3 * 2 ** 13),
+    ]:
+        state = _oracle_state(85, alphabet, 2, False)
+        with counting_eigensolves(monkeypatch) as matrices_per_call:
+            search(state, 0.3, cap)
+        assert sum(matrices_per_call) == work
+        assert len(matrices_per_call) == math.ceil(work / chunk)
+        assert max(matrices_per_call) <= chunk
+    # a 4-symbol covering search up to 8: 494 types in one eigensolve,
+    # not one per codebook size
+    state = _oracle_state(86, 4, 2, False)
+    with counting_eigensolves(monkeypatch) as matrices_per_call:
+        search_min_codebook(state, 0.25, 8)
+    assert matrices_per_call == [494]
+
+
+def test_near_cap_search_memory_is_one_batch():
+    # 1953 * 2^10 = 1,999,872 subset evaluations, just under the cap
+    state = _oracle_state(87, 10, 1, False)
+    tracemalloc.start()
+    try:
+        result = search_max_extractable(state, 0.3, 1953)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.curve) == 1953
+    assert result.curve[-1][1].value == simulate_pa(state, 1953, "exact").value
+    # a stacked batch of 4096 complex 1x1 operators takes 66 kB
+    assert peak < 16e6
