@@ -14,12 +14,10 @@ from .bounds import (
     validate_sandwich_params,
 )
 from .cq import (
-    Codebook,
     CQState,
     HashFamily,
     JointEmbedding,
     TypeClassSpectrum,
-    codebook_state,
     dump_state,
     iid_type_spectrum,
     joint_embed,

@@ -18,7 +18,7 @@ import numpy as np
 from .cq import CQState, joint_embed
 from .divergences import _commuting_pairs
 from .entropic import conditional_test_entropy, hypothesis_test_information
-from .errors import DomainError
+from .errors import DomainError, _check_eps
 from .linalg import DEFAULT_CLUSTER_TOL, _radius, spec_count
 
 
@@ -43,8 +43,7 @@ class BoundReport:
 
 def validate_sandwich_params(eps: float, delta: float, c: float) -> None:
     """Enforce 0 < c < delta < min(eps/3, (1-eps)/2), naming the violation."""
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"eps must lie in (0, 1), got {eps}")
+    _check_eps(eps)
     if c <= 0.0:
         raise DomainError(f"c must be > 0, got {c}")
     if c >= delta:

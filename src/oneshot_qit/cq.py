@@ -1,5 +1,5 @@
-"""Classical-quantum states, hash-family and codebook descriptors, state-file
-I/O, and exact type-class spectra of i.i.d. classical pairs.
+"""Classical-quantum states, the hash-family descriptor, state-file I/O,
+and exact type-class spectra of i.i.d. classical pairs.
 
 A classical-quantum state couples a distribution ``p`` over a finite
 alphabet to one density operator per symbol.  The JSON state-file format
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_eps
 from .linalg import as_hermitian
 
 _PSD_TOL = 1e-10
@@ -54,6 +54,8 @@ class CQState:
         p = np.asarray(self.p, dtype=float)
         if p.ndim != 1 or p.size < 1:
             raise DomainError("p must be a non-empty probability vector")
+        if not np.all(np.isfinite(p)):
+            raise DomainError(f"non-finite probability {p[~np.isfinite(p)][0]}")
         if np.any(p < -1e-12):
             raise DomainError(f"negative probability {p.min():.3e}")
         p = np.clip(p, 0.0, None)
@@ -131,8 +133,7 @@ def regularize(state: CQState, eps: float) -> CQState:
     Each block becomes (1 - eps) rho^x + eps * I / d, so all block
     eigenvalues are at least eps / d; ``p`` is unchanged.
     """
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"eps must lie in (0, 1), got {eps}")
+    _check_eps(eps)
     d = state.dim_b
     eye = np.eye(d, dtype=complex)
     blocks = (1.0 - eps) * state.rhos + (eps / d) * eye
@@ -140,7 +141,7 @@ def regularize(state: CQState, eps: float) -> CQState:
 
 
 # ---------------------------------------------------------------------------
-# Hash-family and codebook descriptors
+# Hash-family descriptor
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -166,34 +167,6 @@ class HashFamily:
     @property
     def table_count(self) -> int:
         return self.range_size ** self.domain_size
-
-
-@dataclass(frozen=True)
-class Codebook:
-    """An ordered list of codeword symbols (repetition allowed)."""
-
-    codewords: np.ndarray
-    alphabet_size: int
-
-    def __post_init__(self):
-        words = np.asarray(self.codewords, dtype=np.int64)
-        if words.ndim != 1 or words.size < 1:
-            raise DomainError("codebook must be a non-empty index vector")
-        if words.min() < 0 or words.max() >= self.alphabet_size:
-            raise DomainError("codeword index out of range")
-        words.setflags(write=False)
-        object.__setattr__(self, "codewords", words)
-
-    @property
-    def size(self) -> int:
-        return self.codewords.size
-
-
-def codebook_state(state: CQState, codebook: Codebook) -> np.ndarray:
-    """Uniform average of the blocks selected by a codebook."""
-    if codebook.alphabet_size != state.alphabet_size:
-        raise DomainError("codebook alphabet does not match the state")
-    return as_hermitian(state.rhos[codebook.codewords].mean(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -268,44 +241,88 @@ class TypeClassSpectrum:
     log_multiplicity: np.ndarray
     n: int
 
-    @property
-    def multiplicity(self) -> np.ndarray:
-        return np.exp(self.log_multiplicity)
 
-    def total_p_mass(self) -> float:
-        finite = self.log_p_mass[np.isfinite(self.log_p_mass)]
-        if finite.size == 0:
-            return 0.0
-        m = float(finite.max())
-        return math.exp(m) * float(math.fsum(np.exp(finite - m)))
+def _type_tables(n_max: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tables behind the types of length n <= n_max over k symbols.
 
-
-def _compositions(n: int, k: int) -> np.ndarray:
-    """All length-k tuples of non-negative integers summing to n, in
-    lexicographic order."""
-    remaining = np.array([n], dtype=np.int64)
-    levels = []
-    for _ in range(k - 1):
-        # each prefix branches into next coordinates 0..remaining
-        counts = remaining + 1
-        parent = np.repeat(np.arange(remaining.size), counts)
-        head = np.arange(parent.size) - (np.cumsum(counts) - counts)[parent]
-        remaining = remaining[parent] - head
-        levels.append((head, parent))
-    columns, index = [remaining], np.arange(remaining.size)
-    for head, parent in reversed(levels):
-        columns.append(head[index])
-        index = parent[index]
-    return np.column_stack(columns[::-1])
-
-
-def _log_likelihood(types: np.ndarray, log_p: np.ndarray) -> np.ndarray:
-    """Σ_x t_x log p_x for each type row t, with 0·log 0 = 0.
-
-    A row that uses a symbol of log-probability −inf gets −inf.
+    ``counts[p - 1, u]`` = C(u + p - 1, p - 1) is the number of
+    compositions of u into p parts: ``counts[0]`` is all ones and each
+    further row is the running sum of the one before.  No entry exceeds
+    C(n_max + k - 1, k - 1), the number of types of length n_max, so the
+    int64 values are exact for any enumerable type count.
+    ``log_fact[j]`` = log j!.
     """
+    counts = np.ones((k, n_max + 1), dtype=np.int64)
+    for p in range(1, k):
+        np.cumsum(counts[p - 1], out=counts[p])
+    log_fact = np.array([math.lgamma(j + 1) for j in range(n_max + 1)])
+    return counts, log_fact
+
+
+def _compositions(n: int, counts: np.ndarray, rows: int):
+    """All length-k tuples of non-negative integers summing to n, in
+    lexicographic order, as int64 chunks of at most ``rows`` rows.
+
+    ``counts`` is the table of ``_type_tables(n_max, k)`` for an
+    n_max >= n.  Each row is unranked on its own.  Of the compositions
+    of r into p parts, those whose first entry is t take the ranks from
+    counts[p-1, r] - counts[p-1, r-t] on, so for a rank j the remainder
+    u = r - t is the least u with counts[p-1, u] >= counts[p-1, r] - j:
+    one ``searchsorted`` per coordinate for the whole chunk.
+
+    Coordinates that are 0 in every row of a chunk are skipped, so a
+    chunk of a large alphabet costs about as many steps as it has rows
+    when n is small: the leading ones, because every rank lies below
+    the count of compositions of n into fewer parts, and the trailing
+    ones, once nothing is left to place.
+    """
+    k = counts.shape[0]
+    total = int(counts[-1, n])
+    for start in range(0, total, rows):
+        rank = np.arange(start, min(start + rows, total))
+        left = np.full(rank.size, n)
+        chunk = np.zeros((rank.size, k), dtype=np.int64)
+        lead = k - 1 - int(np.searchsorted(counts[:, n], rank[-1], side="right"))
+        for i in range(lead, k - 1):
+            if not left.any():
+                break
+            table = counts[k - 1 - i]
+            above = table[left] - rank
+            rest = np.searchsorted(table, above)
+            chunk[:, i] = left - rest
+            rank = table[rest] - above
+            left = rest
+        chunk[:, -1] = left
+        yield chunk
+
+
+def _type_log_terms(types: np.ndarray, n: int, log_fact: np.ndarray,
+                    log_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two terms of each type row's multinomial log p-mass.
+
+    For a row t summing to n these are its log multiplicity
+    log n! - Σ_x log t_x!, read from ``log_fact`` (log j! for j <= n),
+    and its log-likelihood Σ_x t_x log p_x, with 0·log 0 = 0; a row that
+    uses a symbol of log-probability -inf gets -inf.  The log p-mass of
+    the class is their sum.
+    """
+    log_mult = log_fact[n] - log_fact[types].sum(axis=1)
     with np.errstate(invalid="ignore"):
-        return np.where(types > 0, types * log_p, 0.0).sum(axis=1)
+        log_like = np.where(types > 0, types * log_p, 0.0).sum(axis=1)
+    return log_mult, log_like
+
+
+def _whole(name: str, value, least: int | None = None) -> int:
+    """value as an int, refused unless it is an integer (and >= least)."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise DomainError(f"{name}={value!r} is not an integer")
+    if least is not None and whole < least:
+        raise DomainError(f"{name} must be >= {least}, got {whole}")
+    return whole
 
 
 def _check_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
@@ -326,12 +343,7 @@ def _check_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
 def _check_blocklength(n, k: int) -> int:
     """n as an int, refused unless it is an integer in [1, 10^4] whose
     type classes over an alphabet of size k fit ``TYPE_CLASS_CAP``."""
-    try:
-        whole = int(n)
-    except (TypeError, ValueError, OverflowError):
-        whole = None
-    if whole is None or whole != n:
-        raise DomainError(f"blocklength n={n!r} is not an integer")
+    whole = _whole("blocklength n", n)
     if whole < 1 or whole > 10_000:
         raise DomainError(f"blocklength n={whole} outside [1, 10^4]")
     count = math.comb(whole + k - 1, k - 1)
@@ -348,22 +360,21 @@ def iid_type_spectrum(p, q, n: int) -> TypeClassSpectrum:
 
     Avoids materializing the k**n outcome space: the returned spectrum
     has one row per type class and carries everything needed to evaluate
-    optimal tests at blocklength n.  Requires q > 0 entrywise.  Each log
+    optimal tests at blocklength n.  Requires q > 0 entrywise.  The type
+    classes are the rows of ``_compositions``, taken as one chunk, the
+    enumerator that exact covering streams in smaller chunks.  Each log
     mass is a sum of k + 1 log-factorials and k log-likelihood terms, so
     its absolute rounding error is a few units in the last place of the
     largest term, log n! or n * |log p_x|: some 1e-11 nats at n = 10^4.
     """
     p, q = _check_pair(p, q)
     n = _check_blocklength(n, p.size)
-    types = _compositions(n, p.size)
-
-    # log multinomial coefficients via a lookup of log-factorials
-    log_fact = np.array([math.lgamma(j + 1) for j in range(n + 1)])
-    log_mult = log_fact[n] - log_fact[types].sum(axis=1)
+    counts, log_fact = _type_tables(n, p.size)
+    [types] = _compositions(n, counts, int(counts[-1, n]))
 
     with np.errstate(divide="ignore"):
         log_p = np.log(p)
-    p_contrib = _log_likelihood(types, log_p)
+    log_mult, p_contrib = _type_log_terms(types, n, log_fact, log_p)
     q_contrib = types @ np.log(q)  # q > 0, so no 0·log 0 terms
 
     return TypeClassSpectrum(

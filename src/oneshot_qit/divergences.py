@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, _check_eps
 from .linalg import (
     DEFAULT_CLUSTER_TOL,
     _cluster_labels,
@@ -69,11 +69,6 @@ class DivergencePair:
         comm = rho @ sigma - sigma @ rho
         commuting = float(np.max(np.abs(comm))) <= _COMMUTATOR_TOL
         return cls(rho, sigma, commuting)
-
-
-def _check_eps(eps: float) -> None:
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"eps must lie in (0, 1), got {eps}")
 
 
 def _trace(a: np.ndarray) -> float:

@@ -20,7 +20,7 @@ from .divergences import (
     relative_entropy,
     relative_entropy_variance,
 )
-from .errors import DomainError
+from .errors import DomainError, _check_eps
 
 
 def hypothesis_test_information(state: CQState, eps: float) -> float:
@@ -66,8 +66,7 @@ def gaussian_cdf(u: float) -> float:
 
 def normal_quantile(eps: float) -> float:
     """Inverse of the standard normal CDF."""
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"eps must lie strictly between 0 and 1, got {eps}")
+    _check_eps(eps)
     return _STANDARD_NORMAL.inv_cdf(eps)
 
 

@@ -63,10 +63,6 @@ class EigenSystem:
     eigenvectors: np.ndarray
     cluster_tol: float = DEFAULT_CLUSTER_TOL
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
     def cluster_labels(self) -> np.ndarray:
         return _cluster_labels(self.eigenvalues, self.cluster_tol)
 

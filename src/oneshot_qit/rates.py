@@ -20,7 +20,7 @@ import numpy as np
 from .cq import _check_blocklength, _check_pair, iid_type_spectrum
 from .divergences import LN2
 from .entropic import moderate_rate, second_order_value
-from .errors import DomainError
+from .errors import DomainError, _check_eps
 
 
 @dataclass(frozen=True)
@@ -37,25 +37,20 @@ class SweepRow:
 
 def classical_relative_entropy(p, q) -> float:
     """sum p log2(p/q) for strictly positive q."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log2(p[mask] / q[mask])))
+    return _llr_moments(*_check_pair(p, q))[0]
 
 
 def classical_relative_entropy_variance(p, q) -> float:
     """Variance of log2(p/q) under p."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    return _llr_moments(*_check_pair(p, q))[1]
+
+
+def _llr_moments(p: np.ndarray, q: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of log2(p/q) under p, for a checked pair."""
     mask = p > 0
-    llr = np.log2(p[mask] / q[mask])
-    mean = float(np.sum(p[mask] * llr))
-    return max(float(np.sum(p[mask] * llr ** 2)) - mean * mean, 0.0)
-
-
-def _check_eps(eps: float) -> None:
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"eps must lie in (0, 1), got {eps}")
+    weights, llr = p[mask], np.log2(p[mask] / q[mask])
+    mean = float(np.sum(weights * llr))
+    return mean, max(float(np.sum(weights * llr ** 2)) - mean * mean, 0.0)
 
 
 def _sorted_tests(p, q, n: int):
@@ -117,8 +112,7 @@ def second_order_sweep(p, q, eps: float, n_list) -> list[SweepRow]:
     """Exact values against n*D + sqrt(n*V) * quantile(eps) per blocklength."""
     _check_eps(eps)
     p, q, n_values = _sweep_inputs(p, q, n_list)
-    d = classical_relative_entropy(p, q)
-    v = classical_relative_entropy_variance(p, q)
+    d, v = _llr_moments(p, q)
     rows = []
     for n in n_values:
         exact = _test_bits(_sorted_tests(p, q, n), eps)
@@ -166,8 +160,7 @@ def _moderate_rows(p, q, t: float, n_list, directions) -> list[SweepRow]:
                 )
         levels.append((n, a_n, branches))
 
-    d = classical_relative_entropy(p, q)
-    v = classical_relative_entropy_variance(p, q)
+    d, v = _llr_moments(p, q)
     rows = [[] for _ in directions]
     for n, a_n, branches in levels:
         tests = _sorted_tests(p, q, n)

@@ -13,14 +13,16 @@ function sends each x to a given output block independently with
 probability 1/z, and the trace norm adds up over the blocks, so the
 extraction average is z times an average over the 2^|X| preimages S of
 one block.  The covering average depends on a codebook only through its
-type, so it is an average over the C(m+|X|-1, |X|-1) types.  Both go
-through one kernel, ``_exact_curve``, which evaluates a curve of sizes
-in one streamed pass: a single exact call is a curve of one size, a
-search is the curve over 1..cap.  It packs the (size, subset) or
-(size, type) operators of consecutive sizes into stacked eigensolves of
-at most ``_CHUNK`` matrices and sums each size's terms with one exactly
-rounded ``math.fsum``, so memory stays one batch.  The enumeration cap
-counts these subsets and types.
+type, so it is an average over the C(m+|X|-1, |X|-1) types.  They come
+in lexicographic chunks from ``cq._compositions``, the enumerator that
+``cq.iid_type_spectrum`` uses, and are weighted by the same type
+log-mass helper.  Both averages go through one kernel, ``_exact_curve``,
+which evaluates a curve of sizes in one streamed pass: a single exact
+call is a curve of one size, a search is the curve over 1..cap.  It
+packs the (size, subset) or (size, type) operators of consecutive sizes
+into stacked eigensolves of at most ``_CHUNK`` matrices and sums each
+size's terms with one exactly rounded ``math.fsum``, so memory stays one
+batch.  The enumeration cap counts these subsets and types.
 
 Monte-Carlo extraction costs O(|X|) per table plus one eigensolve per
 output block with two or more preimages, whatever z is: empty blocks
@@ -45,8 +47,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cq import ENUMERATION_CAP, CQState, HashFamily, _log_likelihood
-from .errors import DomainError
+from .cq import (
+    ENUMERATION_CAP,
+    CQState,
+    HashFamily,
+    _compositions,
+    _type_log_terms,
+    _type_tables,
+    _whole,
+)
+from .errors import DomainError, _check_eps
 
 _CHUNK = 4096
 _SEED_MASK = (1 << 64) - 1
@@ -73,19 +83,6 @@ def uniform_function_family(domain_size: int, range_size: int, method: str) -> H
     """Descriptor of the hash family behind an estimate."""
     kind = "exhaustive-uniform-function" if method == "exact" else "sampled-uniform-function"
     return HashFamily(domain_size, range_size, kind)
-
-
-def _whole(name: str, value, least: int | None = None) -> int:
-    """value as an int, refused unless it is an integer (and >= least)."""
-    try:
-        whole = int(value)
-    except (TypeError, ValueError, OverflowError):
-        whole = None
-    if whole is None or whole != value:
-        raise DomainError(f"{name}={value!r} is not an integer")
-    if least is not None and whole < least:
-        raise DomainError(f"{name} must be >= {least}, got {whole}")
-    return whole
 
 
 def _check_run(method: str, samples, seed, workers) -> tuple[int, int, int]:
@@ -236,20 +233,25 @@ def _extraction_terms(state: CQState):
 
 def _covering_terms(state: CQState, m_max: int):
     """Pieces of the exact covering distance at m <= m_max: the types of
-    the codebooks, each with its multinomial p-weight."""
+    the codebooks, each with its multinomial p-weight.
+
+    The type tables are built once for m_max.  A chunk has fewer than
+    ``_CHUNK`` rows when |X| > 64, so that its memory does not grow with
+    the alphabet.
+    """
     x_size = state.alphabet_size
     rho_b = state.marginal()
-    log_fact = np.array([math.lgamma(j + 1) for j in range(m_max + 1)])
+    counts, log_fact = _type_tables(m_max, x_size)
+    rows = max(1, _CHUNK * 64 // max(x_size, 64))
     with np.errstate(divide="ignore"):
         log_p = np.log(state.p)
 
     def terms(m):
         blocks = state.rhos / m
-        for counts in _type_rows(m, x_size):
+        for types in _compositions(m, counts, rows):
+            log_mult, log_like = _type_log_terms(types, m, log_fact, log_p)
             # a type using a zero-probability symbol gets weight 0
-            yield (_contract(counts, blocks), rho_b,
-                   np.exp(log_fact[m] - log_fact[counts].sum(axis=1)
-                          + _log_likelihood(counts, log_p)))
+            yield _contract(types, blocks), rho_b, np.exp(log_mult + log_like)
 
     return terms
 
@@ -261,25 +263,6 @@ def _subset_rows(x_size: int):
     for start in range(0, total, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, total))
         yield ((idx[:, None] >> bits) & 1).astype(float)
-
-
-def _type_rows(m: int, x_size: int):
-    """All codebook types (counts over range(x_size) summing to m), one
-    chunk at a time.
-
-    Stars and bars: each choice of x_size − 1 bar positions among
-    m + x_size − 1 slots is one type, whose counts are the gaps between
-    consecutive bars.
-    """
-    slots = m + x_size - 1
-    total = math.comb(slots, x_size - 1)
-    bars = itertools.chain.from_iterable(itertools.combinations(range(slots), x_size - 1))
-    for start in range(0, total, _CHUNK):
-        n = min(_CHUNK, total - start)
-        edges = np.empty((n, x_size + 1), dtype=np.int64)
-        edges[:, 0], edges[:, -1] = -1, slots
-        edges[:, 1:-1] = np.fromiter(bars, np.int64, n * (x_size - 1)).reshape(n, x_size - 1)
-        yield np.diff(edges, axis=1) - 1
 
 
 def _run_chunks(n_items: int, workers: int, job) -> np.ndarray:
@@ -428,8 +411,7 @@ def search_max_extractable(state: CQState, eps: float, z_cap: int) -> SearchResu
     a search whose total exceeds the enumeration cap is rejected up
     front.
     """
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"eps must lie in (0, 1), got {eps}")
+    _check_eps(eps)
     z_cap = _whole("z_cap", z_cap, 1)
     work = z_cap * 2 ** state.alphabet_size
     if work > ENUMERATION_CAP:
@@ -459,8 +441,7 @@ def search_min_codebook(state: CQState, eps: float, m_cap: int) -> SearchResult:
     evaluations, and a search whose total exceeds the enumeration cap is
     rejected up front.
     """
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"eps must lie in (0, 1), got {eps}")
+    _check_eps(eps)
     m_cap = _whole("m_cap", m_cap, 1)
     work = math.comb(m_cap + state.alphabet_size, state.alphabet_size)
     if work > ENUMERATION_CAP:

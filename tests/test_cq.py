@@ -9,11 +9,9 @@ import numpy as np
 import pytest
 
 from oneshot_qit import (
-    Codebook,
     CQState,
     DomainError,
     HashFamily,
-    codebook_state,
     dump_state,
     iid_type_spectrum,
     joint_embed,
@@ -24,7 +22,7 @@ from oneshot_qit import (
 )
 
 from oneshot_qit import cq
-from oneshot_qit.cq import _compositions
+from oneshot_qit.cq import _compositions, _type_tables
 
 from conftest import binary_antipodal, bit_pair_trivial_side, random_cq_state
 
@@ -39,6 +37,14 @@ def test_valid_classical_bit_pair():
 def test_probability_sum_rejected():
     with pytest.raises(DomainError, match="probability sum"):
         CQState(p=[0.6, 0.6], rhos=[[[1.0]], [[1.0]]])
+
+
+def test_non_finite_probability_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="non-finite"):
+            CQState(p=[bad], rhos=[[[1.0]]])
+        with pytest.raises(DomainError, match="non-finite"):
+            CQState(p=[0.5, bad], rhos=[[[1.0]], [[1.0]]])
 
 
 def test_non_psd_block_rejected_with_eigenvalue():
@@ -200,37 +206,37 @@ def test_uniform_function_family_pairwise_uniform():
                     assert hits * rng_size ** 2 == family.table_count
 
 
-def test_codebook_validation_and_state():
-    state = binary_antipodal()
-    book = Codebook(codewords=[0, 1], alphabet_size=2)
-    assert book.size == 2
-    assert np.allclose(codebook_state(state, book), np.eye(2) / 2)
-    with pytest.raises(DomainError):
-        Codebook(codewords=[0, 2], alphabet_size=2)
-
-
 # ---------------------------------------------------------------------------
 # Type spectra
 # ---------------------------------------------------------------------------
+
+def _total_p_mass(spec):
+    return math.fsum(np.exp(spec.log_p_mass))
+
+
+def _all_compositions(n, k, rows, n_max=None):
+    counts, _ = _type_tables(n if n_max is None else n_max, k)
+    return np.concatenate(list(_compositions(n, counts, rows))).tolist()
+
 
 def test_type_spectrum_blocklength_one():
     p, q = [1.0 / 3.0, 2.0 / 3.0], [0.5, 0.5]
     spec = iid_type_spectrum(p, q, 1)
     assert np.allclose(sorted(np.exp(spec.log_p_mass)), sorted(p))
     assert np.allclose(sorted(spec.llr), sorted(np.log(np.array(p) / np.array(q))))
-    assert np.allclose(spec.multiplicity, 1.0)
+    assert np.allclose(np.exp(spec.log_multiplicity), 1.0)
 
 
 def test_type_spectrum_equal_distributions():
     spec = iid_type_spectrum([0.5, 0.5], [0.5, 0.5], 8)
     assert np.max(np.abs(spec.llr)) <= 1e-12
-    assert spec.total_p_mass() == pytest.approx(1.0, abs=1e-12)
+    assert _total_p_mass(spec) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_type_spectrum_n2_multiplicities_by_enumeration():
     p, q = np.array([1.0 / 3.0, 2.0 / 3.0]), np.array([0.5, 0.5])
     spec = iid_type_spectrum(p, q, 2)
-    assert np.allclose(sorted(spec.multiplicity), [1.0, 1.0, 2.0])
+    assert np.allclose(sorted(np.exp(spec.log_multiplicity)), [1.0, 1.0, 2.0])
     # brute force over the 4 outcomes
     outcome_mass: dict[float, float] = {}
     for i in range(2):
@@ -250,7 +256,7 @@ def test_type_spectrum_mass_sums_to_one_various_n():
     p, q = [0.2, 0.5, 0.3], [0.4, 0.4, 0.2]
     for n in (1, 3, 10, 50):
         spec = iid_type_spectrum(p, q, n)
-        assert spec.total_p_mass() == pytest.approx(1.0, abs=1e-12)
+        assert _total_p_mass(spec) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_type_spectrum_zero_probability_symbol_without_warnings():
@@ -258,21 +264,27 @@ def test_type_spectrum_zero_probability_symbol_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         spec = iid_type_spectrum(p, q, 3)
-    types = _compositions(3, 3)
+    types = np.array(_all_compositions(3, 3, 10))
     uses_zero = types[:, 2] > 0
     assert np.all(spec.log_p_mass[uses_zero] == -np.inf)
     assert np.all(np.isfinite(spec.log_p_mass[~uses_zero]))
-    assert spec.total_p_mass() == pytest.approx(1.0, abs=1e-12)
+    assert _total_p_mass(spec) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_compositions_in_lexicographic_order():
-    for n, k in ((0, 1), (4, 1), (0, 3), (1, 4), (5, 2), (5, 3), (4, 4), (3, 6)):
+    cases = ((0, 1), (4, 1), (0, 3), (1, 4), (5, 2), (5, 3), (4, 4), (3, 6))
+    # in one chunk and in chunks of 1, 2 and 5 rows, whose boundaries cut
+    # runs of rows that share a prefix, from tables built for n and for
+    # a larger n
+    for (n, k), rows, spare in itertools.product(cases, (10**6, 1, 2, 5), (0, 3)):
         expected = sorted(
             t for t in itertools.product(range(n + 1), repeat=k) if sum(t) == n
         )
-        assert _compositions(n, k).tolist() == [list(t) for t in expected]
+        got = _all_compositions(n, k, rows, n + spare)
+        assert got == [list(t) for t in expected], (n, k, rows, spare)
     # one coordinate per symbol, with no recursion on the alphabet size
-    assert _compositions(1, 1200).tolist() == np.eye(1200, dtype=int)[::-1].tolist()
+    assert _all_compositions(1, 1200, 10**6) == np.eye(1200, dtype=int)[::-1].tolist()
+    assert _all_compositions(1, 1200, 7) == np.eye(1200, dtype=int)[::-1].tolist()
 
 
 def test_type_spectrum_rejects_bad_inputs():

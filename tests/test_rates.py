@@ -143,6 +143,16 @@ def test_sweeps_refuse_bad_blocklengths_before_any_spectrum(spectrum_calls):
     assert spectrum_calls == []
 
 
+def test_classical_entropies_refuse_bad_pairs():
+    for f in (classical_relative_entropy, classical_relative_entropy_variance):
+        with pytest.raises(DomainError, match="strictly positive"):
+            f([0.5, 0.5], [1.0, 0.0])
+        with pytest.raises(DomainError, match="equal length"):
+            f([0.5, 0.5], [0.2, 0.3, 0.5])
+        with pytest.raises(DomainError, match="p must be a probability vector"):
+            f([0.5, 0.7], [0.5, 0.5])
+
+
 def test_acceptance_mass_construction():
     # the boundary fraction makes the p-acceptance exact, so the value is
     # reproducible bit for bit

@@ -297,15 +297,24 @@ def test_covering_antipodal_binomial_closed_form():
 
 
 def test_covering_exact_streams_types_of_a_large_alphabet():
-    # 1,200 types at m=1, generated without recursion
-    state = random_cq_state(np.random.default_rng(79), 1200, 2)
-    rho_b = np.einsum("x,xij->ij", state.p, state.rhos)
-    expected = math.fsum(
-        px * 0.5 * svd_trace_norm(rho - rho_b) for px, rho in zip(state.p, state.rhos)
-    )
-    est = simulate_covering(state, 1, "exact")
-    assert est.value == pytest.approx(expected, abs=1e-12)
-    assert est.samples == 1200
+    # |X| types at m=1, generated without recursion, in chunks whose
+    # memory does not grow with |X|: 4096 rows of 5,000 counts would
+    # take 164 MB per array
+    for alphabet in (1200, 5000):
+        state = random_cq_state(np.random.default_rng(79), alphabet, 2)
+        rho_b = np.einsum("x,xij->ij", state.p, state.rhos)
+        expected = math.fsum(
+            px * 0.5 * svd_trace_norm(rho - rho_b) for px, rho in zip(state.p, state.rhos)
+        )
+        tracemalloc.start()
+        try:
+            est = simulate_covering(state, 1, "exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.value == pytest.approx(expected, abs=1e-12)
+        assert est.samples == alphabet
+        assert peak < 64e6
 
 
 def test_covering_monte_carlo_scaling_sanity():
