@@ -95,8 +95,14 @@ class CQState:
         return self.rhos.shape[-1]
 
     def marginal(self) -> np.ndarray:
-        """Average output operator sum_x p(x) rho^x."""
-        return as_hermitian(np.tensordot(self.p, self.rhos, axes=1))
+        """Average output operator sum_x p(x) rho^x.
+
+        The blocks were validated at construction, and a convex
+        combination of Hermitian blocks is Hermitian, so only the
+        Hermitian part is taken, without a check.
+        """
+        m = np.tensordot(self.p, self.rhos, axes=1)
+        return (m + m.conj().T) / 2
 
 
 @dataclass(frozen=True)
@@ -268,7 +274,9 @@ def _compositions(n: int, counts: np.ndarray, rows: int):
     of r into p parts, those whose first entry is t take the ranks from
     counts[p-1, r] - counts[p-1, r-t] on, so for a rank j the remainder
     u = r - t is the least u with counts[p-1, u] >= counts[p-1, r] - j:
-    one ``searchsorted`` per coordinate for the whole chunk.
+    one ``searchsorted`` per coordinate for the whole chunk.  With two
+    parts left no search is needed: the first of them is the rank and
+    the second is the remainder.
 
     Coordinates that are 0 in every row of a chunk are skipped, so a
     chunk of a large alphabet costs about as many steps as it has rows
@@ -283,7 +291,7 @@ def _compositions(n: int, counts: np.ndarray, rows: int):
         left = np.full(rank.size, n)
         chunk = np.zeros((rank.size, k), dtype=np.int64)
         lead = k - 1 - int(np.searchsorted(counts[:, n], rank[-1], side="right"))
-        for i in range(lead, k - 1):
+        for i in range(lead, k - 2):
             if not left.any():
                 break
             table = counts[k - 1 - i]
@@ -292,7 +300,11 @@ def _compositions(n: int, counts: np.ndarray, rows: int):
             chunk[:, i] = left - rest
             rank = table[rest] - above
             left = rest
-        chunk[:, -1] = left
+        # with two parts left the rank is the first of them; with one
+        # (k = 1) the rank is 0
+        if k > 1:
+            chunk[:, -2] = rank
+        chunk[:, -1] = left - rank
         yield chunk
 
 

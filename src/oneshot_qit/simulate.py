@@ -6,7 +6,8 @@ h: X -> Z of half the trace distance between the hashed state and the
 uniform target.  Covering distance: average over i.i.d. p-distributed
 codebooks of half the trace distance between the codebook average and
 the marginal.  Trace norms of block-diagonal operators are taken block
-by block.
+by block, all through ``_half_norms``: a closed form for blocks of
+dimension 1 and 2, a stacked ``eigvalsh`` for larger ones.
 
 Exact mode never enumerates tables or codebooks.  A uniformly random
 function sends each x to a given output block independently with
@@ -20,11 +21,11 @@ log-mass helper.  Both averages go through one kernel, ``_exact_curve``,
 which evaluates a curve of sizes in one streamed pass: a single exact
 call is a curve of one size, a search is the curve over 1..cap.  It
 packs the (size, subset) or (size, type) operators of consecutive sizes
-into stacked eigensolves of at most ``_CHUNK`` matrices and sums each
-size's terms with one exactly rounded ``math.fsum``, so memory stays one
-batch.  The enumeration cap counts these subsets and types.
+into stacked batches of at most ``_CHUNK`` matrices and sums each size's
+terms with one exactly rounded ``math.fsum``, so memory stays one batch.
+The enumeration cap counts these subsets and types.
 
-Monte-Carlo extraction costs O(|X|) per table plus one eigensolve per
+Monte-Carlo extraction costs O(|X|) per table plus one trace norm per
 output block with two or more preimages, whatever z is: empty blocks
 and single-preimage blocks have closed-form or precomputed distances.
 Monte-Carlo covering counts each sampled codebook into its type and
@@ -97,7 +98,23 @@ def _check_run(method: str, samples, seed, workers) -> tuple[int, int, int]:
 
 
 def _half_norms(stack: np.ndarray) -> np.ndarray:
-    """½‖stack[i]‖₁ for each Hermitian (d, d) operator of a (batch, d, d) stack."""
+    """½‖stack[i]‖₁ for each Hermitian (d, d) operator of a (batch, d, d) stack.
+
+    Like ``eigvalsh``, it reads only the real diagonal and the lower
+    triangle.  Blocks with d <= 2 take a closed form, which avoids the
+    per-matrix LAPACK dispatch that dominates at that size.  For d = 1
+    the value is ½|a₁₁|.  For d = 2 the eigenvalues are (t ± r)/2 with
+    t = a₁₁ + a₂₂ and r = hypot(a₁₁ − a₂₂, 2|a₂₁|), so the trace norm is
+    |t| when they share a sign and r when they do not: max(|t|, r).
+    Larger blocks go to the stacked ``eigvalsh``.
+    """
+    d = stack.shape[-1]
+    if d == 1:
+        return 0.5 * np.abs(stack[:, 0, 0].real)
+    if d == 2:
+        a, c = stack[:, 0, 0].real, stack[:, 1, 1].real
+        spread = np.hypot(a - c, 2.0 * np.abs(stack[:, 1, 0]))
+        return 0.5 * np.maximum(np.abs(a + c), spread)
     return 0.5 * np.abs(np.linalg.eigvalsh(stack)).sum(axis=1)
 
 
@@ -130,7 +147,7 @@ def _hash_values(tables: np.ndarray, weights: np.ndarray, z_size: int,
     Only occupied output blocks cost work.  Each of the z − #outputs
     empty blocks adds ½Tr(target); a block with the single preimage x
     adds ``singles[x]`` = ½‖weights[x] − target‖₁; the blocks with two or
-    more preimages are assembled and solved in one stacked eigensolve.
+    more preimages are assembled and solved in one stacked batch.
     """
     batch, x_size = tables.shape
     # group each row's inputs by output value: sorted runs are the blocks
@@ -165,7 +182,7 @@ def _exact_curve(sizes, terms) -> list[float]:
     ``terms(size)`` yields the size's pieces (W, reference, w): a
     (k, d, d) stack W, one (d, d) reference and k weights, worth
     Σ_i w_i·½‖W_i − reference‖₁.  Consecutive pieces, across sizes, are
-    packed into stacked eigensolves of exactly ``_CHUNK`` operators (the
+    packed into stacked batches of exactly ``_CHUNK`` operators (the
     last one may be shorter), splitting a piece where a batch fills.
     Sizes stay in order, so each size's weighted terms form one
     contiguous run that a single exactly rounded ``math.fsum`` consumes;
@@ -371,7 +388,9 @@ def simulate_covering(state: CQState, m: int, method: str = "exact",
         batch = stop - start
         tables = rng.choice(x_size, size=(batch, m), p=state.p)
         # count each codebook's symbols into a row of its own, its type,
-        # in the float64 that the real contraction in _row_distances takes
+        # straight into the float64 that the real contraction in
+        # _row_distances takes: an integer count cast afterwards would hold
+        # two (batch, |X|) arrays at once
         cells = tables + x_size * np.arange(batch)[:, None]
         counts = np.bincount(cells.ravel(), weights=np.ones(cells.size),
                              minlength=batch * x_size)

@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from oneshot_qit import CQState
+from oneshot_qit import CQState, simulate
 from oneshot_qit.linalg import projector_leq
 
 
@@ -241,6 +241,26 @@ def counting_eigensolves(monkeypatch):
         patch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
         patch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
         yield matrices_per_call
+
+
+@contextlib.contextmanager
+def counting_half_norm_batches(monkeypatch):
+    """Patch ``simulate._half_norms``, the one trace-norm helper of the
+    simulators, to record, per batch, the number of operators it
+    receives; yields the list of those counts.
+
+    It counts batches whatever the block dimension, whereas
+    ``counting_eigensolves`` sees only the blocks that reach LAPACK."""
+    matrices_per_batch = []
+    half_norms = simulate._half_norms
+
+    def wrapped(stack):
+        matrices_per_batch.append(len(stack))
+        return half_norms(stack)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "_half_norms", wrapped)
+        yield matrices_per_batch
 
 
 def svd_trace_norm(a):

@@ -25,6 +25,7 @@ from conftest import (
     brute_force_covering,
     brute_force_pa,
     counting_eigensolves,
+    counting_half_norm_batches,
     random_cq_state,
     svd_trace_norm,
 )
@@ -99,6 +100,7 @@ def test_exact_refusals_precede_any_eigensolver_call(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolver)
     monkeypatch.setattr(np.linalg, "eigh", no_eigensolver)
+    monkeypatch.setattr(simulate, "_half_norms", no_eigensolver)
     with pytest.raises(DomainError, match="cap"):
         simulate_pa(state, 2, "exact")
     with pytest.raises(DomainError, match="cap"):
@@ -467,6 +469,7 @@ def test_refuses_non_integral_sizes_before_any_work(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "eigvalsh", no_eigensolver)
         patch.setattr(np.linalg, "eigh", no_eigensolver)
+        patch.setattr(simulate, "_half_norms", no_eigensolver)
         for runner, method in itertools.product(
                 (simulate_pa, simulate_covering), ("exact", "mc")):
             for bad in (2.5, "2", None, math.nan, math.inf):
@@ -489,6 +492,39 @@ def test_refuses_non_integral_sizes_before_any_work(monkeypatch):
     assert search_min_codebook(state, 0.3, 4.0) == search_min_codebook(state, 0.3, 4)
 
 
+def test_small_block_half_norms_match_eigvalsh(monkeypatch):
+    rng = np.random.default_rng(88)
+    for dim in (1, 2):
+        h = rng.normal(size=(64, dim, dim)) + 1j * rng.normal(size=(64, dim, dim))
+        v = rng.normal(size=(64, dim)) + 1j * rng.normal(size=(64, dim))
+        herm = h + h.conj().swapaxes(1, 2)
+        rank_one = v[:, :, None] * v[:, None, :].conj()
+        trace = np.trace(rank_one, axis1=1, axis2=2)[:, None, None]
+        stacks = [
+            herm,
+            rank_one,
+            rank_one - 0.5 * trace * np.eye(dim),  # traceless for d = 2
+            -(h @ h.conj().swapaxes(1, 2)),
+            np.eye(dim) + 1e-13 * herm,
+            np.zeros((3, dim, dim), dtype=complex),
+        ]
+        for stack, scale in itertools.product(stacks, (1e-150, 1e-8, 1.0, 1e8, 1e150)):
+            stack = scale * stack
+            with counting_eigensolves(monkeypatch) as matrices_per_call:
+                half = simulate._half_norms(stack)
+            assert matrices_per_call == []
+            expected = 0.5 * np.abs(np.linalg.eigvalsh(stack)).sum(axis=1)
+            np.testing.assert_allclose(half, expected, rtol=1e-14, atol=0.0)
+    # the upper triangle is not read, as by eigvalsh
+    assert np.array_equal(simulate._half_norms(np.tril(herm)), simulate._half_norms(herm))
+    # larger blocks still go to the stacked eigensolver
+    stack = np.stack([random_cq_state(rng, 1, 3).rhos[0] - np.eye(3) / 3 for _ in range(5)])
+    with counting_eigensolves(monkeypatch) as matrices_per_call:
+        half = simulate._half_norms(stack)
+    assert matrices_per_call == [5]
+    assert half == pytest.approx([0.5 * svd_trace_norm(a) for a in stack], rel=1e-14)
+
+
 # (|X|, d, zero entry in p); every curve below is a single batch that
 # mixes all of its sizes
 _CURVE_STATES = [
@@ -506,7 +542,7 @@ def test_exact_curves_match_brute_force_and_single_size_calls(monkeypatch):
     cap = 5
     for alphabet, dim, zero_p in _CURVE_STATES:
         state = _oracle_state(83, alphabet, dim, zero_p)
-        with counting_eigensolves(monkeypatch) as matrices_per_call:
+        with counting_half_norm_batches(monkeypatch) as matrices_per_call:
             pa = search_max_extractable(state, 0.3, cap)
             cov = search_min_codebook(state, 0.3, cap)
         assert matrices_per_call == [cap * 2 ** alphabet,
@@ -533,10 +569,10 @@ def test_exact_curve_splits_sizes_across_batches(monkeypatch):
         whole_pa = search_max_extractable(state, 0.3, 6).curve
         whole_cov = search_min_codebook(state, 0.3, 6).curve
         monkeypatch.setattr(simulate, "_CHUNK", 7)
-        with counting_eigensolves(monkeypatch) as matrices_per_call:
+        with counting_half_norm_batches(monkeypatch) as matrices_per_call:
             split_pa = search_max_extractable(state, 0.3, 6).curve
         assert matrices_per_call == [7] * (6 * 2 ** alphabet // 7) + [6 * 2 ** alphabet % 7]
-        with counting_eigensolves(monkeypatch) as matrices_per_call:
+        with counting_half_norm_batches(monkeypatch) as matrices_per_call:
             split_cov = search_min_codebook(state, 0.3, 6).curve
         types = math.comb(6 + alphabet, alphabet) - 1
         assert sum(matrices_per_call) == types
@@ -559,15 +595,15 @@ def test_search_eigensolve_budget(monkeypatch):
         (search_max_extractable, 13, 3, 3 * 2 ** 13),
     ]:
         state = _oracle_state(85, alphabet, 2, False)
-        with counting_eigensolves(monkeypatch) as matrices_per_call:
+        with counting_half_norm_batches(monkeypatch) as matrices_per_call:
             search(state, 0.3, cap)
         assert sum(matrices_per_call) == work
         assert len(matrices_per_call) == math.ceil(work / chunk)
         assert max(matrices_per_call) <= chunk
-    # a 4-symbol covering search up to 8: 494 types in one eigensolve,
+    # a 4-symbol covering search up to 8: 494 types in one batch,
     # not one per codebook size
     state = _oracle_state(86, 4, 2, False)
-    with counting_eigensolves(monkeypatch) as matrices_per_call:
+    with counting_half_norm_batches(monkeypatch) as matrices_per_call:
         search_min_codebook(state, 0.25, 8)
     assert matrices_per_call == [494]
 
