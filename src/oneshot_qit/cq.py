@@ -319,8 +319,10 @@ def _type_log_terms(types: np.ndarray, n: int, log_fact: np.ndarray,
     the class is their sum.
     """
     log_mult = log_fact[n] - log_fact[types].sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        log_like = np.where(types > 0, types * log_p, 0.0).sum(axis=1)
+    zero = np.isneginf(log_p)
+    log_like = types @ np.where(zero, 0.0, log_p)
+    if zero.any():
+        log_like[(types[:, zero] > 0).any(axis=1)] = -np.inf
     return log_mult, log_like
 
 

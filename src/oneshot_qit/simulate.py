@@ -26,8 +26,12 @@ terms with one exactly rounded ``math.fsum``, so memory stays one batch.
 The enumeration cap counts these subsets and types.
 
 Monte-Carlo extraction costs O(|X|) per table plus one trace norm per
-output block with two or more preimages, whatever z is: empty blocks
-and single-preimage blocks have closed-form or precomputed distances.
+output block whose preimage set is not in the run's set table, whatever
+z is.  An occupied block's distance depends only on its preimage set,
+so each call solves, in one batch, the sets it expects to meet: every
+single input, and each size k >= 2 that samples·z^(1−k)·(1−1/z)^(|X|−k)
+>= 1 expects in at least one block, up to max(4096, |X|) sets.  Empty
+blocks have a closed form.
 Monte-Carlo covering counts each sampled codebook into its type and
 evaluates the types with the kernel exact covering uses, so covering in
 both modes goes through ``_row_distances``; a chunk holds a (4096, |X|)
@@ -140,15 +144,88 @@ def _row_distances(rows: np.ndarray, blocks: np.ndarray, reference: np.ndarray) 
     return _distances(_contract(rows, blocks), reference)
 
 
+def _block_sums(weights: np.ndarray, preimages: np.ndarray, first: np.ndarray,
+                sizes: np.ndarray) -> np.ndarray:
+    """Σ_i weights[preimages[f + i]] over i < s for each block (f, s) of
+    (first, sizes), summed in that order, as a (blocks, d, d) stack."""
+    acc = weights[preimages[first]]
+    for i in range(1, sizes.max(initial=0)):
+        live = sizes > i
+        acc[live] += weights[preimages[first[live] + i]]
+    return acc
+
+
+def _set_ranks(preimages: np.ndarray, first: np.ndarray, sizes: np.ndarray,
+               start: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """Index in the set table (see ``_set_table``) of each block (f, s),
+    whose increasing preimages are preimages[f : f + s]."""
+    ranks = start[sizes]
+    for i in range(sizes.max(initial=0)):
+        live = sizes > i
+        ranks[live] += binom[preimages[first[live] + i], i + 1]
+    return ranks
+
+
+def _set_table(weights: np.ndarray, target: np.ndarray, z_size: int, samples: int):
+    """Distances ½‖Σ_{x∈S} weights[x] − target‖₁ of the preimage sets S
+    that a Monte-Carlo extraction run of ``samples`` tables expects to
+    meet, solved in one ``_half_norms`` batch.
+
+    Every single input is listed.  A size k >= 2 is listed when each
+    k-set is expected in at least one block over the run,
+    samples·z^(1−k)·(1−1/z)^(|X|−k) >= 1; sizes are taken in increasing
+    order, stopping at the first that fails this or would take the table
+    past max(``_CHUNK``, |X|) sets.  The rule reads (|X|, z, samples)
+    alone, never the drawn tables.
+
+    Returns (distances, start, binom).  The set {x₀ < … < x_{k−1}} sits
+    at start[k] + Σᵢ binom[xᵢ, i+1], its colex rank, so the single x sits
+    at x; binom[x, j] = C(x, j), clipped at the table size so that it
+    fits int64, which no listed rank reaches.  The sets are summed by
+    ``_block_sums``, as ``_hash_values`` assembles a block, so a listed
+    distance has the bits of a solved one.
+    """
+    x_size = len(weights)
+    z = float(z_size)
+    counts = [x_size]  # number of sets of each listed size, from size 1
+    for k in range(2, x_size + 1):
+        count = math.comb(x_size, k)
+        if (sum(counts) + count > max(_CHUNK, x_size)
+                or samples * z ** (1 - k) * (1.0 - 1.0 / z) ** (x_size - k) < 1):
+            break
+        counts.append(count)
+    top, total = len(counts), sum(counts)
+
+    binom = np.ones((x_size, top + 1), dtype=np.int64)
+    for j in range(1, top + 1):
+        # C(x, j) = Σ_{y<x} C(y, j−1)
+        binom[:, j] = np.minimum(np.cumsum(binom[:, j - 1]) - binom[:, j - 1], total)
+    start = np.cumsum([0, 0, *counts[:-1]])
+
+    sizes = np.repeat(np.arange(1, top + 1), counts)
+    first = np.cumsum(sizes) - sizes
+    preimages = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(
+        itertools.combinations(range(x_size), k) for k in range(1, top + 1))), dtype=np.intp)
+    stack = np.empty((total, *weights.shape[1:]), dtype=complex)
+    stack[_set_ranks(preimages, first, sizes, start, binom)] = _block_sums(
+        weights, preimages, first, sizes)
+    return _distances(stack, target), start, binom
+
+
 def _hash_values(tables: np.ndarray, weights: np.ndarray, z_size: int,
-                 target: np.ndarray, singles: np.ndarray) -> np.ndarray:
+                 target: np.ndarray, table) -> np.ndarray:
     """Evaluate the extraction distance for a batch of function tables.
 
     Only occupied output blocks cost work.  Each of the z − #outputs
-    empty blocks adds ½Tr(target); a block with the single preimage x
-    adds ``singles[x]`` = ½‖weights[x] − target‖₁; the blocks with two or
-    more preimages are assembled and solved in one stacked batch.
+    empty blocks adds ½Tr(target).  A block whose preimage set S is in
+    ``table``, built by ``_set_table``, reads ½‖Σ_{x∈S} weights[x] −
+    target‖₁ from it: a single preimage x directly at x, a larger set at
+    its colex rank.  The other blocks, all with two or more preimages,
+    are assembled and solved in one stacked batch.  Empty, single and
+    larger blocks are added in that order, each in block order, whatever
+    the table holds.
     """
+    set_distances, start, binom = table
     batch, x_size = tables.shape
     # group each row's inputs by output value: sorted runs are the blocks
     order = np.argsort(tables, axis=1, kind="stable")
@@ -163,16 +240,20 @@ def _hash_values(tables: np.ndarray, weights: np.ndarray, z_size: int,
     empty = z_size - starts.sum(axis=1)
     values = empty * (0.5 * np.trace(target).real)
     single = sizes == 1
-    values += np.bincount(rows[single], weights=singles[preimages[first[single]]],
+    values += np.bincount(rows[single], weights=set_distances[preimages[first[single]]],
                           minlength=batch)
 
     first, sizes, rows = first[~single], sizes[~single], rows[~single]
     if first.size:
-        acc = weights[preimages[first]]
-        for k in range(1, sizes.max()):
-            live = sizes > k
-            acc[live] += weights[preimages[first[live] + k]]
-        values += np.bincount(rows, weights=_distances(acc, target), minlength=batch)
+        distances = np.empty(first.size)
+        known = sizes < len(start)
+        distances[known] = set_distances[
+            _set_ranks(preimages, first[known], sizes[known], start, binom)]
+        solve = ~known
+        if solve.any():
+            distances[solve] = _distances(
+                _block_sums(weights, preimages, first[solve], sizes[solve]), target)
+        values += np.bincount(rows, weights=distances, minlength=batch)
     return values
 
 
@@ -340,12 +421,12 @@ def simulate_pa(state: CQState, z_size: int, method: str = "exact",
 
     weights = state.p[:, None, None] * state.rhos
     target = state.marginal() / z_size
-    singles = _distances(weights, target)
+    table = _set_table(weights, target, z_size, samples)
 
     def job(values, j, start, stop):
         rng = _chunk_rng(seed, j)
         tables = rng.integers(0, z_size, size=(stop - start, x_size), dtype=np.int64)
-        values[start:stop] = _hash_values(tables, weights, z_size, target, singles)
+        values[start:stop] = _hash_values(tables, weights, z_size, target, table)
 
     values = _run_chunks(samples, workers, job)
     value, half = _mc_summary(values)

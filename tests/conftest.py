@@ -247,7 +247,9 @@ def counting_eigensolves(monkeypatch):
 def counting_half_norm_batches(monkeypatch):
     """Patch ``simulate._half_norms``, the one trace-norm helper of the
     simulators, to record, per batch, the number of operators it
-    receives; yields the list of those counts.
+    receives; yields the list of those counts.  It sees the exact
+    curves' batches, Monte-Carlo extraction's set table (one batch per
+    call) and the blocks each chunk solves.
 
     It counts batches whatever the block dimension, whereas
     ``counting_eigensolves`` sees only the blocks that reach LAPACK."""

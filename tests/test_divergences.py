@@ -295,13 +295,32 @@ def test_dh_orthogonal_supports_are_infinite_at_once(monkeypatch):
         np.array([np.diag([0.5, 0.0]), np.diag([0.0, 0.0]), np.diag([0.0, 0.5])]),
         np.array([np.diag([0.0, 0.3]), np.diag([0.2, 0.1]), np.diag([0.4, 0.0])]),
     )
-    for rho, sigma in (single, stack):
+    # the same supports in a rotated basis, where rounding leaves a dual
+    # value near 1e-17 rather than 0
+    rng = np.random.default_rng(80)
+    rotated = []
+    for d in (2, 4) * 10:
+        u = random_unitary(rng, d)
+        k = int(rng.integers(1, d))
+        r = np.concatenate([rng.dirichlet(np.ones(k)), np.zeros(d - k)])
+        s = np.concatenate([np.zeros(k), rng.dirichlet(np.ones(d - k))])
+        rotated.append((u @ np.diag(r) @ u.conj().T, u @ np.diag(s) @ u.conj().T))
+    for rho, sigma in (single, stack, *rotated):
         pair = DivergencePair.of(rho, sigma)
         for eps in (0.05, 0.5, 0.97):
             with counting_eigensolves(monkeypatch) as matrices_per_call:
                 value = hypothesis_test_divergence(pair, eps)
             assert value == math.inf
             assert len(matrices_per_call) <= 2
+    # an overlap of 1e-6 is far above the rounding floor: finite, and
+    # equal to the commuting value -log2((1 - eps)·1e-6) up to the
+    # rotation's rounding, about 1e-16 / 1e-6 relative in the mass
+    u = random_unitary(rng, 2)
+    pair = DivergencePair.of(u @ np.diag([1.0, 0.0]) @ u.conj().T,
+                             u @ np.diag([1e-6, 1.0 - 1e-6]) @ u.conj().T)
+    for eps in (0.05, 0.5, 0.97):
+        assert hypothesis_test_divergence(pair, eps) == pytest.approx(
+            -math.log2((1.0 - eps) * 1e-6), abs=1e-8)
 
 
 def test_dh_matches_scalar_oracle_tightly_on_commuting_pairs():

@@ -142,14 +142,15 @@ def _dense_table_value(state, z, table):
 
 
 def _recorded_mc(monkeypatch, state, z, samples, seed):
-    """A Monte-Carlo extraction estimate with the tables and per-table
-    values of every chunk."""
+    """A Monte-Carlo extraction estimate with the tables, per-table values
+    and largest listed set size of every chunk."""
     chunks = []
     kernel = simulate._hash_values
 
-    def recording(tables, *args):
-        values = kernel(tables, *args)
-        chunks.append((tables, values))
+    def recording(tables, weights, z_size, target, table):
+        values = kernel(tables, weights, z_size, target, table)
+        _, start, _ = table
+        chunks.append((tables, values, len(start) - 1))
         return values
 
     with monkeypatch.context() as patch:
@@ -167,10 +168,11 @@ def test_pa_monte_carlo_tables_match_dense_oracle(monkeypatch):
         (3, 40, 2, True),
         (5, 7, 1, False),
         (1, 3, 2, False),
+        (6, 3, 2, False),
     ]:
         state = _oracle_state(76, alphabet, dim, zero_p)
         est, chunks = _recorded_mc(monkeypatch, state, z, 48, seed=9)
-        [(tables, values)] = chunks
+        [(tables, values, top)] = chunks
         assert tables.shape == (48, alphabet)
         assert est.value == np.mean(values)
         for table, value in zip(tables, values):
@@ -179,6 +181,35 @@ def test_pa_monte_carlo_tables_match_dense_oracle(monkeypatch):
         counts = np.stack([np.bincount(t, minlength=z) for t in tables])
         assert (counts == 0).any() and (counts == 1).any()
         assert (counts >= 2).any() == (alphabet > 1)
+        if alphabet == 6:
+            # sets of up to 3 inputs are read from the set table, larger
+            # blocks are solved, in the same chunk
+            assert top == 3
+            assert ((counts >= 2) & (counts <= 3)).any() and (counts >= 4).any()
+
+
+def test_pa_monte_carlo_set_table_and_solves_agree_to_the_bit(monkeypatch):
+    # a longer run lists larger preimage sets, so blocks that the short
+    # run solves are read from the long run's table
+    for dim in (2, 4):
+        state = _oracle_state(79, 8, dim, False)
+        _, [(tables, values, short_top)] = _recorded_mc(monkeypatch, state, 16, 48, seed=21)
+        _, chunks = _recorded_mc(monkeypatch, state, 16, 3 * simulate._CHUNK, seed=21)
+        long_tables, long_values, long_top = chunks[0]
+        assert (short_top, long_top) == (2, 4)
+        assert np.array_equal(long_tables[:48], tables)
+        counts = np.stack([np.bincount(t, minlength=16) for t in tables])
+        assert ((counts > short_top) & (counts <= long_top)).any()
+        assert long_values[:48].tobytes() == values.tobytes()
+
+
+def test_pa_monte_carlo_set_table_is_one_batch_per_call(monkeypatch):
+    # at z = 2 every set of the 8 inputs is expected over the run, so the
+    # table holds all 255 non-empty sets and no chunk solves a block
+    state = _oracle_state(80, 8, 2, False)
+    with counting_half_norm_batches(monkeypatch) as matrices_per_batch:
+        simulate_pa(state, 2, "mc", samples=3 * simulate._CHUNK, seed=4)
+    assert matrices_per_batch == [255]
 
 
 def test_pa_monte_carlo_deterministic_across_workers_large_output():
@@ -201,7 +232,7 @@ def test_pa_monte_carlo_memory_does_not_grow_with_output_size(monkeypatch):
         tracemalloc.stop()
     # one dense (4096, 1024, 8, 8) complex chunk would take 4.3 GB
     assert peak < 64e6
-    again, [(tables, values)] = _recorded_mc(monkeypatch, state, 1024, 4096, 13)
+    again, [(tables, values, _)] = _recorded_mc(monkeypatch, state, 1024, 4096, 13)
     assert again.value == est.value
     for table, value in zip(tables[:3], values[:3]):
         assert value == pytest.approx(_dense_table_value(state, 1024, table), abs=1e-12)
