@@ -159,7 +159,7 @@ def _cmd_divergence(args) -> dict:
     state_b = load_state(args.state_b)
     rho = joint_embed(state_a).rho_xb
     sigma = joint_embed(state_b).rho_xb
-    pair = DivergencePair.of(rho, sigma)
+    pair = DivergencePair._trusted(rho, sigma)
     kind = args.kind
     if kind in ("ds", "dh") and args.eps is None:
         raise DomainError(f"--eps is required for kind {kind}")

@@ -29,6 +29,7 @@ from .linalg import (
     _mat_func_raw,
     _positive_part_trace_raw,
     _radius,
+    _spectral_func,
     as_hermitian,
 )
 
@@ -37,6 +38,8 @@ LN2 = math.log(2.0)
 _COMMUTATOR_TOL = 1e-10
 _SUPPORT_TOL = 1e-8
 _DUAL_FLOOR = 64 * np.finfo(float).eps
+_DS_WIDTH_BITS = 1e-12
+_DS_JUMP_PROBE_BITS = 2.0 ** -20
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,13 @@ class DivergencePair:
             tr = _trace(rho)
             if abs(tr - 1.0) > 1e-10:
                 raise DomainError(f"rho has trace {tr}, expected 1")
+        return cls._trusted(rho, sigma)
+
+    @classmethod
+    def _trusted(cls, rho: np.ndarray, sigma: np.ndarray) -> "DivergencePair":
+        """A pair of arrays that already passed these checks, such as the
+        joint operators of validated ``CQState``s; only the commutation
+        flag is computed."""
         comm = rho @ sigma - sigma @ rho
         commuting = float(np.max(np.abs(comm))) <= _COMMUTATOR_TOL
         return cls(rho, sigma, commuting)
@@ -82,8 +92,12 @@ def _weights(rho: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.sum(v.conj() * (rho @ v), axis=-2).real
 
 
-def _check_support(pair: DivergencePair) -> None:
-    """Require the support of rho to sit inside the support of sigma."""
+def _check_support(pair: DivergencePair) -> tuple[np.ndarray, np.ndarray]:
+    """Require the support of rho to sit inside the support of sigma.
+
+    Returns sigma's eigensystem (lam, v), from which callers take their
+    functions of sigma without a second eigensolve.
+    """
     lam, v = _eigh_checked(pair.sigma)
     kernel = lam <= DEFAULT_CLUSTER_TOL * _radius(lam)
     leak = float(np.sum(_weights(pair.rho, v)[kernel]))
@@ -92,6 +106,7 @@ def _check_support(pair: DivergencePair) -> None:
             f"support violation: rho carries mass {leak:.3e} outside the "
             "support of sigma"
         )
+    return lam, v
 
 
 # ---------------------------------------------------------------------------
@@ -103,18 +118,26 @@ def _commuting_pairs(rho: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np
 
     Block by block, rho is diagonalized within each eigenvalue cluster of
     sigma; for a non-commuting pair this pinches rho to those clusters.
+    Clusters are contiguous runs of sigma's ascending eigenvalues, and
+    the output lists them block by block in that order.  A singleton
+    cluster contributes its diagonal entry (what a 1x1 ``eigvalsh``
+    returns), so only clusters of two or more entries are solved.
     """
     d = sigma.shape[-1]
     lam, v = _eigh_checked(sigma.reshape(-1, d, d))
     m = v.conj().swapaxes(-1, -2) @ rho.reshape(-1, d, d) @ v
     labels = _cluster_labels(lam, DEFAULT_CLUSTER_TOL)
-    r_parts, s_parts = [], []
-    for lam_x, m_x, labels_x in zip(lam, m, labels):
-        for label in range(labels_x[-1] + 1):
-            idx = np.flatnonzero(labels_x == label)
-            r_parts.append(np.linalg.eigvalsh(m_x[np.ix_(idx, idx)]))
-            s_parts.append(np.full(idx.size, np.mean(lam_x[idx])))
-    return np.concatenate(r_parts), np.concatenate(s_parts)
+    r = np.diagonal(m, axis1=-2, axis2=-1).real.copy()
+    s = lam.copy()
+    # cluster ids unique across blocks, non-decreasing in row-major order
+    ids = (labels + d * np.arange(lam.shape[0])[:, None]).ravel()
+    _, starts, sizes = np.unique(ids, return_index=True, return_counts=True)
+    for start, size in zip(starts[sizes > 1], sizes[sizes > 1]):
+        x, cols = divmod(int(start), d)
+        cols = slice(cols, cols + int(size))
+        r[x, cols] = np.linalg.eigvalsh(m[x, cols, cols])
+        s[x, cols] = np.mean(lam[x, cols])
+    return r.ravel(), s.ravel()
 
 
 def _ds_exact_bits(rho: np.ndarray, sigma: np.ndarray, eps: float) -> float:
@@ -157,49 +180,106 @@ def _ds_event_masses(rho: np.ndarray, sigma: np.ndarray, cs: np.ndarray) -> np.n
     return np.sum(weights, axis=-1, where=lam >= -atol)
 
 
+def _itp_log_crossing(excess, c_lo: float, y_lo: float, c_hi: float, y_hi: float
+                      ) -> tuple[float, float]:
+    """Narrow c_lo < c_hi, with excess(c_lo) = y_lo <= 0 < y_hi =
+    excess(c_hi), to log2 ends at most ``_DS_WIDTH_BITS`` apart.
+
+    ITP root-finding (Oliveira and Takahashi, ACM TOMS 47, 2021) on
+    t = log2 c, with kappa1 = 0.2 / (initial width), kappa2 = 2 and
+    n0 = 1.  Each step takes an estimate of the crossing, projects it
+    into the ball around the midpoint that keeps the remaining steps
+    within ceil(log2(width / tol)) + 1, the count of log-space bisection
+    plus one, and keeps it tol/4 inside the bracket.  Rounding in t can
+    leave the last width a hair above tol, which costs one step more.
+
+    The first estimate is ``_DS_JUMP_PROBE_BITS`` below the upper end, a
+    pencil eigenvalue: the event predicate counts an eigenvalue of
+    c sigma - rho down to -1e-9 times its radius, so where eps falls
+    inside a jump of the mass, the crossing lies about 1e-9 to 2e-7 bits
+    below that pencil eigenvalue, and the first step shrinks the bracket to
+    2^-20 bits.  Later estimates interpolate between the ends (regula
+    falsi, truncated towards the midpoint by kappa1 w^2), with the end
+    excesses as weights, halved Illinois-style whenever the same end is
+    kept twice in a row; a smooth crossing converges superlinearly.
+    Returns (lower, upper), log2 of the last feasible and infeasible
+    thresholds evaluated.
+    """
+    tol = _DS_WIDTH_BITS
+    a, b = math.log2(c_lo), math.log2(c_hi)
+    w_a, w_b = y_lo, y_hi
+    kappa1 = 0.2 / (b - a)
+    steps_left = max(math.ceil(math.log2((b - a) / tol)), 0) + 1
+    kept = None
+    x = max(b - _DS_JUMP_PROBE_BITS, 0.5 * (a + b))
+    while b - a > tol:
+        width, mid = b - a, 0.5 * (a + b)
+        if x is None:
+            falsi = a - w_a * width / (w_b - w_a)
+            shift = math.copysign(kappa1 * width * width, mid - falsi)
+            x = mid if abs(shift) > abs(mid - falsi) else falsi + shift
+        radius = tol * 2.0 ** (steps_left - 1) - 0.5 * width
+        x = mid + min(max(x - mid, -radius), radius)
+        c = 2.0 ** min(max(x, a + 0.25 * tol), b - 0.25 * tol)
+        y = excess(c)
+        if y <= 0.0:
+            a, w_a = math.log2(c), y
+            if kept == "b":
+                w_b *= 0.5
+            kept = "b"
+        else:
+            b, w_b = math.log2(c), y
+            if kept == "a":
+                w_a *= 0.5
+            kept = "a"
+        steps_left -= 1
+        x = None
+    return a, b
+
+
 def _ds_pencil_bracket(
-    rho: np.ndarray, sigma: np.ndarray, eps: float
+    rho: np.ndarray, sigma: np.ndarray, sigma_eig: tuple[np.ndarray, np.ndarray],
+    eps: float,
 ) -> tuple[float, float, float]:
     """Certified bracket for the non-commuting supremum (values in bits).
 
     The event mass is 1 - f'_-(1/c) for the convex f(mu) = Tr[(mu rho -
     sigma)_+], so it is non-decreasing in c and can jump only at a pencil
     eigenvalue: bisection over the sorted pencil eigenvalues finds the
-    adjacent feasible/infeasible pair, and log-space bisection narrows it.
+    adjacent feasible/infeasible pair, and an ITP root-find on the excess
+    mass(c) - (eps + 1e-12) in log2 c narrows it (``_itp_log_crossing``).
+    ``sigma_eig`` is sigma's eigensystem from ``_check_support``.
     """
-    inv_sqrt = _mat_func_raw(sigma, lambda x: x ** -0.5, support_only=True)
+    inv_sqrt = _spectral_func(*sigma_eig, lambda x: x ** -0.5, support_only=True)
     pencil = np.linalg.eigvalsh(inv_sqrt @ rho @ inv_sqrt).ravel()
     atol = DEFAULT_CLUSTER_TOL * _radius(pencil)
     pencil = np.unique(pencil[pencil > atol])
     if pencil.size == 0:
         return -math.inf, -math.inf, -math.inf
 
-    def feasible(c: float) -> bool:
-        return _ds_event_masses(rho, sigma, np.array([c]))[0] <= eps + 1e-12
+    def excess(c: float) -> float:
+        return _ds_event_masses(rho, sigma, np.array([c]))[0] - (eps + 1e-12)
 
     candidates = np.concatenate([[pencil[0] * 0.5], pencil, [pencil[-1] * 2.0]])
     lo, hi = 0, candidates.size - 1
-    if not feasible(candidates[lo]):
+    y_lo = excess(candidates[lo])
+    if y_lo > 0.0:
         return -math.inf, -math.inf, -math.inf
-    if feasible(candidates[hi]):
+    y_hi = excess(candidates[hi])
+    if y_hi <= 0.0:
         # no infeasible threshold above the pencil; report saturation
         c_lo = float(candidates[hi])
         return math.log2(c_lo), math.log2(c_lo), math.inf
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if feasible(candidates[mid]):
-            lo = mid
+        y = excess(candidates[mid])
+        if y <= 0.0:
+            lo, y_lo = mid, y
         else:
-            hi = mid
-    c_lo, c_hi = float(candidates[lo]), float(candidates[hi])
-    # bisect in log space down to a fixed relative width
-    while math.log2(c_hi) - math.log2(c_lo) > 1e-12:
-        mid = math.sqrt(c_lo * c_hi)
-        if feasible(mid):
-            c_lo = mid
-        else:
-            c_hi = mid
-    return math.log2(c_hi), math.log2(c_lo), math.log2(c_hi)
+            hi, y_hi = mid, y
+    lower, upper = _itp_log_crossing(
+        excess, float(candidates[lo]), float(y_lo), float(candidates[hi]), float(y_hi))
+    return upper, lower, upper
 
 
 def info_spectrum_divergence_bracket(
@@ -211,15 +291,16 @@ def info_spectrum_divergence_bracket(
     of the event {rho <= 2^c sigma} under rho still stays at or below
     eps; the supremum itself is a left limit and is not attained.  For
     non-commuting pairs the mass, non-decreasing in the threshold, is
-    bisected over the sorted pencil eigenvalues and then in log space to
-    a bracket of width at most 1e-12 bits.
+    bisected over the sorted pencil eigenvalues, and an ITP root-find in
+    log space narrows the crossing to a bracket of width at most 1e-12
+    bits, in at most two evaluations more than log-space bisection.
     """
     _check_eps(eps)
     if pair.commuting:
         value = _ds_exact_bits(pair.rho, pair.sigma, eps)
         return value, value, value
-    _check_support(pair)
-    return _ds_pencil_bracket(pair.rho, pair.sigma, eps)
+    sigma_eig = _check_support(pair)
+    return _ds_pencil_bracket(pair.rho, pair.sigma, sigma_eig, eps)
 
 
 def info_spectrum_divergence(pair: DivergencePair, eps: float) -> float:
@@ -227,8 +308,9 @@ def info_spectrum_divergence(pair: DivergencePair, eps: float) -> float:
 
     Exact for commuting pairs (sorted eigenvalue ratios).  For
     non-commuting pairs a bisection over the pencil eigenvalues, refined
-    in log space, locates the threshold; the certified bracket is
-    available from :func:`info_spectrum_divergence_bracket`.
+    by an ITP root-find in log space, locates the threshold; the
+    certified bracket is available from
+    :func:`info_spectrum_divergence_bracket`.
     """
     return info_spectrum_divergence_bracket(pair, eps)[0]
 
@@ -356,8 +438,8 @@ def collision_divergence(pair: DivergencePair) -> float:
     Homogeneous of degree 2 in rho, so unnormalized PSD numerators are
     meaningful; requires sigma positive definite on the support of rho.
     """
-    _check_support(pair)
-    quarter = _mat_func_raw(pair.sigma, lambda x: x ** -0.25, support_only=True)
+    sigma_eig = _check_support(pair)
+    quarter = _spectral_func(*sigma_eig, lambda x: x ** -0.25, support_only=True)
     w = quarter @ pair.rho @ quarter
     value = _trace(w @ w)
     if value <= 0.0:
@@ -365,23 +447,25 @@ def collision_divergence(pair: DivergencePair) -> float:
     return math.log2(value)
 
 
-def _log_operators(pair: DivergencePair) -> np.ndarray:
+def _relative_entropy_with_variance(pair: DivergencePair) -> tuple[float, float]:
+    """(relative entropy, relative entropy variance), in bits and bits^2:
+    the mean and central second moment under rho of the log-likelihood
+    operator log rho - log sigma (support-restricted), from one
+    eigensolve of each operator."""
+    sigma_eig = _check_support(pair)
     log_rho = _mat_func_raw(pair.rho, math.log, support_only=True)
-    log_sigma = _mat_func_raw(pair.sigma, math.log, support_only=True)
-    return log_rho - log_sigma
+    log_sigma = _spectral_func(*sigma_eig, math.log, support_only=True)
+    delta = log_rho - log_sigma
+    rho_delta = pair.rho @ delta
+    mean, second = _trace(rho_delta), _trace(rho_delta @ delta)
+    return mean / LN2, max(second - mean * mean, 0.0) / (LN2 * LN2)
 
 
 def relative_entropy(pair: DivergencePair) -> float:
     """Tr[rho (log rho - log sigma)] in bits, support-restricted logs."""
-    _check_support(pair)
-    delta = _log_operators(pair)
-    return _trace(pair.rho @ delta) / LN2
+    return _relative_entropy_with_variance(pair)[0]
 
 
 def relative_entropy_variance(pair: DivergencePair) -> float:
     """Second central moment of the log-likelihood operator, in bits^2."""
-    _check_support(pair)
-    delta = _log_operators(pair)
-    mean = _trace(pair.rho @ delta)
-    second = _trace(pair.rho @ delta @ delta)
-    return max(second - mean * mean, 0.0) / (LN2 * LN2)
+    return _relative_entropy_with_variance(pair)[1]

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from .cq import CQState, joint_embed
 from .divergences import (
     DivergencePair,
+    _relative_entropy_with_variance,
     hypothesis_test_divergence,
-    relative_entropy,
-    relative_entropy_variance,
 )
 from .errors import DomainError, _check_eps
 
@@ -26,29 +25,30 @@ from .errors import DomainError, _check_eps
 def hypothesis_test_information(state: CQState, eps: float) -> float:
     """One-shot information of the joint state against p(x)-weighted marginals."""
     emb = joint_embed(state)
-    pair = DivergencePair.of(emb.rho_xb, emb.rho_x_tensor_rho_b)
+    pair = DivergencePair._trusted(emb.rho_xb, emb.rho_x_tensor_rho_b)
     return hypothesis_test_divergence(pair, eps)
 
 
 def conditional_test_entropy(state: CQState, eps: float) -> float:
     """One-shot conditional entropy of the classical register given the rest."""
     emb = joint_embed(state)
-    pair = DivergencePair.of(emb.rho_xb, emb.one_x_tensor_rho_b)
+    pair = DivergencePair._trusted(emb.rho_xb, emb.one_x_tensor_rho_b)
     return -hypothesis_test_divergence(pair, eps)
 
 
 def mutual_information_with_variance(state: CQState) -> tuple[float, float]:
     """(information, information variance) of the joint state, in bits / bits^2."""
     emb = joint_embed(state)
-    pair = DivergencePair.of(emb.rho_xb, emb.rho_x_tensor_rho_b)
-    return relative_entropy(pair), relative_entropy_variance(pair)
+    pair = DivergencePair._trusted(emb.rho_xb, emb.rho_x_tensor_rho_b)
+    return _relative_entropy_with_variance(pair)
 
 
 def conditional_entropy_with_variance(state: CQState) -> tuple[float, float]:
     """(conditional entropy, conditional variance), in bits / bits^2."""
     emb = joint_embed(state)
-    pair = DivergencePair.of(emb.rho_xb, emb.one_x_tensor_rho_b)
-    return -relative_entropy(pair), relative_entropy_variance(pair)
+    pair = DivergencePair._trusted(emb.rho_xb, emb.one_x_tensor_rho_b)
+    entropy, variance = _relative_entropy_with_variance(pair)
+    return -entropy, variance
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,18 @@ def _mat_func_raw(
 ) -> np.ndarray:
     """``mat_func`` of a trusted Hermitian array, without re-validation or
     output symmetrization; the residual and finiteness checks still run."""
-    lam, v = _eigh_checked(a)
+    return _spectral_func(*_eigh_checked(a), f, support_only, cluster_tol)
+
+
+def _spectral_func(
+    lam: np.ndarray,
+    v: np.ndarray,
+    f: Callable[[float], float],
+    support_only: bool = False,
+    cluster_tol: float = DEFAULT_CLUSTER_TOL,
+) -> np.ndarray:
+    """``_mat_func_raw`` from an eigensystem (lam, v) that ``_eigh_checked``
+    already computed, so a caller that needs it twice solves once."""
     out = np.zeros(lam.shape, dtype=float)
     if support_only:
         mask = lam > cluster_tol * _radius(lam)

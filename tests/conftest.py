@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from oneshot_qit import CQState, simulate
+from oneshot_qit import CQState, divergences, simulate
 from oneshot_qit.linalg import projector_leq
 
 
@@ -263,6 +263,24 @@ def counting_half_norm_batches(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(simulate, "_half_norms", wrapped)
         yield matrices_per_batch
+
+
+@contextlib.contextmanager
+def counting_event_masses(monkeypatch):
+    """Patch ``divergences._ds_event_masses``, the D_s event-mass kernel,
+    to record every call as (threshold, mass) pairs, one per threshold
+    it receives; yields the list of calls."""
+    calls = []
+    event_masses = divergences._ds_event_masses
+
+    def wrapped(rho, sigma, cs):
+        masses = event_masses(rho, sigma, cs)
+        calls.append(list(zip(cs.tolist(), masses.tolist())))
+        return masses
+
+    with monkeypatch.context() as patch:
+        patch.setattr(divergences, "_ds_event_masses", wrapped)
+        yield calls
 
 
 def svd_trace_norm(a):

@@ -7,10 +7,12 @@ import pytest
 
 from oneshot_qit import (
     CQState,
+    bounds,
     DomainError,
     covering_direct_bound,
     covering_size_bounds,
     dump_state,
+    joint_embed,
     pa_direct_bound,
     pa_size_bounds,
     pinch,
@@ -21,11 +23,14 @@ from oneshot_qit import (
     validate_sandwich_params,
 )
 from oneshot_qit.cli import run
+from oneshot_qit.divergences import _commuting_pairs
+from oneshot_qit.linalg import DEFAULT_CLUSTER_TOL, _cluster_labels, _eigh_checked
 
 from conftest import (
     binary_antipodal,
     bit_pair_trivial_side,
     block_diagonal,
+    counting_eigensolves,
     random_cq_state,
 )
 
@@ -128,6 +133,48 @@ def test_direct_bounds_match_dense_oracle():
                 dense_direct_bound(state, c, 3, covering=False), abs=1e-10)
             assert covering_direct_bound(state, c, 3) == pytest.approx(
                 dense_direct_bound(state, c, 3, covering=True), abs=1e-10)
+
+
+def _commuting_pairs_loop(rho, sigma):
+    """The joint spectrum with one ``eigvalsh`` per block and cluster."""
+    d = sigma.shape[-1]
+    lam, v = _eigh_checked(sigma.reshape(-1, d, d))
+    m = v.conj().swapaxes(-1, -2) @ rho.reshape(-1, d, d) @ v
+    labels = _cluster_labels(lam, DEFAULT_CLUSTER_TOL)
+    r_parts, s_parts = [], []
+    for lam_x, m_x, labels_x in zip(lam, m, labels):
+        for label in range(labels_x[-1] + 1):
+            idx = np.flatnonzero(labels_x == label)
+            r_parts.append(np.linalg.eigvalsh(m_x[np.ix_(idx, idx)]))
+            s_parts.append(np.full(idx.size, np.mean(lam_x[idx])))
+    return np.concatenate(r_parts), np.concatenate(s_parts)
+
+
+def test_commuting_pairs_solve_only_multi_entry_clusters(corpus, monkeypatch):
+    # singleton clusters come from the diagonal, bit for bit as the loop's
+    # 1x1 solves, in the loop's order; one eigvalsh per larger cluster
+    big = random_cq_state(np.random.default_rng(66), 1200, 2)
+    clustered = 0
+    for state in [*corpus, big]:
+        emb = joint_embed(state)
+        for reference in (emb.rho_x_tensor_rho_b, emb.one_x_tensor_rho_b):
+            for c in (0.5, 2.0):
+                with counting_eigensolves(monkeypatch) as calls:
+                    r, s = _commuting_pairs(emb.rho_xb, c * reference)
+                want_r, want_s = _commuting_pairs_loop(emb.rho_xb, c * reference)
+                assert np.array_equal(r, want_r) and np.array_equal(s, want_s)
+                clustered += len(calls) > 1
+    assert clustered > 0
+    # the direct bounds at |X| = 1200: the loop's values, from one stacked
+    # eigh and the marginal's cluster count instead of 1,200+ solves
+    for bound in (pa_direct_bound, covering_direct_bound):
+        for c in (0.3, 1.0):
+            with counting_eigensolves(monkeypatch) as calls:
+                got = bound(big, c, 4)
+            assert len(calls) == 2
+            with monkeypatch.context() as patch:
+                patch.setattr(bounds, "_commuting_pairs", _commuting_pairs_loop)
+                assert got == bound(big, c, 4)
 
 
 def test_cq_paths_solve_only_block_sized_matrices(monkeypatch, tmp_path, capsys):

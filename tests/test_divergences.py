@@ -24,11 +24,12 @@ from oneshot_qit import (
     spec_count,
 )
 from oneshot_qit.divergences import _ds_event_masses, dual_test_objective
-from oneshot_qit.linalg import projector_leq
+from oneshot_qit.linalg import _mat_func_raw, projector_leq
 
 from conftest import (
     block_diagonal,
     counting_eigensolves,
+    counting_event_masses,
     ds_crossing_oracle,
     operator_test_oracle,
     random_commuting_pair,
@@ -162,7 +163,7 @@ def test_ds_bracket_matches_dense_scan_oracle():
         for eps in (0.05, 0.2, 0.5, 0.8):
             value, lower, upper = info_spectrum_divergence_bracket(pair, eps)
             assert mass(2.0 ** lower) <= eps + 1e-12 < mass(2.0 ** upper)
-            assert abs(value - crossing(eps)) <= 1e-9, (d, k, eps)
+            assert abs(value - crossing(eps)) <= 2e-12, (d, k, eps)
 
 
 def test_ds_event_mass_non_decreasing_in_threshold():
@@ -185,8 +186,53 @@ def test_ds_eigensolve_budget(monkeypatch):
         for eps in (0.05, 0.2, 0.5, 0.8):
             with counting_eigensolves(monkeypatch) as matrices_per_call:
                 info_spectrum_divergence_bracket(pair, eps)
-            assert 0 < len(matrices_per_call) <= 64, (d, k, eps)
+            assert 0 < len(matrices_per_call) <= 40, (d, k, eps)
             assert max(matrices_per_call) <= max(k, 1), (d, k, eps)
+
+
+def _bisection_count(calls, size, eps):
+    """Event-mass evaluations that log-space bisection makes from the same
+    pencil gap: the pencil phase over ``size`` candidates, replayed from
+    the recorded calls, then one per halving of the gap's log2 width
+    down to 1e-12 bits.  Returns (count, pencil-phase evaluations)."""
+    thresholds = [c for [(c, _)] in calls]
+    feasible = [mass <= eps + 1e-12 for [(_, mass)] in calls]
+    call_of = {0: 0, size - 1: 1}  # candidate index -> call index
+    lo, hi, n = 0, size - 1, 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        call_of[mid] = n
+        lo, hi = (mid, hi) if feasible[n] else (lo, mid)
+        n += 1
+    c_lo, c_hi = thresholds[call_of[lo]], thresholds[call_of[hi]]
+    assert all(c_lo < c < c_hi for c in thresholds[n:])
+    pencil_phase = n
+    while math.log2(c_hi) - math.log2(c_lo) > 1e-12:
+        c_hi = math.sqrt(c_lo * c_hi)
+        n += 1
+    return n, pencil_phase
+
+
+def test_ds_root_find_costs_less_than_bisection(monkeypatch):
+    # every call stays within bisection + 2 evaluations (the ITP bound is
+    # bisection + 1, plus one for rounding in the log width), and the
+    # mean falls well below bisection's: 0.59 of it on seed 52, where the
+    # search was calibrated, and 0.61 on seed 58, which it never saw
+    for seed in (52, 58):
+        rng = np.random.default_rng(seed)
+        made, bisection = [], []
+        for d, k in _DS_CASES:
+            pair = random_noncommuting_pair(rng, d, k)
+            for eps in (0.05, 0.2, 0.5, 0.8):
+                with counting_event_masses(monkeypatch) as calls:
+                    info_spectrum_divergence_bracket(pair, eps)
+                assert all(len(call) == 1 for call in calls)
+                # random full-rank pairs: d * max(k, 1) distinct pencil values
+                count, pencil_phase = _bisection_count(calls, d * max(k, 1) + 2, eps)
+                assert pencil_phase < len(calls) <= count + 2, (seed, d, k, eps)
+                made.append(len(calls))
+                bisection.append(count)
+        assert sum(made) <= 0.75 * sum(bisection), (seed, sum(made), sum(bisection))
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +487,34 @@ def test_variance_scalar_oracle():
     assert relative_entropy_variance(pair) == pytest.approx(expected, abs=1e-12)
     assert relative_entropy_variance(DivergencePair.of(np.diag(p), np.diag(p)))\
         == pytest.approx(0.0, abs=1e-12)
+
+
+def _trace(a):
+    return float(np.trace(a, axis1=-2, axis2=-1).real.sum())
+
+
+def test_divergence_kernels_solve_each_operator_once(corpus, monkeypatch):
+    # sigma's eigensystem from the support check also gives its functions:
+    # the values of the two-solve path, to the bit, with one solve of sigma
+    for state in corpus:
+        emb = joint_embed(state)
+        for reference in (emb.rho_x_tensor_rho_b, emb.one_x_tensor_rho_b):
+            pair = DivergencePair.of(emb.rho_xb, reference)
+            rho, sigma = pair.rho, pair.sigma
+            quarter = _mat_func_raw(sigma, lambda x: x ** -0.25, support_only=True)
+            w = quarter @ rho @ quarter
+            delta = (_mat_func_raw(rho, math.log, support_only=True)
+                     - _mat_func_raw(sigma, math.log, support_only=True))
+            mean, second = _trace(rho @ delta), _trace(rho @ delta @ delta)
+            for fn, solves, want in (
+                (collision_divergence, 1, math.log2(_trace(w @ w))),
+                (relative_entropy, 2, mean / LN2),
+                (relative_entropy_variance, 2,
+                 max(second - mean * mean, 0.0) / (LN2 * LN2)),
+            ):
+                with counting_eigensolves(monkeypatch) as calls:
+                    assert fn(pair) == want, fn.__name__
+                assert len(calls) == solves, fn.__name__
 
 
 def test_support_violation_rejected():

@@ -7,21 +7,27 @@ import pytest
 
 from oneshot_qit import (
     CQState,
+    DivergencePair,
     DomainError,
     RateExpansion,
     conditional_entropy_with_variance,
     conditional_test_entropy,
     gaussian_cdf,
+    hypothesis_test_divergence,
     hypothesis_test_information,
+    joint_embed,
     moderate_rate,
     mutual_information_with_variance,
     normal_quantile,
+    relative_entropy,
+    relative_entropy_variance,
     second_order_value,
 )
 
 from conftest import (
     binary_antipodal,
     bit_pair_trivial_side,
+    counting_eigensolves,
     random_cq_state,
     random_density,
     scalar_test_oracle,
@@ -187,6 +193,30 @@ def test_entropy_identity_regression(corpus):
         got = conditional_test_entropy(state, 0.4)
         info = hypothesis_test_information(state, 0.4)
         assert math.isfinite(got) and math.isfinite(info)
+
+
+def test_cq_pairs_are_validated_once(corpus, monkeypatch):
+    # pairs built from validated states skip DivergencePair.of's two
+    # validation eigensolves and give its values to the bit; the relative
+    # entropy and its variance come from one eigensolve of each operator
+    for state in corpus:
+        emb = joint_embed(state)
+        for reference, info, spectral, sign in (
+            (emb.rho_x_tensor_rho_b, hypothesis_test_information,
+             mutual_information_with_variance, 1.0),
+            (emb.one_x_tensor_rho_b, conditional_test_entropy,
+             conditional_entropy_with_variance, -1.0),
+        ):
+            with counting_eigensolves(monkeypatch) as public_calls:
+                public = DivergencePair.of(emb.rho_xb, reference)
+                want = sign * hypothesis_test_divergence(public, 0.3)
+            with counting_eigensolves(monkeypatch) as calls:
+                assert info(state, 0.3) == want
+            assert len(calls) == len(public_calls) - 2
+            want = (sign * relative_entropy(public), relative_entropy_variance(public))
+            with counting_eigensolves(monkeypatch) as calls:
+                assert spectral(state) == want
+            assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
