@@ -39,7 +39,14 @@ _COMMUTATOR_TOL = 1e-10
 _SUPPORT_TOL = 1e-8
 _DUAL_FLOOR = 64 * np.finfo(float).eps
 _DS_WIDTH_BITS = 1e-12
-_DS_JUMP_PROBE_BITS = 2.0 ** -20
+# The event predicate counts eigenvalues of c sigma - rho down to
+# -_DS_EVENT_TOL times their radius, which puts a crossing inside a jump
+# of the mass about 1e-9 to 2e-7 bits below the pencil eigenvalue; the
+# root-find's first probe sits just outside that range, at the power of
+# two below 1000 times the tolerance (2^-20 bits).  A change to the
+# predicate's tolerance moves the probe with it.
+_DS_EVENT_TOL = DEFAULT_CLUSTER_TOL
+_DS_JUMP_PROBE_BITS = 2.0 ** math.floor(math.log2(1000.0 * _DS_EVENT_TOL))
 
 
 @dataclass(frozen=True)
@@ -60,8 +67,7 @@ class DivergencePair:
     def of(cls, rho, sigma, normalized: bool = True) -> "DivergencePair":
         rho = as_hermitian(rho)
         sigma = as_hermitian(sigma)
-        if rho.shape != sigma.shape:
-            raise DomainError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
+        cls._check_shapes(rho, sigma)
         for name, op in (("rho", rho), ("sigma", sigma)):
             lam_min = float(np.linalg.eigvalsh(op).min())
             if lam_min < -1e-10:
@@ -74,12 +80,19 @@ class DivergencePair:
 
     @classmethod
     def _trusted(cls, rho: np.ndarray, sigma: np.ndarray) -> "DivergencePair":
-        """A pair of arrays that already passed these checks, such as the
-        joint operators of validated ``CQState``s; only the commutation
-        flag is computed."""
+        """A pair of Hermitian PSD arrays, rho of unit trace, such as the
+        joint operators of validated ``CQState``s: only the shapes are
+        checked (two states may differ in d or |X|) and the commutation
+        flag computed."""
+        cls._check_shapes(rho, sigma)
         comm = rho @ sigma - sigma @ rho
         commuting = float(np.max(np.abs(comm))) <= _COMMUTATOR_TOL
         return cls(rho, sigma, commuting)
+
+    @staticmethod
+    def _check_shapes(rho: np.ndarray, sigma: np.ndarray) -> None:
+        if rho.shape != sigma.shape:
+            raise DomainError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
 
 
 def _trace(a: np.ndarray) -> float:
@@ -171,12 +184,12 @@ def _ds_event_masses(rho: np.ndarray, sigma: np.ndarray, cs: np.ndarray) -> np.n
     """Tr[rho {rho <= c sigma}] for every threshold c, in one stacked eigensolve.
 
     Same non-strict convention as ``projector_leq``: eigenvectors of
-    c sigma - rho with eigenvalue >= -DEFAULT_CLUSTER_TOL * radius count.
+    c sigma - rho with eigenvalue >= -_DS_EVENT_TOL * radius count.
     """
     lam, v = _eigh_checked(np.multiply.outer(cs, sigma) - rho)
     lam = lam.reshape(cs.size, -1)
     weights = _weights(rho, v).reshape(cs.size, -1)
-    atol = DEFAULT_CLUSTER_TOL * np.max(np.abs(lam), axis=-1, keepdims=True)
+    atol = _DS_EVENT_TOL * np.max(np.abs(lam), axis=-1, keepdims=True)
     return np.sum(weights, axis=-1, where=lam >= -atol)
 
 
@@ -194,11 +207,9 @@ def _itp_log_crossing(excess, c_lo: float, y_lo: float, c_hi: float, y_hi: float
     leave the last width a hair above tol, which costs one step more.
 
     The first estimate is ``_DS_JUMP_PROBE_BITS`` below the upper end, a
-    pencil eigenvalue: the event predicate counts an eigenvalue of
-    c sigma - rho down to -1e-9 times its radius, so where eps falls
-    inside a jump of the mass, the crossing lies about 1e-9 to 2e-7 bits
-    below that pencil eigenvalue, and the first step shrinks the bracket to
-    2^-20 bits.  Later estimates interpolate between the ends (regula
+    pencil eigenvalue: where eps falls inside a jump of the mass, the
+    event predicate's tolerance puts the crossing just below that pencil
+    eigenvalue, and the first step shrinks the bracket to 2^-20 bits.  Later estimates interpolate between the ends (regula
     falsi, truncated towards the midpoint by kappa1 w^2), with the end
     excesses as weights, halved Illinois-style whenever the same end is
     kept twice in a row; a smooth crossing converges superlinearly.
@@ -447,23 +458,28 @@ def collision_divergence(pair: DivergencePair) -> float:
     return math.log2(value)
 
 
-def _relative_entropy_with_variance(pair: DivergencePair) -> tuple[float, float]:
-    """(relative entropy, relative entropy variance), in bits and bits^2:
-    the mean and central second moment under rho of the log-likelihood
-    operator log rho - log sigma (support-restricted), from one
-    eigensolve of each operator."""
+def _log_likelihood(pair: DivergencePair) -> tuple[np.ndarray, np.ndarray]:
+    """(rho delta, delta) for the log-likelihood operator delta = log rho -
+    log sigma (support-restricted), from one eigensolve of each operator."""
     sigma_eig = _check_support(pair)
     log_rho = _mat_func_raw(pair.rho, math.log, support_only=True)
     log_sigma = _spectral_func(*sigma_eig, math.log, support_only=True)
     delta = log_rho - log_sigma
-    rho_delta = pair.rho @ delta
+    return pair.rho @ delta, delta
+
+
+def _relative_entropy_with_variance(pair: DivergencePair) -> tuple[float, float]:
+    """(relative entropy, relative entropy variance), in bits and bits^2:
+    the mean and central second moment of the log-likelihood operator
+    under rho."""
+    rho_delta, delta = _log_likelihood(pair)
     mean, second = _trace(rho_delta), _trace(rho_delta @ delta)
     return mean / LN2, max(second - mean * mean, 0.0) / (LN2 * LN2)
 
 
 def relative_entropy(pair: DivergencePair) -> float:
     """Tr[rho (log rho - log sigma)] in bits, support-restricted logs."""
-    return _relative_entropy_with_variance(pair)[0]
+    return _trace(_log_likelihood(pair)[0]) / LN2
 
 
 def relative_entropy_variance(pair: DivergencePair) -> float:

@@ -8,10 +8,11 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oneshot_qit
-from oneshot_qit import dump_state
+from oneshot_qit import CQState, dump_state
 from oneshot_qit import cli
 from oneshot_qit.cli import run
 
@@ -59,6 +60,25 @@ def test_divergence_identical_states(capsys, bitpair_file):
     assert payload["results"]["value_bits"] == pytest.approx(
         -math.log2(0.7), abs=1e-9
     )
+
+
+@pytest.mark.parametrize("kind", ["ds", "dh", "d2", "kl", "var"])
+def test_divergence_refuses_states_of_different_shape(capsys, tmp_path, kind,
+                                                      bitpair_file, antipodal_file):
+    # d differs, or |X| differs with one alphabet of size 1 (whose (1, d, d)
+    # joint operator would broadcast against the other's blocks)
+    single = tmp_path / "single.json"
+    dump_state(CQState(p=[1.0], rhos=[np.eye(2) / 2]), single)
+    for state_a, state_b in ((bitpair_file, antipodal_file),
+                             (str(single), antipodal_file)):
+        code = run([
+            "divergence", "--kind", kind, "--state-a", state_a,
+            "--state-b", state_b, "--eps", "0.3",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "dimension mismatch" in captured.err
+        assert captured.out == ""
 
 
 def test_divergence_requires_eps(capsys, bitpair_file):
