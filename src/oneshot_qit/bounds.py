@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cq import CQState, joint_embed
+from .cq import CQState, _whole, joint_embed
 from .divergences import _commuting_pairs
 from .entropic import conditional_test_entropy, hypothesis_test_information
 from .errors import DomainError, _check_eps
-from .linalg import DEFAULT_CLUSTER_TOL, _radius, spec_count
+from .linalg import _threshold, spec_count
 
 
 @dataclass(frozen=True)
@@ -42,15 +42,16 @@ class BoundReport:
 
 
 def validate_sandwich_params(eps: float, delta: float, c: float) -> None:
-    """Enforce 0 < c < delta < min(eps/3, (1-eps)/2), naming the violation."""
+    """Enforce 0 < c < delta < min(eps/3, (1-eps)/2), naming the violation;
+    every check is one that NaN fails."""
     _check_eps(eps)
-    if c <= 0.0:
+    if not c > 0.0:
         raise DomainError(f"c must be > 0, got {c}")
-    if c >= delta:
+    if not c < delta:
         raise DomainError(f"c must be < delta, got c={c}, delta={delta}")
-    if delta >= eps / 3.0:
+    if not delta < eps / 3.0:
         raise DomainError(f"delta must be < eps/3, got delta={delta}, eps={eps}")
-    if delta >= (1.0 - eps) / 2.0:
+    if not delta < (1.0 - eps) / 2.0:
         raise DomainError(
             f"delta must be < (1-eps)/2, got delta={delta}, eps={eps}"
         )
@@ -72,8 +73,7 @@ def _pinched_exceedance_mass(
     emb = joint_embed(state)
     reference = emb.rho_x_tensor_rho_b if weight_threshold else emb.one_x_tensor_rho_b
     masses, thresholds = _commuting_pairs(emb.rho_xb, c * reference)
-    atol = DEFAULT_CLUSTER_TOL * max(_radius(masses), _radius(thresholds))
-    return float(np.sum(masses[masses - thresholds > atol]))
+    return float(np.sum(masses[masses - thresholds > _threshold(masses, thresholds)]))
 
 
 def pa_direct_bound(state: CQState, c: float, z_size: int) -> float:
@@ -83,10 +83,9 @@ def pa_direct_bound(state: CQState, c: float, z_size: int) -> float:
     distinct eigenvalues of the marginal.  Valid for every c > 0 under
     the uniform random-function family.
     """
-    if c <= 0.0:
+    if not c > 0.0:
         raise DomainError(f"c must be > 0, got {c}")
-    if z_size < 1:
-        raise DomainError(f"z_size must be >= 1, got {z_size}")
+    z_size = _whole("z_size", z_size, 1)
     tail = _pinched_exceedance_mass(state, c, weight_threshold=False)
     nu = spec_count(state.marginal())
     return tail + math.sqrt(c * nu * z_size)
@@ -98,10 +97,9 @@ def covering_direct_bound(state: CQState, c: float, m: int) -> float:
     Pinched tail mass plus sqrt(nu * c / m); valid for every c > 0 when
     codewords are drawn i.i.d. from p.
     """
-    if c <= 0.0:
+    if not c > 0.0:
         raise DomainError(f"c must be > 0, got {c}")
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
+    m = _whole("m", m, 1)
     tail = _pinched_exceedance_mass(state, c, weight_threshold=True)
     nu = spec_count(state.marginal())
     return tail + math.sqrt(nu * c / m)

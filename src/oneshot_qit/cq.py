@@ -28,9 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, _check_eps
-from .linalg import as_hermitian
+from .linalg import _PSD_TOL, as_hermitian
 
-_PSD_TOL = 1e-10
 _PROB_SUM_TOL = 1e-9
 
 # Feasibility caps for exhaustive enumeration and type-class generation;
@@ -327,12 +326,13 @@ def _type_log_terms(types: np.ndarray, n: int, log_fact: np.ndarray,
 
 
 def _whole(name: str, value, least: int | None = None) -> int:
-    """value as an int, refused unless it is an integer (and >= least)."""
+    """value as an int, refused unless it is an integer other than a bool
+    (and >= least)."""
     try:
         whole = int(value)
     except (TypeError, ValueError, OverflowError):
         whole = None
-    if whole is None or whole != value:
+    if whole is None or whole != value or isinstance(value, (bool, np.bool_)):
         raise DomainError(f"{name}={value!r} is not an integer")
     if least is not None and whole < least:
         raise DomainError(f"{name} must be >= {least}, got {whole}")
@@ -340,16 +340,17 @@ def _whole(name: str, value, least: int | None = None) -> int:
 
 
 def _check_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
-    """The classical pair as float vectors; q must be strictly positive."""
+    """The classical pair as float vectors; q must be strictly positive.
+    Every check is one that a NaN entry fails."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape or p.ndim != 1:
         raise DomainError("p and q must be 1-D vectors of equal length")
-    if np.any(q <= 0):
+    if not np.all(q > 0):
         raise DomainError("q must be strictly positive entrywise")
-    if np.any(p < 0) or abs(p.sum() - 1.0) > _PROB_SUM_TOL:
+    if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= _PROB_SUM_TOL):
         raise DomainError("p must be a probability vector")
-    if abs(q.sum() - 1.0) > _PROB_SUM_TOL:
+    if not abs(q.sum() - 1.0) <= _PROB_SUM_TOL:
         raise DomainError("q must be a probability vector")
     return p, q
 

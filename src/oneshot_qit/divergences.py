@@ -23,13 +23,14 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, _check_eps
 from .linalg import (
+    _PSD_TOL,
     DEFAULT_CLUSTER_TOL,
     _cluster_labels,
     _eigh_checked,
     _mat_func_raw,
     _positive_part_trace_raw,
-    _radius,
     _spectral_func,
+    _threshold,
     as_hermitian,
 )
 
@@ -70,11 +71,11 @@ class DivergencePair:
         cls._check_shapes(rho, sigma)
         for name, op in (("rho", rho), ("sigma", sigma)):
             lam_min = float(np.linalg.eigvalsh(op).min())
-            if lam_min < -1e-10:
+            if lam_min < -_PSD_TOL:
                 raise DomainError(f"{name} is not PSD: eigenvalue {lam_min:.3e}")
         if normalized:
             tr = _trace(rho)
-            if abs(tr - 1.0) > 1e-10:
+            if abs(tr - 1.0) > _PSD_TOL:
                 raise DomainError(f"rho has trace {tr}, expected 1")
         return cls._trusted(rho, sigma)
 
@@ -112,7 +113,7 @@ def _check_support(pair: DivergencePair) -> tuple[np.ndarray, np.ndarray]:
     functions of sigma without a second eigensolve.
     """
     lam, v = _eigh_checked(pair.sigma)
-    kernel = lam <= DEFAULT_CLUSTER_TOL * _radius(lam)
+    kernel = lam <= _threshold(lam)
     leak = float(np.sum(_weights(pair.rho, v)[kernel]))
     if leak > _SUPPORT_TOL:
         raise DomainError(
@@ -139,7 +140,7 @@ def _commuting_pairs(rho: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np
     d = sigma.shape[-1]
     lam, v = _eigh_checked(sigma.reshape(-1, d, d))
     m = v.conj().swapaxes(-1, -2) @ rho.reshape(-1, d, d) @ v
-    labels = _cluster_labels(lam, DEFAULT_CLUSTER_TOL)
+    labels = _cluster_labels(lam)
     r = np.diagonal(m, axis1=-2, axis2=-1).real.copy()
     s = lam.copy()
     # cluster ids unique across blocks, non-decreasing in row-major order
@@ -154,15 +155,10 @@ def _commuting_pairs(rho: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np
 
 
 def _ds_exact_bits(rho: np.ndarray, sigma: np.ndarray, eps: float) -> float:
+    """Exact D_s of a commuting pair whose support ``_check_support`` passed:
+    the sorted ratios r/s over the joint spectrum where s is non-zero."""
     r, s = _commuting_pairs(rho, sigma)
-    atol = DEFAULT_CLUSTER_TOL * max(_radius(r), _radius(s))
-    keep = s > atol
-    mass_off_support = float(np.sum(np.clip(r[~keep], 0.0, None)))
-    if mass_off_support > _SUPPORT_TOL:
-        raise DomainError(
-            f"support violation: rho carries mass {mass_off_support:.3e} where "
-            "sigma vanishes"
-        )
+    keep = s > _threshold(s)
     r = np.clip(r[keep], 0.0, None)
     s = s[keep]
     ratios = r / s
@@ -209,10 +205,11 @@ def _itp_log_crossing(excess, c_lo: float, y_lo: float, c_hi: float, y_hi: float
     The first estimate is ``_DS_JUMP_PROBE_BITS`` below the upper end, a
     pencil eigenvalue: where eps falls inside a jump of the mass, the
     event predicate's tolerance puts the crossing just below that pencil
-    eigenvalue, and the first step shrinks the bracket to 2^-20 bits.  Later estimates interpolate between the ends (regula
-    falsi, truncated towards the midpoint by kappa1 w^2), with the end
-    excesses as weights, halved Illinois-style whenever the same end is
-    kept twice in a row; a smooth crossing converges superlinearly.
+    eigenvalue, and the first step shrinks the bracket to 2^-20 bits.
+    Later estimates interpolate between the ends (regula falsi, truncated
+    towards the midpoint by kappa1 w^2), with the end excesses as
+    weights, halved Illinois-style whenever the same end is kept twice in
+    a row; a smooth crossing converges superlinearly.
     Returns (lower, upper), log2 of the last feasible and infeasible
     thresholds evaluated.
     """
@@ -263,8 +260,7 @@ def _ds_pencil_bracket(
     """
     inv_sqrt = _spectral_func(*sigma_eig, lambda x: x ** -0.5, support_only=True)
     pencil = np.linalg.eigvalsh(inv_sqrt @ rho @ inv_sqrt).ravel()
-    atol = DEFAULT_CLUSTER_TOL * _radius(pencil)
-    pencil = np.unique(pencil[pencil > atol])
+    pencil = np.unique(pencil[pencil > _threshold(pencil)])
     if pencil.size == 0:
         return -math.inf, -math.inf, -math.inf
 
@@ -307,10 +303,10 @@ def info_spectrum_divergence_bracket(
     bits, in at most two evaluations more than log-space bisection.
     """
     _check_eps(eps)
+    sigma_eig = _check_support(pair)
     if pair.commuting:
         value = _ds_exact_bits(pair.rho, pair.sigma, eps)
         return value, value, value
-    sigma_eig = _check_support(pair)
     return _ds_pencil_bracket(pair.rho, pair.sigma, sigma_eig, eps)
 
 
@@ -434,8 +430,8 @@ def dual_test_objective(pair: DivergencePair, eps: float, mu: float) -> float:
     with its slope, one eigensolve per point.
     """
     _check_eps(eps)
-    if mu < 0.0:
-        raise DomainError("mu must be non-negative")
+    if not mu >= 0.0:
+        raise DomainError(f"mu must be non-negative, got {mu}")
     return mu * (1.0 - eps) - _positive_part_trace_raw(mu * pair.rho - pair.sigma)
 
 

@@ -105,7 +105,7 @@ def second_order_value(d: float, v: float, eps: float, n: int) -> RateExpansion:
     need the covering sign flip the coefficient (equivalently evaluate at
     1 - eps) when assembling their expansion.
     """
-    if v < 0.0:
+    if not v >= 0.0:
         raise DomainError(f"variance must be non-negative, got {v}")
     coeff = math.sqrt(v) * normal_quantile(eps)
     return RateExpansion.assemble(d, coeff, eps, n)
@@ -113,9 +113,9 @@ def second_order_value(d: float, v: float, eps: float, n: int) -> RateExpansion:
 
 def moderate_rate(d: float, v: float, a_n: float, direction: int) -> float:
     """Per-copy rate d + direction * sqrt(2 v) * a_n for a deviation scale a_n."""
-    if v < 0.0:
+    if not v >= 0.0:
         raise DomainError(f"variance must be non-negative, got {v}")
-    if a_n <= 0.0:
+    if not a_n > 0.0:
         raise DomainError(f"a_n must be positive, got {a_n}")
     if direction not in (-1, 1):
         raise DomainError(f"direction must be +1 or -1, got {direction}")

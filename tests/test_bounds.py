@@ -24,7 +24,7 @@ from oneshot_qit import (
 )
 from oneshot_qit.cli import run
 from oneshot_qit.divergences import _commuting_pairs
-from oneshot_qit.linalg import DEFAULT_CLUSTER_TOL, _cluster_labels, _eigh_checked
+from oneshot_qit.linalg import _cluster_labels, _eigh_checked
 
 from conftest import (
     binary_antipodal,
@@ -140,7 +140,7 @@ def _commuting_pairs_loop(rho, sigma):
     d = sigma.shape[-1]
     lam, v = _eigh_checked(sigma.reshape(-1, d, d))
     m = v.conj().swapaxes(-1, -2) @ rho.reshape(-1, d, d) @ v
-    labels = _cluster_labels(lam, DEFAULT_CLUSTER_TOL)
+    labels = _cluster_labels(lam)
     r_parts, s_parts = [], []
     for lam_x, m_x, labels_x in zip(lam, m, labels):
         for label in range(labels_x[-1] + 1):
@@ -219,9 +219,27 @@ def test_parameter_domain_messages():
         validate_sandwich_params(0.4, 0.1, 0.0)
     with pytest.raises(DomainError, match=r"\(1-eps\)/2"):
         validate_sandwich_params(0.9, 0.06, 0.01)
+    # NaN fails every comparison, so each check must be one that NaN fails
+    with pytest.raises(DomainError, match="c must be > 0"):
+        validate_sandwich_params(0.4, 0.1, math.nan)
+    with pytest.raises(DomainError, match="c must be < delta"):
+        validate_sandwich_params(0.4, math.nan, 0.05)
     # the full admissible region is accepted
     validate_sandwich_params(0.4, 0.1, 0.05)
     validate_sandwich_params(0.3, 0.09, 0.04)
+
+
+def test_direct_bounds_refuse_nan_and_non_integral_sizes():
+    state = binary_antipodal()
+    for bound in (pa_direct_bound, covering_direct_bound):
+        for c in (0.0, math.nan):
+            with pytest.raises(DomainError, match="c must be > 0"):
+                bound(state, c, 2)
+        for size in (2.5, True, math.nan):
+            with pytest.raises(DomainError, match="not an integer"):
+                bound(state, 0.5, size)
+        with pytest.raises(DomainError, match="must be >= 1"):
+            bound(state, 0.5, 0)
 
 
 def test_pa_bounds_trivial_side_closed_form():

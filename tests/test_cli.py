@@ -33,11 +33,19 @@ def antipodal_file(tmp_path):
     return str(path)
 
 
+def _refuse_nan(constant):
+    """``parse_constant`` hook: +-Infinity is a legitimate value (D_h of
+    orthogonal supports, D_s saturation); NaN never is."""
+    if constant == "NaN":
+        raise AssertionError("NaN in the JSON output")
+    return float(constant)
+
+
 def run_json(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     assert code == 0, captured.err
-    return json.loads(captured.out), captured.err
+    return json.loads(captured.out, parse_constant=_refuse_nan), captured.err
 
 
 def test_simulate_pa_exact_value(capsys, bitpair_file):
@@ -124,6 +132,14 @@ def test_bounds_domain_error_exit_code(capsys, antipodal_file):
     captured = capsys.readouterr()
     assert code == 2
     assert "delta must be < eps/3" in captured.err
+    assert captured.out == ""
+    code = run([
+        "bounds", "--task", "pa", "--state", antipodal_file,
+        "--eps", "0.3", "--delta", "0.09", "--c", "nan",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "c must be > 0" in captured.err
     assert captured.out == ""
 
 

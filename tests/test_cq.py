@@ -63,6 +63,9 @@ def test_first_failing_block_is_named():
         CQState(p=[0.3, 0.3, 0.4], rhos=[good, bad_trace, not_psd])
     with pytest.raises(DomainError, match="not Hermitian"):
         CQState(p=[0.5, 0.5], rhos=[good, [[0.5, 0.1], [0.0, 0.5]]])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="non-finite"):
+            CQState(p=[0.5, 0.5], rhos=[good, [[0.5, bad], [bad, 0.5]]])
 
 
 def test_probability_renormalized_within_tolerance():

@@ -88,6 +88,16 @@ def test_ds_scaling_identity_commuting():
             assert info_spectrum_divergence(shifted, eps) == pytest.approx(
                 base - math.log2(lam), abs=1e-9
             )
+    # a sigma eigenvalue far below rho's radius stays in sigma's support
+    rho, sigma = np.diag([0.6, 0.4]), np.diag([1.0, 1e-6])
+    pair = DivergencePair.of(rho, sigma)
+    for lam in (1e-2, 1e-4):
+        shifted = DivergencePair.of(rho, lam * sigma)
+        for eps in (0.25, 0.6):
+            base = info_spectrum_divergence(pair, eps)
+            assert info_spectrum_divergence(shifted, eps) == pytest.approx(
+                base - math.log2(lam), abs=1e-9
+            )
 
 
 def test_ds_noncommuting_bracket_and_scaling():
@@ -420,6 +430,13 @@ def test_dual_objective_concavity():
         w = (mus[1] - mus[0]) / (mus[2] - mus[0])
         g = [dual_test_objective(pair, 0.3, mu) for mu in mus]
         assert g[1] >= (1 - w) * g[0] + w * g[2] - 1e-9
+
+
+def test_dual_objective_refuses_negative_or_nan_mu():
+    pair = DivergencePair.of(np.eye(2) / 2, np.eye(2) / 2)
+    for mu in (-1.0, math.nan):
+        with pytest.raises(DomainError, match="mu must be non-negative"):
+            dual_test_objective(pair, 0.3, mu)
 
 
 # ---------------------------------------------------------------------------

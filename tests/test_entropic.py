@@ -248,8 +248,9 @@ def test_second_order_value_median_and_zero_variance():
     assert exp.value_at_n == pytest.approx(200.0, abs=1e-12)
     exp = second_order_value(2.0, 0.0, 0.2, 100)
     assert exp.value_at_n == pytest.approx(200.0, abs=1e-12)
-    with pytest.raises(DomainError):
-        second_order_value(2.0, -1.0, 0.2, 100)
+    for v in (-1.0, math.nan):
+        with pytest.raises(DomainError):
+            second_order_value(2.0, v, 0.2, 100)
 
 
 def test_rate_expansion_container_identity():
@@ -264,3 +265,7 @@ def test_moderate_rate_signs():
     assert up - 1.0 == pytest.approx(1.0 - down, abs=1e-15)
     with pytest.raises(DomainError):
         moderate_rate(1.0, 2.0, 0.1, 0)
+    with pytest.raises(DomainError, match="variance"):
+        moderate_rate(1.0, math.nan, 0.1, 1)
+    with pytest.raises(DomainError, match="a_n"):
+        moderate_rate(1.0, 2.0, math.nan, 1)

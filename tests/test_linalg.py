@@ -21,8 +21,12 @@ from oneshot_qit import (
 from oneshot_qit.divergences import (
     collision_divergence,
     DivergencePair,
+    _check_support,
+    _commuting_pairs,
+    info_spectrum_divergence,
     info_spectrum_divergence_bracket,
 )
+from oneshot_qit.linalg import DEFAULT_CLUSTER_TOL
 
 from conftest import random_density, random_hermitian, random_psd, random_projector
 
@@ -35,6 +39,11 @@ def test_as_hermitian_symmetrizes_and_rejects():
         as_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(DomainError):
         as_hermitian(np.ones((2, 3)))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="non-finite"):
+            as_hermitian(np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(DomainError, match="non-finite"):
+            DivergencePair.of(np.diag([bad, 0.5]), np.eye(2) / 2)
 
 
 def test_eig_identity_and_pauli_x():
@@ -236,3 +245,34 @@ def test_projector_leq_convention():
     # non-strict: equality stays inside the event
     proj = projector_leq(np.diag([1.0, 2.0]), np.diag([1.0, 1.0]))
     assert np.allclose(proj, np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-4])
+def test_threshold_rule_is_shared_at_its_boundary(scale):
+    """A gap or an eigenvalue at half the threshold, DEFAULT_CLUSTER_TOL
+    times the radius, merges or vanishes in every routine; at twice the
+    threshold it stays."""
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    flat = np.full((2, 2), 0.5, dtype=complex)
+    for factor, kept in ((0.5, False), (2.0, True)):
+        small = factor * DEFAULT_CLUSTER_TOL * scale
+        gapped = np.diag([scale - small, scale])
+        assert spec_count(gapped) == (2 if kept else 1)
+        assert abs(pinch(gapped, flat)[0, 1]) == pytest.approx(0.0 if kept else 0.5)
+        r, _ = _commuting_pairs(flat, gapped)
+        assert np.sort(r) == pytest.approx([0.5, 0.5] if kept else [0.0, 1.0], abs=1e-12)
+        leq = projector_leq(np.diag([0.0, small]), np.diag([scale, 0.0]))
+        assert np.trace(leq).real == pytest.approx(1.0 if kept else 2.0)
+
+        sigma = np.diag([scale, small])
+        inverse = mat_func(sigma, lambda x: 1.0 / x, support_only=True)
+        assert inverse[1, 1].real == pytest.approx(1.0 / small if kept else 0.0)
+        pair = DivergencePair.of(rho, sigma)
+        if kept:
+            _check_support(pair)
+            assert info_spectrum_divergence(pair, 0.3) == pytest.approx(
+                math.log2(0.5 / scale), abs=1e-12)
+        else:
+            for fn in (_check_support, lambda p: info_spectrum_divergence(p, 0.3)):
+                with pytest.raises(DomainError, match="support"):
+                    fn(pair)

@@ -151,6 +151,12 @@ def test_classical_entropies_refuse_bad_pairs():
             f([0.5, 0.5], [0.2, 0.3, 0.5])
         with pytest.raises(DomainError, match="p must be a probability vector"):
             f([0.5, 0.7], [0.5, 0.5])
+        with pytest.raises(DomainError, match="p must be a probability vector"):
+            f([math.nan, 0.5, 0.5], [0.2, 0.3, 0.5])
+        with pytest.raises(DomainError, match="strictly positive"):
+            f([0.5, 0.5], [math.nan, 0.5])
+    with pytest.raises(DomainError, match="p must be a probability vector"):
+        iid_test_divergence([math.nan, 0.5, 0.5], [0.2, 0.3, 0.5], 3, 0.2)
 
 
 def test_acceptance_mass_construction():
@@ -241,6 +247,17 @@ def test_moderate_sweep_refuses_levels_that_round_off(spectrum_calls):
     assert spectrum_calls == []
     (row,) = moderate_sweep(P, Q, 0.25, [1600], -1)
     assert math.isfinite(row.exact_bits)
+
+
+def test_cli_sweep_refuses_nan_probability(capsys):
+    code = run([
+        "sweep", "--regime", "second", "--p", "nan,0.5,0.5", "--q", "0.2,0.3,0.5",
+        "--eps", "0.2", "--n-list", "4",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "p must be a probability vector" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_moderate_sweep_level_round_off_exit_code(capsys):
