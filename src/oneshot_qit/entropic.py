@@ -13,7 +13,7 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from .cq import CQState, joint_embed
+from .cq import CQState, _whole, joint_embed
 from .divergences import (
     DivergencePair,
     _relative_entropy_with_variance,
@@ -92,8 +92,7 @@ class RateExpansion:
     @classmethod
     def assemble(cls, first_order: float, second_order_coeff: float,
                  epsilon: float, n: int) -> "RateExpansion":
-        if n < 1:
-            raise DomainError(f"blocklength must be positive, got {n}")
+        n = _whole("blocklength n", n, 1)
         value = n * first_order + math.sqrt(n) * second_order_coeff
         return cls(first_order, second_order_coeff, epsilon, n, value)
 

@@ -32,10 +32,14 @@ so each call solves, in one batch, the sets it expects to meet: every
 single input, and each size k >= 2 that samples·z^(1−k)·(1−1/z)^(|X|−k)
 >= 1 expects in at least one block, up to max(4096, |X|) sets.  Empty
 blocks have a closed form.
-Monte-Carlo covering counts each sampled codebook into its type and
-evaluates the types with the kernel exact covering uses, so covering in
-both modes goes through ``_row_distances``; a chunk holds a (4096, |X|)
-float64 count array.
+Monte-Carlo covering evaluates types with the kernel exact covering
+uses, so covering in both modes goes through ``_row_distances``.  A
+chunk's codebooks are those ``Generator.choice`` draws from the chunk's
+generator: ``_codebook_types`` reads the same uniforms in row blocks and
+counts each codebook into its type under choice's inverse-CDF rule, and
+``_type_distances`` solves each distinct type of the chunk once.  A
+chunk holds a (4096, |X|) float64 count array and one row block of
+draws.
 
 Determinism: Monte-Carlo draws come from a counter-based generator
 keyed by (seed, chunk index) over fixed-size sample chunks, and
@@ -64,6 +68,7 @@ from .cq import (
 from .errors import DomainError, _check_eps
 
 _CHUNK = 4096
+_DRAW_BYTES = 1 << 21  # one row block of Monte-Carlo covering draws
 _SEED_MASK = (1 << 64) - 1
 
 
@@ -386,6 +391,70 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _codebook_types(rng: np.random.Generator, cdf: np.ndarray, rows: int,
+                    m: int) -> np.ndarray:
+    """Types of ``rows`` codebooks of m codewords, as a (rows, |X|) float64
+    count array, the codewords being those of
+    ``rng.choice(|X|, (rows, m), p=p)`` for ``cdf`` = cumsum(p)/Σp.
+
+    The same uniforms are drawn in row blocks of at most ``_DRAW_BYTES``
+    (one row when a row alone is larger); consecutive draws read the
+    stream in the same order as one call, so the types do not depend on
+    the blocking.  A uniform u is codeword #{edges of cdf <= u}, choice's
+    rule.  When |X| <= m/2 each row's uniforms below each edge are
+    counted, with no per-codeword index; otherwise each codeword is
+    looked up with ``searchsorted`` and counted by a float ``bincount``.
+    That rule reads (|X|, m) only; it picks the faster of the two on
+    every point of a 4096-row grid, |X| in {2, …, 64} by m in {4, …, 256}.
+    Memory is the count array, plus one block's draws and their counts.
+    """
+    x_size = len(cdf)
+
+    def count(draws):
+        if x_size <= m // 2:
+            types = np.empty((len(draws), x_size))
+            below = 0  # codewords of each row below the previous edge
+            for x, edge in enumerate(cdf[:-1]):  # cdf[-1] is 1 > u
+                now = np.count_nonzero(draws < edge, axis=1)
+                types[:, x] = now - below
+                below = now
+            types[:, -1] = m - below
+            return types
+        cells = cdf.searchsorted(draws, side="right")
+        cells += x_size * np.arange(len(draws))[:, None]
+        # float weights count straight into float64: an int64 count cast
+        # afterwards would hold two count arrays at once
+        return np.bincount(cells.ravel(), weights=np.ones(cells.size),
+                           minlength=len(draws) * x_size).reshape(-1, x_size)
+
+    step = max(1, _DRAW_BYTES // (8 * m))
+    if step >= rows:
+        return count(rng.random((rows, m)))
+    types = np.empty((rows, x_size))
+    for lo in range(0, rows, step):
+        types[lo:lo + step] = count(rng.random((min(step, rows - lo), m)))
+    return types
+
+
+def _type_distances(types: np.ndarray, m: int, blocks: np.ndarray,
+                    reference: np.ndarray) -> np.ndarray:
+    """``_row_distances`` of each type row of m codewords, solving each
+    distinct type once.
+
+    A type is keyed exactly by the float64 dot product Σ_x n_x·(m+1)^x
+    while (m+1)^|X| <= 2^53, since every partial sum is then an integer
+    below 2^53; past that bound every row is solved.  A type's distance
+    depends on the type alone, so the values are those of solving every
+    row.
+    """
+    x_size = types.shape[1]
+    if (m + 1) ** x_size > 2 ** 53:
+        return _row_distances(types, blocks, reference)
+    keys = types @ np.array([float((m + 1) ** x) for x in range(x_size)])
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return _row_distances(types[first], blocks, reference)[inverse]
+
+
 def _mc_summary(values: np.ndarray) -> tuple[float, float]:
     value = float(np.mean(values))
     if values.size < 2:
@@ -444,8 +513,9 @@ def simulate_covering(state: CQState, m: int, method: str = "exact",
     C(m+alphabet-1, alphabet-1) types; it is rejected when the types
     exceed the enumeration cap, and it ignores ``workers``.  The
     reported sample count remains the full codebook count.  Monte-Carlo
-    mode draws codebooks i.i.d. from p and evaluates each through its
-    type, with the same kernel.
+    mode draws codebooks i.i.d. from p, those of ``Generator.choice`` on
+    each chunk's generator, counts each into its type, and evaluates
+    each distinct type of a chunk once with the same kernel.
     """
     m = _whole("m", m, 1)
     samples, seed, workers = _check_run(method, samples, seed, workers)
@@ -463,19 +533,13 @@ def simulate_covering(state: CQState, m: int, method: str = "exact",
 
     rho_b = state.marginal()
     blocks = state.rhos / m
+    # normalised as Generator.choice normalises it
+    cdf = state.p.cumsum()
+    cdf /= cdf[-1]
 
     def job(values, j, start, stop):
-        rng = _chunk_rng(seed, j)
-        batch = stop - start
-        tables = rng.choice(x_size, size=(batch, m), p=state.p)
-        # count each codebook's symbols into a row of its own, its type,
-        # straight into the float64 that the real contraction in
-        # _row_distances takes: an integer count cast afterwards would hold
-        # two (batch, |X|) arrays at once
-        cells = tables + x_size * np.arange(batch)[:, None]
-        counts = np.bincount(cells.ravel(), weights=np.ones(cells.size),
-                             minlength=batch * x_size)
-        values[start:stop] = _row_distances(counts.reshape(batch, x_size), blocks, rho_b)
+        types = _codebook_types(_chunk_rng(seed, j), cdf, stop - start, m)
+        values[start:stop] = _type_distances(types, m, blocks, rho_b)
 
     values = _run_chunks(samples, workers, job)
     value, half = _mc_summary(values)

@@ -258,6 +258,15 @@ def test_rate_expansion_container_identity():
     assert exp.value_at_n == 49 * 1.5 + 7.0 * (-0.7)
 
 
+def test_rate_expansion_refuses_non_integral_blocklength():
+    for n in (2.5, math.nan, True, 0):
+        with pytest.raises(DomainError):
+            second_order_value(2.0, 1.0, 0.2, n)
+        with pytest.raises(DomainError):
+            RateExpansion.assemble(1.5, -0.7, 0.2, n)
+    assert second_order_value(2.0, 1.0, 0.5, 100.0).value_at_n == 200.0
+
+
 def test_moderate_rate_signs():
     assert moderate_rate(1.0, 0.0, 0.1, 1) == pytest.approx(1.0)
     up = moderate_rate(1.0, 2.0, 0.1, 1)

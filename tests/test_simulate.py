@@ -359,12 +359,18 @@ def test_covering_monte_carlo_scaling_sanity():
 
 def test_covering_monte_carlo_deterministic_across_workers():
     rng = np.random.default_rng(74)
-    state = random_cq_state(rng, 3, 2)
-    runs = [
-        simulate_covering(state, 8, "mc", samples=20_000, seed=3, workers=w)
-        for w in (1, 4)
-    ]
-    assert runs[0].value == runs[1].value
+    # (|X|, m, samples, zero last entry in p): types counted per edge;
+    # looked up; per edge over several row blocks, the last chunk partial
+    for alphabet, m, samples, zero_p in [(3, 8, 20_000, False), (5, 4, 3 * 4096, True),
+                                          (2, 2000, 2 * 4096 + 50, False)]:
+        state = random_cq_state(rng, alphabet, 2)
+        if zero_p:
+            state = CQState(np.append(state.p[:-1], 0.0) / state.p[:-1].sum(), state.rhos)
+        runs = [
+            simulate_covering(state, m, "mc", samples=samples, seed=3, workers=w)
+            for w in (1, 2, 4)
+        ]
+        assert runs[0] == runs[1] == runs[2]
 
 
 def _dense_codebook_values(state, m, samples, seed):
@@ -383,7 +389,10 @@ def _dense_codebook_values(state, m, samples, seed):
 
 def test_covering_monte_carlo_matches_dense_codebook_oracle():
     # (|X|, m, d, zero entry in p, samples): m = 1, below and above |X|;
-    # the last case spans three chunks, the third one partial
+    # types looked up (|X| > m/2) and counted per edge (|X| <= m/2, from
+    # (3, 9) on); m = 20000 draws in several row blocks; (40, 3) and
+    # (20, 64) are past the exact type key, (m+1)^|X| > 2^53; the
+    # 3-chunk cases end in a partial chunk
     for alphabet, m, dim, zero_p, samples in [
         (4, 1, 2, False, 64),
         (5, 3, 2, False, 64),
@@ -392,6 +401,11 @@ def test_covering_monte_carlo_matches_dense_codebook_oracle():
         (3, 4, 1, False, 64),
         (1, 5, 2, False, 64),
         (3, 5, 2, False, 2 * 4096 + 100),
+        (6, 12, 2, True, 64),
+        (8, 16, 3, False, 2 * 4096 + 100),
+        (3, 20_000, 2, True, 64),
+        (40, 3, 2, False, 64),
+        (20, 64, 2, True, 64),
     ]:
         state = _oracle_state(80, alphabet, dim, zero_p)
         est = simulate_covering(state, m, "mc", samples=samples, seed=14, workers=2)
@@ -413,6 +427,29 @@ def test_covering_monte_carlo_memory_is_one_count_array_per_chunk():
     # the (4096, 1200) float64 counts take 39 MB and are contracted
     # without a complex copy
     assert peak < 64e6
+
+
+def test_covering_monte_carlo_draw_memory_does_not_grow_with_m():
+    state = random_cq_state(np.random.default_rng(82), 2, 2)
+    tracemalloc.start()
+    try:
+        simulate_covering(state, 2000, "mc", samples=4096, seed=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # all 4096 codebooks' 2000 codewords at once would take 66 MB per array
+    assert peak < 16e6
+
+
+def test_covering_monte_carlo_solves_each_distinct_type_once(monkeypatch):
+    # |X| = 2, m = 3: 4 possible types, so at most 4 operators per chunk
+    state = random_cq_state(np.random.default_rng(83), 2, 3)
+    with counting_half_norm_batches(monkeypatch) as matrices_per_batch:
+        est = simulate_covering(state, 3, "mc", samples=3 * 4096, seed=17)
+    assert len(matrices_per_batch) == 3
+    assert max(matrices_per_batch) <= 4
+    dense = _dense_codebook_values(state, 3, 3 * 4096, seed=17)
+    assert est.value == pytest.approx(np.mean(dense), abs=1e-12)
 
 
 def test_covering_monotone_curve_flagged_not_asserted(corpus):
