@@ -22,7 +22,6 @@ from .cq import (
     iid_type_spectrum,
     joint_embed,
     load_state,
-    regularize,
     state_from_document,
     state_to_document,
 )
@@ -48,10 +47,7 @@ from .entropic import (
 )
 from .errors import DomainError, NumericalError
 from .linalg import (
-    EigenSystem,
     as_hermitian,
-    eig_herm,
-    mat_func,
     pinch,
     positive_part_trace,
     projector_leq,

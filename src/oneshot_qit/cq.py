@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, _check_eps
+from .errors import DomainError
 from .linalg import _PSD_TOL, as_hermitian
 
 _PROB_SUM_TOL = 1e-9
@@ -132,19 +132,6 @@ def joint_embed(state: CQState) -> JointEmbedding:
     )
 
 
-def regularize(state: CQState, eps: float) -> CQState:
-    """Mix every block with the maximally mixed operator.
-
-    Each block becomes (1 - eps) rho^x + eps * I / d, so all block
-    eigenvalues are at least eps / d; ``p`` is unchanged.
-    """
-    _check_eps(eps)
-    d = state.dim_b
-    eye = np.eye(d, dtype=complex)
-    blocks = (1.0 - eps) * state.rhos + (eps / d) * eye
-    return CQState(state.p.copy(), blocks)
-
-
 # ---------------------------------------------------------------------------
 # Hash-family descriptor
 # ---------------------------------------------------------------------------
@@ -181,8 +168,8 @@ class HashFamily:
 def state_from_document(doc: dict) -> CQState:
     """Validate a parsed state-file document into a CQState."""
     try:
-        alphabet = int(doc["alphabet_size"])
-        dim_b = int(doc["dim_b"])
+        alphabet = _whole("alphabet_size", doc["alphabet_size"], 1)
+        dim_b = _whole("dim_b", doc["dim_b"], 1)
         p = np.asarray(doc["p"], dtype=float)
         raw = doc["rhos"]
     except (KeyError, TypeError, ValueError) as exc:

@@ -27,8 +27,6 @@ from .linalg import (
     DEFAULT_CLUSTER_TOL,
     _cluster_labels,
     _eigh_checked,
-    _mat_func_raw,
-    _positive_part_trace_raw,
     _spectral_func,
     _threshold,
     as_hermitian,
@@ -68,7 +66,6 @@ class DivergencePair:
     def of(cls, rho, sigma, normalized: bool = True) -> "DivergencePair":
         rho = as_hermitian(rho)
         sigma = as_hermitian(sigma)
-        cls._check_shapes(rho, sigma)
         for name, op in (("rho", rho), ("sigma", sigma)):
             lam_min = float(np.linalg.eigvalsh(op).min())
             if lam_min < -_PSD_TOL:
@@ -85,15 +82,11 @@ class DivergencePair:
         joint operators of validated ``CQState``s: only the shapes are
         checked (two states may differ in d or |X|) and the commutation
         flag computed."""
-        cls._check_shapes(rho, sigma)
+        if rho.shape != sigma.shape:
+            raise DomainError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
         comm = rho @ sigma - sigma @ rho
         commuting = float(np.max(np.abs(comm))) <= _COMMUTATOR_TOL
         return cls(rho, sigma, commuting)
-
-    @staticmethod
-    def _check_shapes(rho: np.ndarray, sigma: np.ndarray) -> None:
-        if rho.shape != sigma.shape:
-            raise DomainError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
 
 
 def _trace(a: np.ndarray) -> float:
@@ -258,7 +251,7 @@ def _ds_pencil_bracket(
     mass(c) - (eps + 1e-12) in log2 c narrows it (``_itp_log_crossing``).
     ``sigma_eig`` is sigma's eigensystem from ``_check_support``.
     """
-    inv_sqrt = _spectral_func(*sigma_eig, lambda x: x ** -0.5, support_only=True)
+    inv_sqrt = _spectral_func(*sigma_eig, lambda x: x ** -0.5)
     pencil = np.linalg.eigvalsh(inv_sqrt @ rho @ inv_sqrt).ravel()
     pencil = np.unique(pencil[pencil > _threshold(pencil)])
     if pencil.size == 0:
@@ -426,13 +419,13 @@ def dual_test_objective(pair: DivergencePair, eps: float, mu: float) -> float:
     """The concave dual g(mu) = mu (1 - eps) - Tr[(mu rho - sigma)_+].
 
     Its maximum over mu >= 0 is the optimal test mass; every value is a
-    lower bound on it.  ``hypothesis_test_divergence`` evaluates g together
-    with its slope, one eigensolve per point.
+    lower bound on it.  This is the g, from the same eigensolve, that
+    ``hypothesis_test_divergence`` maximizes.
     """
     _check_eps(eps)
     if not mu >= 0.0:
         raise DomainError(f"mu must be non-negative, got {mu}")
-    return mu * (1.0 - eps) - _positive_part_trace_raw(mu * pair.rho - pair.sigma)
+    return _dual_point(pair.rho, pair.sigma, 1.0 - eps, mu)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +439,7 @@ def collision_divergence(pair: DivergencePair) -> float:
     meaningful; requires sigma positive definite on the support of rho.
     """
     sigma_eig = _check_support(pair)
-    quarter = _spectral_func(*sigma_eig, lambda x: x ** -0.25, support_only=True)
+    quarter = _spectral_func(*sigma_eig, lambda x: x ** -0.25)
     w = quarter @ pair.rho @ quarter
     value = _trace(w @ w)
     if value <= 0.0:
@@ -458,8 +451,8 @@ def _log_likelihood(pair: DivergencePair) -> tuple[np.ndarray, np.ndarray]:
     """(rho delta, delta) for the log-likelihood operator delta = log rho -
     log sigma (support-restricted), from one eigensolve of each operator."""
     sigma_eig = _check_support(pair)
-    log_rho = _mat_func_raw(pair.rho, math.log, support_only=True)
-    log_sigma = _spectral_func(*sigma_eig, math.log, support_only=True)
+    log_rho = _spectral_func(*_eigh_checked(pair.rho), math.log)
+    log_sigma = _spectral_func(*sigma_eig, math.log)
     delta = log_rho - log_sigma
     return pair.rho @ delta, delta
 

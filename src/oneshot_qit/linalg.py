@@ -3,10 +3,10 @@
 Operators are plain complex numpy arrays.  The public routines pull their
 inputs through ``as_hermitian``, which symmetrizes and rejects anything
 not finite or not (numerically) Hermitian; the private kernels (leading
-underscore) take arrays that a caller has already validated.
-``as_hermitian`` and ``mat_func`` also take (..., n, n) stacks of
-diagonal blocks.  All functions are pure, hold no state, and are safe to
-call concurrently.
+underscore) take arrays that a caller has already validated.  Only
+``as_hermitian`` takes (..., n, n) stacks of diagonal blocks; the
+single-operator routines refuse them.  All functions are pure, hold no
+state, and are safe to call concurrently.
 
 One threshold rule serves every module: an eigenvalue counts as zero, and
 the gap between two adjacent eigenvalues as none, when it is at most
@@ -18,7 +18,6 @@ checks for PSD operators of unit trace use the absolute ``_PSD_TOL``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -51,6 +50,18 @@ def as_hermitian(entries) -> np.ndarray:
     return (a + a_h) / 2
 
 
+def _as_operators(*entries) -> list[np.ndarray]:
+    """``as_hermitian`` of each entry, all single (n, n) operators of one
+    shape; a stack is refused."""
+    ops = [as_hermitian(a) for a in entries]
+    for a in ops:
+        if a.ndim != 2:
+            raise DomainError(f"expected a single (n, n) operator, got shape {a.shape}")
+    if len({a.shape for a in ops}) > 1:
+        raise DomainError(f"dimension mismatch: {ops[0].shape} vs {ops[-1].shape}")
+    return ops
+
+
 def _threshold(*spectra: np.ndarray) -> float:
     """``DEFAULT_CLUSTER_TOL`` times the largest |eigenvalue| in ``spectra``:
     the zero and equality threshold of every eigenvalue comparison."""
@@ -64,18 +75,6 @@ def _cluster_labels(eigenvalues: np.ndarray) -> np.ndarray:
     steps = np.diff(lam, axis=-1) > _threshold(lam)
     head = np.zeros(lam.shape[:-1] + (1,), dtype=int)
     return np.concatenate([head, np.cumsum(steps, axis=-1)], axis=-1)
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Spectral decomposition of a Hermitian operator.
-
-    ``eigenvalues`` ascend; column ``eigenvectors[:, i]`` belongs to
-    ``eigenvalues[i]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def _eigh_checked(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,67 +98,24 @@ def _eigh_checked(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, v
 
 
-def eig_herm(a) -> EigenSystem:
-    """Eigendecompose a Hermitian operator (ascending eigenvalues)."""
-    return EigenSystem(*_eigh_checked(as_hermitian(a)))
-
-
-def mat_func(a, f: Callable[[float], float], support_only: bool = False) -> np.ndarray:
-    """Apply a scalar function to a Hermitian operator through its spectrum.
-
-    With ``support_only`` the function acts on eigenvalues above the
-    relative support threshold and the kernel maps to 0 (Moore-Penrose
-    style); use it for inverses, logarithms, and negative powers of
-    positive semi-definite operators.  A (..., n, n) stack is mapped block
-    by block, with the support threshold relative to the whole stack.
-    """
-    return as_hermitian(_mat_func_raw(as_hermitian(a), f, support_only))
-
-
-def _mat_func_raw(
-    a: np.ndarray, f: Callable[[float], float], support_only: bool = False
-) -> np.ndarray:
-    """``mat_func`` of a trusted Hermitian array, without re-validation or
-    output symmetrization; the residual and finiteness checks still run."""
-    return _spectral_func(*_eigh_checked(a), f, support_only)
-
-
 def _spectral_func(
-    lam: np.ndarray,
-    v: np.ndarray,
-    f: Callable[[float], float],
-    support_only: bool = False,
+    lam: np.ndarray, v: np.ndarray, f: Callable[[float], float]
 ) -> np.ndarray:
-    """``_mat_func_raw`` from an eigensystem (lam, v) that ``_eigh_checked``
-    already computed, so a caller that needs it twice solves once."""
+    """f of the operator whose eigensystem (lam, v) ``_eigh_checked``
+    computed, restricted to its support: f acts on the eigenvalues above
+    ``_threshold(lam)`` and the kernel maps to 0 (Moore-Penrose style), so
+    inverses, logarithms and negative powers of PSD operators are defined.
+    A (..., n, n) stack is mapped block by block, with the threshold
+    relative to the whole stack."""
     out = np.zeros(lam.shape, dtype=float)
-    if support_only:
-        mask = lam > _threshold(lam)
-    else:
-        mask = np.ones(lam.shape, dtype=bool)
-    try:
-        with np.errstate(all="ignore"):
-            out[mask] = [float(f(x)) for x in lam[mask]]
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise DomainError(
-            f"function undefined on a retained eigenvalue ({exc}); "
-            "pass support_only to restrict to the support"
-        ) from exc
-    if not np.all(np.isfinite(out)):
-        raise DomainError(
-            "function undefined on a retained eigenvalue; "
-            "pass support_only to restrict to the support"
-        )
+    mask = lam > _threshold(lam)
+    out[mask] = [float(f(x)) for x in lam[mask]]
     return (v * out[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def positive_part_trace(a) -> float:
     """Sum of the strictly positive eigenvalues."""
-    return _positive_part_trace_raw(as_hermitian(a))
-
-
-def _positive_part_trace_raw(a: np.ndarray) -> float:
-    lam = np.linalg.eigvalsh(a)
+    lam = np.linalg.eigvalsh(as_hermitian(a))
     return float(np.sum(lam[lam > 0]))
 
 
@@ -174,10 +130,7 @@ def pinch(h, l) -> np.ndarray:
 
     The result commutes with ``h`` and has the same trace as ``l``.
     """
-    h = as_hermitian(h)
-    l = as_hermitian(l)
-    if h.shape != l.shape:
-        raise DomainError(f"dimension mismatch: {h.shape} vs {l.shape}")
+    h, l = _as_operators(h, l)
     lam, v = _eigh_checked(h)
     labels = _cluster_labels(lam)
     m = v.conj().T @ l @ v
@@ -187,7 +140,8 @@ def pinch(h, l) -> np.ndarray:
 
 def spec_count(h) -> int:
     """Number of distinct eigenvalue clusters."""
-    lam, _ = _eigh_checked(as_hermitian(h))
+    [h] = _as_operators(h)
+    lam, _ = _eigh_checked(h)
     return int(_cluster_labels(lam)[-1]) + 1
 
 
@@ -197,20 +151,17 @@ def quotient(k, l) -> np.ndarray:
     ``l`` must be positive definite; a singular denominator is rejected
     with a hint to regularize (mix with a multiple of the identity).
     """
-    k = as_hermitian(k)
-    l = as_hermitian(l)
-    if k.shape != l.shape:
-        raise DomainError(f"dimension mismatch: {k.shape} vs {l.shape}")
+    k, l = _as_operators(k, l)
     k_lam = np.linalg.eigvalsh(k)
     if k_lam[0] < -max(_PSD_TOL, _threshold(k_lam)):
         raise DomainError(f"numerator not PSD: min eigenvalue {k_lam[0]:.3e}")
-    l_lam = np.linalg.eigvalsh(l)
+    l_lam, l_v = _eigh_checked(l)
     if l_lam[0] <= _threshold(l_lam):
         raise DomainError(
             f"denominator is singular (min eigenvalue {l_lam[0]:.3e}); "
             "regularize it, e.g. mix with eps * identity, before dividing"
         )
-    inv_sqrt = _mat_func_raw(l, lambda x: x ** -0.5)
+    inv_sqrt = _spectral_func(l_lam, l_v, lambda x: x ** -0.5)
     return as_hermitian(inv_sqrt @ k @ inv_sqrt)
 
 
@@ -220,7 +171,8 @@ def projector_leq(a, b) -> np.ndarray:
     Non-strict convention: eigenvectors of b - a with eigenvalue at or
     above minus the threshold are retained; the complement realizes {a > b}.
     """
-    lam, v = _eigh_checked(as_hermitian(b) - as_hermitian(a))
+    a, b = _as_operators(a, b)
+    lam, v = _eigh_checked(b - a)
     cols = v[:, lam >= -_threshold(lam)]
     return cols @ cols.conj().T
 

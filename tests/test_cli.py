@@ -143,6 +143,21 @@ def test_bounds_domain_error_exit_code(capsys, antipodal_file):
     assert captured.out == ""
 
 
+def test_state_file_with_non_integral_sizes_exit_code(capsys, tmp_path):
+    path = tmp_path / "sizes.json"
+    path.write_text(json.dumps({
+        "alphabet_size": True, "dim_b": 1.9, "p": [1.0], "rhos": [[[[1.0, 0.0]]]],
+    }))
+    code = run([
+        "simulate", "--task", "pa", "--state", str(path),
+        "--size", "1", "--method", "exact",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "alphabet_size=True is not an integer" in captured.err
+    assert captured.out == ""
+
+
 def test_bounds_success(capsys, antipodal_file):
     payload, _ = run_json(capsys, [
         "bounds", "--task", "covering", "--state", antipodal_file,

@@ -16,7 +16,6 @@ from oneshot_qit import (
     iid_type_spectrum,
     joint_embed,
     load_state,
-    regularize,
     state_from_document,
     state_to_document,
 )
@@ -109,37 +108,6 @@ def test_joint_embed_partial_trace_consistency():
     assert np.max(np.abs(emb.rho_b - direct)) <= 1e-12
 
 
-def test_regularize_closed_form_and_trace():
-    state = CQState(p=[1.0], rhos=[[[1.0, 0.0], [0.0, 0.0]]])
-    out = regularize(state, 0.1)
-    lam = np.linalg.eigvalsh(out.rhos[0])
-    assert np.allclose(sorted(lam), [0.05, 0.95])
-    rng = np.random.default_rng(22)
-    state = random_cq_state(rng, 3, 3)
-    out = regularize(state, 0.2)
-    for x in range(3):
-        assert np.trace(out.rhos[x]).real == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.eigvalsh(out.rhos[x])[0] >= 0.2 / 3 - 1e-12
-    with pytest.raises(DomainError):
-        regularize(state, 1.5)
-
-
-def test_regularize_twice_floor():
-    state = binary_antipodal()
-    out = regularize(regularize(state, 0.3), 0.1)
-    for x in range(2):
-        assert np.linalg.eigvalsh(out.rhos[x])[0] >= 0.1 / 2 - 1e-12
-
-
-def test_regularize_small_eps_close_in_trace_norm():
-    state = binary_antipodal()
-    eps = 1e-4
-    out = regularize(state, eps)
-    for x in range(2):
-        diff = np.linalg.eigvalsh(out.rhos[x] - state.rhos[x])
-        assert np.sum(np.abs(diff)) <= 2 * eps
-
-
 # ---------------------------------------------------------------------------
 # State files
 # ---------------------------------------------------------------------------
@@ -166,6 +134,17 @@ def test_state_document_validation():
     del bad["rhos"]
     with pytest.raises(DomainError, match="malformed"):
         state_from_document(bad)
+
+
+@pytest.mark.parametrize("field", ["alphabet_size", "dim_b"])
+@pytest.mark.parametrize("value", [True, 1.5, 1.9, "2"])
+def test_state_document_refuses_non_integral_sizes(field, value):
+    # int() would read True, 1.5 and 1.9 as a valid 1x1 state
+    doc = {"alphabet_size": 1, "dim_b": 1, "p": [1.0], "rhos": [[[[1.0, 0.0]]]]}
+    state_from_document(doc)
+    doc[field] = value
+    with pytest.raises(DomainError, match=f"{field}=.* is not an integer"):
+        state_from_document(doc)
 
 
 def test_state_file_bad_json(tmp_path):

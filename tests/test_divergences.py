@@ -24,7 +24,7 @@ from oneshot_qit import (
     spec_count,
 )
 from oneshot_qit.divergences import _ds_event_masses, dual_test_objective
-from oneshot_qit.linalg import _mat_func_raw, projector_leq
+from oneshot_qit.linalg import _eigh_checked, _spectral_func, projector_leq
 
 from conftest import (
     block_diagonal,
@@ -518,10 +518,10 @@ def test_divergence_kernels_solve_each_operator_once(corpus, monkeypatch):
         for reference in (emb.rho_x_tensor_rho_b, emb.one_x_tensor_rho_b):
             pair = DivergencePair.of(emb.rho_xb, reference)
             rho, sigma = pair.rho, pair.sigma
-            quarter = _mat_func_raw(sigma, lambda x: x ** -0.25, support_only=True)
+            quarter = _spectral_func(*_eigh_checked(sigma), lambda x: x ** -0.25)
             w = quarter @ rho @ quarter
-            delta = (_mat_func_raw(rho, math.log, support_only=True)
-                     - _mat_func_raw(sigma, math.log, support_only=True))
+            delta = (_spectral_func(*_eigh_checked(rho), math.log)
+                     - _spectral_func(*_eigh_checked(sigma), math.log))
             mean, second = _trace(rho @ delta), _trace(rho @ delta @ delta)
             for fn, solves, want in (
                 (collision_divergence, 1, math.log2(_trace(w @ w))),
@@ -532,6 +532,11 @@ def test_divergence_kernels_solve_each_operator_once(corpus, monkeypatch):
                 with counting_eigensolves(monkeypatch) as calls:
                     assert fn(pair) == want, fn.__name__
                 assert len(calls) == solves, fn.__name__
+
+
+def test_pair_refuses_operators_of_different_shape():
+    with pytest.raises(DomainError, match="dimension mismatch"):
+        DivergencePair.of(np.eye(2) / 2, np.eye(3) / 3)
 
 
 def test_support_violation_rejected():

@@ -9,8 +9,6 @@ from oneshot_qit import (
     DomainError,
     NumericalError,
     as_hermitian,
-    eig_herm,
-    mat_func,
     pinch,
     positive_part_trace,
     projector_leq,
@@ -26,9 +24,20 @@ from oneshot_qit.divergences import (
     info_spectrum_divergence,
     info_spectrum_divergence_bracket,
 )
-from oneshot_qit.linalg import DEFAULT_CLUSTER_TOL
+from oneshot_qit.linalg import DEFAULT_CLUSTER_TOL, _eigh_checked, _spectral_func
 
-from conftest import random_density, random_hermitian, random_psd, random_projector
+from conftest import (
+    counting_eigensolves,
+    random_density,
+    random_hermitian,
+    random_psd,
+    random_projector,
+)
+
+
+def spectral_func(a, f):
+    """f of a Hermitian operator on its support, through the library kernel."""
+    return _spectral_func(*_eigh_checked(as_hermitian(a)), f)
 
 
 def test_as_hermitian_symmetrizes_and_rejects():
@@ -47,21 +56,20 @@ def test_as_hermitian_symmetrizes_and_rejects():
 
 
 def test_eig_identity_and_pauli_x():
-    system = eig_herm(np.eye(3))
-    assert np.allclose(system.eigenvalues, [1.0, 1.0, 1.0])
-    system = eig_herm(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(system.eigenvalues, [-1.0, 1.0])
+    lam, _ = _eigh_checked(as_hermitian(np.eye(3)))
+    assert np.allclose(lam, [1.0, 1.0, 1.0])
+    lam, _ = _eigh_checked(as_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    assert np.allclose(lam, [-1.0, 1.0])
 
 
 def test_eig_reconstruction_residual():
     rng = np.random.default_rng(1)
     a = random_hermitian(rng, 6)
-    system = eig_herm(a)
-    v = system.eigenvectors
-    reconstructed = (v * system.eigenvalues) @ v.conj().T
+    lam, v = _eigh_checked(as_hermitian(a))
+    reconstructed = (v * lam) @ v.conj().T
     assert np.max(np.abs(reconstructed - as_hermitian(a))) <= 1e-10
     assert np.max(np.abs(v.conj().T @ v - np.eye(6))) <= 1e-10
-    assert np.all(np.diff(system.eigenvalues) >= 0)
+    assert np.all(np.diff(lam) >= 0)
 
 
 def test_reconstruction_residual_check_fires(monkeypatch):
@@ -79,36 +87,35 @@ def test_reconstruction_residual_check_fires(monkeypatch):
             v = v + 1e-6
         return lam, v
 
-    # a single matrix through eig_herm
+    a = as_hermitian(a)
+    # a single matrix
     monkeypatch.setattr(np.linalg, "eigh", lambda s: perturbed_eigh(s, 2))
     with pytest.raises(NumericalError, match="residual"):
-        eig_herm(a)
+        _eigh_checked(a)
     # only the stacked D_s scan sees perturbed eigenvectors
     monkeypatch.setattr(np.linalg, "eigh", lambda s: perturbed_eigh(s, 3))
-    eig_herm(a)
+    _eigh_checked(a)
     with pytest.raises(NumericalError, match="residual"):
         info_spectrum_divergence_bracket(pair, 0.3)
 
 
 def test_mat_func_diagonal_and_identity():
-    assert np.allclose(mat_func(np.diag([1.0, 4.0]), math.sqrt), np.diag([1.0, 2.0]))
+    assert np.allclose(spectral_func(np.diag([1.0, 4.0]), math.sqrt), np.diag([1.0, 2.0]))
     rng = np.random.default_rng(2)
     rho = random_density(rng, 4)
-    assert np.max(np.abs(mat_func(rho, lambda x: x) - rho)) <= 1e-12
+    assert np.max(np.abs(spectral_func(rho, lambda x: x) - rho)) <= 1e-12
 
 
 def test_mat_func_support_restricted_inverse():
-    out = mat_func(np.diag([2.0, 0.0]), lambda x: 1.0 / x, support_only=True)
+    out = spectral_func(np.diag([2.0, 0.0]), lambda x: 1.0 / x)
     assert np.allclose(out, np.diag([0.5, 0.0]))
-    with pytest.raises(DomainError):
-        mat_func(np.diag([2.0, 0.0]), lambda x: 1.0 / x)
 
 
 def test_mat_func_idempotent_on_projectors():
     rng = np.random.default_rng(3)
     for _ in range(10):
         proj = random_projector(rng, 5)
-        out = mat_func(proj, lambda x: x * x)
+        out = spectral_func(proj, lambda x: x * x)
         assert np.max(np.abs(out - proj)) <= 1e-12
 
 
@@ -202,6 +209,38 @@ def test_quotient_identity_denominator_and_singular():
         quotient(a, np.diag([1.0, 1.0, 0.0]))
 
 
+def test_quotient_solves_each_operator_once(monkeypatch):
+    # one eigvalsh of the numerator; one eigh of the denominator both
+    # decides that it is definite and gives its inverse square root
+    rng = np.random.default_rng(14)
+    a = random_psd(rng, 3)
+    c = random_psd(rng, 3) + 0.1 * np.eye(3)
+    with counting_eigensolves(monkeypatch) as calls:
+        quotient(a, c)
+    assert calls == [1, 1]
+
+
+@pytest.mark.parametrize("fn", [
+    spec_count,
+    lambda s: quotient(s, s),
+    lambda s: pinch(s, s),
+    lambda s: projector_leq(s, s),
+], ids=["spec_count", "quotient", "pinch", "projector_leq"])
+def test_single_operator_routines_refuse_stacks(fn):
+    stack = np.stack([np.eye(2), np.diag([1.0, 2.0])])
+    with pytest.raises(DomainError, match="single"):
+        fn(stack)
+
+
+@pytest.mark.parametrize("fn", [quotient, pinch, projector_leq])
+@pytest.mark.parametrize("small", [np.eye(1), np.eye(3)])
+def test_operator_pairs_refuse_different_shapes(fn, small):
+    # a (1, 1) operator would broadcast against a (2, 2) one
+    for a, b in ((small, np.eye(2)), (np.eye(2), small)):
+        with pytest.raises(DomainError, match="dimension mismatch"):
+            fn(a, b)
+
+
 def test_quotient_properties():
     rng = np.random.default_rng(12)
     for _ in range(25):
@@ -265,7 +304,7 @@ def test_threshold_rule_is_shared_at_its_boundary(scale):
         assert np.trace(leq).real == pytest.approx(1.0 if kept else 2.0)
 
         sigma = np.diag([scale, small])
-        inverse = mat_func(sigma, lambda x: 1.0 / x, support_only=True)
+        inverse = spectral_func(sigma, lambda x: 1.0 / x)
         assert inverse[1, 1].real == pytest.approx(1.0 / small if kept else 0.0)
         pair = DivergencePair.of(rho, sigma)
         if kept:
