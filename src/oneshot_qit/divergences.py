@@ -38,14 +38,10 @@ _COMMUTATOR_TOL = 1e-10
 _SUPPORT_TOL = 1e-8
 _DUAL_FLOOR = 64 * np.finfo(float).eps
 _DS_WIDTH_BITS = 1e-12
-# The event predicate counts eigenvalues of c sigma - rho down to
-# -_DS_EVENT_TOL times their radius, which puts a crossing inside a jump
-# of the mass about 1e-9 to 2e-7 bits below the pencil eigenvalue; the
-# root-find's first probe sits just outside that range, at the power of
-# two below 1000 times the tolerance (2^-20 bits).  A change to the
-# predicate's tolerance moves the probe with it.
+# {rho <= c sigma} keeps the eigenvalues of rho / c - sigma up to _DS_EVENT_TOL
+# times their radius: a jump's crossing lies 1e-9 to 2e-7 bits below its pencil.
 _DS_EVENT_TOL = DEFAULT_CLUSTER_TOL
-_DS_JUMP_PROBE_BITS = 2.0 ** math.floor(math.log2(1000.0 * _DS_EVENT_TOL))
+_DS_STRADDLE_BITS = 0.45 * _DS_WIDTH_BITS
 
 
 @dataclass(frozen=True)
@@ -94,11 +90,6 @@ def _trace(a: np.ndarray) -> float:
     return float(np.trace(a, axis1=-2, axis2=-1).real.sum())
 
 
-def _weights(rho: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Re(v_i^dagger rho v_i) for every eigenvector column i of v."""
-    return np.sum(v.conj() * (rho @ v), axis=-2).real
-
-
 def _check_support(pair: DivergencePair) -> tuple[np.ndarray, np.ndarray]:
     """Require the support of rho to sit inside the support of sigma.
 
@@ -107,13 +98,52 @@ def _check_support(pair: DivergencePair) -> tuple[np.ndarray, np.ndarray]:
     """
     lam, v = _eigh_checked(pair.sigma)
     kernel = lam <= _threshold(lam)
-    leak = float(np.sum(_weights(pair.rho, v)[kernel]))
+    weights = np.sum(v.conj() * (pair.rho @ v), axis=-2).real
+    leak = float(np.sum(weights[kernel]))
     if leak > _SUPPORT_TOL:
         raise DomainError(
             f"support violation: rho carries mass {leak:.3e} outside the "
             "support of sigma"
         )
     return lam, v
+
+
+def _dual_point(
+    rho: np.ndarray, sigma: np.ndarray, target: float, mu: float, split_tol: float = 0.0
+) -> tuple[float, float, float, float, float, float]:
+    """(g, slope, curvature, crossing, slope across, curvature across) at mu.
+
+    From one eigensolve mu rho - sigma = V diag(lam) V^dagger, with r =
+    V^dagger rho V and P the eigenvalues above the split (``split_tol``
+    times their radius): g = mu target - sum_P lam_i, its slope target -
+    sum_P r_ii (Hellmann-Feynman; at a kink, either side is a
+    supergradient) and, while P holds, its curvature -2 sum_{i in P, j not
+    in P} |r_ij|^2 / (lam_i - lam_j), minus the sum over P of lam_i''.
+    For lam_k, the eigenvalue nearest the split, the estimate mu - (lam_k -
+    split) / r_kk of where it crosses, and the slope and curvature with
+    lam_k across the split, which moves the curvature by lam_k'' = 2
+    sum_{j != k} |r_kj|^2 / (lam_k - lam_j).
+    """
+    lam, v = _eigh_checked(mu * rho - sigma)
+    d = lam.shape[-1]
+    r = (v.conj().swapaxes(-1, -2) @ rho @ v).reshape(-1, d, d)
+    lam = lam.reshape(-1, d)
+    w = np.diagonal(r, axis1=-2, axis2=-1).real
+    bends = (r * r.conj()).real
+    split = split_tol * float(np.abs(lam).max()) if split_tol else 0.0
+    above = lam > split
+    cross = above[:, :, None] & ~above[:, None, :]
+    gap = np.where(cross, lam[:, :, None] - lam[:, None, :], np.inf)
+    slope = target - float(w.ravel() @ above.ravel())
+    curvature = -2.0 * float((bends / gap).sum())
+    x, k = divmod(int(np.abs(lam - split).argmin()), d)
+    w_k, gap_k = float(w[x, k]), lam[x, k] - lam[x]
+    gap_k[gap_k == 0.0] = np.inf
+    bend_k = 2.0 * float((bends[x, k] / gap_k).sum())
+    sign = -1.0 if above[x, k] else 1.0
+    root = mu - (float(lam[x, k]) - split) / w_k if w_k > 0.0 else -math.inf
+    return (mu * target - float(lam.ravel() @ above.ravel()), slope, curvature, root,
+            slope - sign * w_k, curvature - sign * bend_k)
 
 
 # ---------------------------------------------------------------------------
@@ -169,72 +199,57 @@ def _ds_exact_bits(rho: np.ndarray, sigma: np.ndarray, eps: float) -> float:
     return math.inf  # event mass never exceeds eps (unreachable for densities)
 
 
-def _ds_event_masses(rho: np.ndarray, sigma: np.ndarray, cs: np.ndarray) -> np.ndarray:
-    """Tr[rho {rho <= c sigma}] for every threshold c, in one stacked eigensolve.
+def _ds_narrow(point, a: float, b: float, p_b: tuple) -> tuple[float, float]:
+    """Narrow log2 thresholds a < b, a feasible and b infeasible, to the
+    last feasible and infeasible points at most ``_DS_WIDTH_BITS`` apart;
+    ``point(c)`` is ``_dual_point`` at mu = 1/c, its slope the excess mass.
 
-    Same non-strict convention as ``projector_leq``: eigenvectors of
-    c sigma - rho with eigenvalue >= -_DS_EVENT_TOL * radius count.
-    """
-    lam, v = _eigh_checked(np.multiply.outer(cs, sigma) - rho)
-    lam = lam.reshape(cs.size, -1)
-    weights = _weights(rho, v).reshape(cs.size, -1)
-    atol = _DS_EVENT_TOL * np.max(np.abs(lam), axis=-1, keepdims=True)
-    return np.sum(weights, axis=-1, where=lam >= -atol)
-
-
-def _itp_log_crossing(excess, c_lo: float, y_lo: float, c_hi: float, y_hi: float
-                      ) -> tuple[float, float]:
-    """Narrow c_lo < c_hi, with excess(c_lo) = y_lo <= 0 < y_hi =
-    excess(c_hi), to log2 ends at most ``_DS_WIDTH_BITS`` apart.
-
-    ITP root-finding (Oliveira and Takahashi, ACM TOMS 47, 2021) on
-    t = log2 c, with kappa1 = 0.2 / (initial width), kappa2 = 2 and
-    n0 = 1.  Each step takes an estimate of the crossing, projects it
-    into the ball around the midpoint that keeps the remaining steps
-    within ceil(log2(width / tol)) + 1, the count of log-space bisection
-    plus one, and keeps it tol/4 inside the bracket.  Rounding in t can
-    leave the last width a hair above tol, which costs one step more.
-
-    The first estimate is ``_DS_JUMP_PROBE_BITS`` below the upper end, a
-    pencil eigenvalue: where eps falls inside a jump of the mass, the
-    event predicate's tolerance puts the crossing just below that pencil
-    eigenvalue, and the first step shrinks the bracket to 2^-20 bits.
-    Later estimates interpolate between the ends (regula falsi, truncated
-    towards the midpoint by kappa1 w^2), with the end excesses as
-    weights, halved Illinois-style whenever the same end is kept twice in
-    a row; a smooth crossing converges superlinearly.
-    Returns (lower, upper), log2 of the last feasible and infeasible
-    thresholds evaluated.
+    The estimate from the last point x, ``p_b`` at b first, is a Newton
+    step in t = log2 c on the smooth excess, unless x's nearest jump lies
+    between x and that step: then the jump (a Newton step on lam_k -
+    split) if the excess changes sign across it, else a Newton step on the
+    branch across it.  The next point is aimed past the estimate, towards
+    the nearer end, by at least ``_DS_STRADDLE_BITS`` and twice the error
+    that the change of the derivative since the last point on the branch
+    predicts (a hundredth of the step without one): a converged estimate
+    ends with two points, neither on a predicted jump.  Points are
+    projected into the ITP ball (Oliveira and Takahashi, ACM TOMS 47,
+    2021) around the midpoint, at most bisection's count plus one steps
+    (two when rounding in t leaves the last width a hair above tol), and
+    kept tol/4 inside the bracket.
     """
     tol = _DS_WIDTH_BITS
-    a, b = math.log2(c_lo), math.log2(c_hi)
-    w_a, w_b = y_lo, y_hi
-    kappa1 = 0.2 / (b - a)
     steps_left = max(math.ceil(math.log2((b - a) / tol)), 0) + 1
-    kept = None
-    x = max(b - _DS_JUMP_PROBE_BITS, 0.5 * (a + b))
+    x, (_, slope, curvature, root, slope_across, curvature_across) = b, p_b
+    prev = None  # (t, d excess / dt) of the previous point on the branch
     while b - a > tol:
+        feasible = slope <= 0.0
+        jump = -math.log2(root) if root > 0.0 else math.inf
+        rate = -curvature * 2.0 ** -x * LN2
+        est = x - slope / rate if rate > 0.0 else math.nan
+        if (x < jump) == feasible and not min(x, jump) < est < max(x, jump):
+            if (slope_across > 0.0) == feasible:
+                est, rate = jump, None
+            else:
+                rate, prev = -curvature_across * 2.0 ** -x * LN2, None
+                est = x - slope_across / rate if rate > 0.0 else math.nan
+        offset = _DS_STRADDLE_BITS
+        if not a < est < b:
+            est = b if feasible else a
+        elif rate is not None:
+            # twice the Newton step's error |s''/2s'| (est - x)^2, s = excess
+            error = (0.01 * abs(est - x) if prev is None else
+                     abs((rate - prev[1]) / (x - prev[0]) / rate) * (est - x) ** 2)
+            offset, prev = max(offset, error), (x, rate)
         width, mid = b - a, 0.5 * (a + b)
-        if x is None:
-            falsi = a - w_a * width / (w_b - w_a)
-            shift = math.copysign(kappa1 * width * width, mid - falsi)
-            x = mid if abs(shift) > abs(mid - falsi) else falsi + shift
+        x = est + offset if est - a < b - est else est - offset
         radius = tol * 2.0 ** (steps_left - 1) - 0.5 * width
         x = mid + min(max(x - mid, -radius), radius)
         c = 2.0 ** min(max(x, a + 0.25 * tol), b - 0.25 * tol)
-        y = excess(c)
-        if y <= 0.0:
-            a, w_a = math.log2(c), y
-            if kept == "b":
-                w_b *= 0.5
-            kept = "b"
-        else:
-            b, w_b = math.log2(c), y
-            if kept == "a":
-                w_a *= 0.5
-            kept = "a"
+        x = math.log2(c)
+        _, slope, curvature, root, slope_across, curvature_across = point(c)
+        a, b = (x, b) if slope <= 0.0 else (a, x)
         steps_left -= 1
-        x = None
     return a, b
 
 
@@ -246,9 +261,10 @@ def _ds_pencil_bracket(
 
     The event mass is 1 - f'_-(1/c) for the convex f(mu) = Tr[(mu rho -
     sigma)_+], so it is non-decreasing in c and can jump only at a pencil
-    eigenvalue: bisection over the sorted pencil eigenvalues finds the
-    adjacent feasible/infeasible pair, and an ITP root-find on the excess
-    mass(c) - (eps + 1e-12) in log2 c narrows it (``_itp_log_crossing``).
+    eigenvalue.  A threshold c is one ``_dual_point`` at mu = 1/c, split at
+    ``_DS_EVENT_TOL``, whose slope is the excess mass(c) - (eps + 1e-12):
+    bisection over the sorted pencil eigenvalues finds the adjacent
+    feasible/infeasible pair, and ``_ds_narrow`` narrows it.
     ``sigma_eig`` is sigma's eigensystem from ``_check_support``.
     """
     inv_sqrt = _spectral_func(*sigma_eig, lambda x: x ** -0.5)
@@ -256,29 +272,28 @@ def _ds_pencil_bracket(
     pencil = np.unique(pencil[pencil > _threshold(pencil)])
     if pencil.size == 0:
         return -math.inf, -math.inf, -math.inf
+    target = _trace(rho) - (eps + 1e-12)
 
-    def excess(c: float) -> float:
-        return _ds_event_masses(rho, sigma, np.array([c]))[0] - (eps + 1e-12)
+    def point(c: float) -> tuple:
+        return _dual_point(rho, sigma, target, 1.0 / c, _DS_EVENT_TOL)
 
     candidates = np.concatenate([[pencil[0] * 0.5], pencil, [pencil[-1] * 2.0]])
     lo, hi = 0, candidates.size - 1
-    y_lo = excess(candidates[lo])
-    if y_lo > 0.0:
+    if point(candidates[lo])[1] > 0.0:
         return -math.inf, -math.inf, -math.inf
-    y_hi = excess(candidates[hi])
-    if y_hi <= 0.0:
-        # no infeasible threshold above the pencil; report saturation
-        c_lo = float(candidates[hi])
-        return math.log2(c_lo), math.log2(c_lo), math.inf
+    p_hi = point(candidates[hi])
+    if p_hi[1] <= 0.0:
+        top = math.log2(candidates[hi])  # no infeasible threshold: saturation
+        return top, top, math.inf
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        y = excess(candidates[mid])
-        if y <= 0.0:
-            lo, y_lo = mid, y
+        p_mid = point(candidates[mid])
+        if p_mid[1] <= 0.0:
+            lo = mid
         else:
-            hi, y_hi = mid, y
-    lower, upper = _itp_log_crossing(
-        excess, float(candidates[lo]), float(y_lo), float(candidates[hi]), float(y_hi))
+            hi, p_hi = mid, p_mid
+    lower, upper = _ds_narrow(point, math.log2(candidates[lo]),
+                              math.log2(candidates[hi]), p_hi)
     return upper, lower, upper
 
 
@@ -291,9 +306,10 @@ def info_spectrum_divergence_bracket(
     of the event {rho <= 2^c sigma} under rho still stays at or below
     eps; the supremum itself is a left limit and is not attained.  For
     non-commuting pairs the mass, non-decreasing in the threshold, is
-    bisected over the sorted pencil eigenvalues, and an ITP root-find in
-    log space narrows the crossing to a bracket of width at most 1e-12
-    bits, in at most two evaluations more than log-space bisection.
+    bisected over the sorted pencil eigenvalues, and Newton steps on the
+    mass or on the eigenvalue that makes its jump narrow the crossing to
+    a bracket of width at most 1e-12 bits, in at most two evaluations
+    more than log-space bisection.
     """
     _check_eps(eps)
     sigma_eig = _check_support(pair)
@@ -308,9 +324,8 @@ def info_spectrum_divergence(pair: DivergencePair, eps: float) -> float:
 
     Exact for commuting pairs (sorted eigenvalue ratios).  For
     non-commuting pairs a bisection over the pencil eigenvalues, refined
-    by an ITP root-find in log space, locates the threshold; the
-    certified bracket is available from
-    :func:`info_spectrum_divergence_bracket`.
+    by safeguarded Newton steps in log space, locates the threshold; the
+    certified bracket is :func:`info_spectrum_divergence_bracket`.
     """
     return info_spectrum_divergence_bracket(pair, eps)[0]
 
@@ -319,40 +334,24 @@ def info_spectrum_divergence(pair: DivergencePair, eps: float) -> float:
 # Hypothesis-testing divergence
 # ---------------------------------------------------------------------------
 
-def _dual_point(
-    rho: np.ndarray, sigma: np.ndarray, target: float, mu: float
-) -> tuple[float, float]:
-    """g(mu) and a supergradient of g at mu, from one eigensolve.
-
-    With mu rho - sigma = sum_i lam_i v_i v_i^dagger, the slope is
-    target - sum_{lam_i > 0} v_i^dagger rho v_i (Hellmann-Feynman); at a
-    kink the zero eigenvectors may fall on either side, and either choice
-    is a supergradient.
-    """
-    lam, v = _eigh_checked(mu * rho - sigma)
-    positive = lam > 0
-    value = mu * target - float(np.sum(lam[positive]))
-    slope = target - float(np.sum(_weights(rho, v)[positive]))
-    return value, slope
-
-
 def _optimal_test_mass(rho: np.ndarray, sigma: np.ndarray, eps: float) -> float:
     """min Tr[sigma T] over tests 0 <= T <= 1 with Tr[rho T] >= 1 - eps.
 
     Evaluated through the concave one-dimensional dual
     g(mu) = mu (1 - eps) - Tr[(mu rho - sigma)_+], whose maximum equals
-    the primal optimum (randomized tests included).  Each eigensolve gives
-    g and a supergradient (``_dual_point``).  The maximum lies between a
-    point a of positive slope (first mu = 0, where g = 0 and 1 - eps is a
+    the primal optimum (randomized tests included), from one
+    ``_dual_point`` per step.  The maximum lies between a point a of
+    positive slope (first mu = 0, where g = 0 and 1 - eps is a
     supergradient) and a point b of non-positive slope, found by doubling
-    from mu = 1.  Steps alternate between the meeting point of the
-    tangents at a and b, which lands on the kink of a piecewise-linear g,
-    and a secant step on the slope, superlinear where g is smooth; a step
-    that leaves (a, b) is replaced by bisection.  By concavity the two
-    tangents meet above the maximum, so the search stops once that upper
-    bound exceeds the best value seen by at most a relative 1e-12, or
-    once b - a <= 1e-13 b, and returns the best value seen.  A dozen or
-    so eigensolves is typical.
+    from mu = 1.  Each step is a Newton step on the slope from the last
+    point, unless the nearest crossing lies between the point and that
+    step: then a point a hair past the crossing if the slope changes sign
+    there (a kink), else a Newton step on the branch across it.  A step
+    that leaves (a, b) takes the meeting point of the tangents at a and b,
+    failing that bisection.  By concavity the tangents meet above the
+    maximum, so the search stops once that upper bound exceeds the best
+    value seen by at most a relative 1e-12, or once b - a <= 1e-13 b, and
+    returns the best value seen; about seven eigensolves is typical.
 
     g is only known to rounding, about eps_mach·‖mu rho − sigma‖₁ <=
     eps_mach·(Tr sigma + mu Tr rho).  Once the tangents meet at or below
@@ -363,40 +362,40 @@ def _optimal_test_mass(rho: np.ndarray, sigma: np.ndarray, eps: float) -> float:
     target = 1.0 - eps
     tr_rho, tr_sigma = _trace(rho), _trace(sigma)
     a, g_a, s_a = 0.0, 0.0, target
-    b = 1.0
-    g_b, s_b = _dual_point(rho, sigma, target, b)
-    doublings = 0
-    while s_b > 0.0:
-        a, g_a, s_a = b, g_b, s_b
-        b *= 2.0
-        doublings += 1
-        if doublings > 60:
-            raise NumericalError(
-                "dual bracket failed to enclose a maximum after 60 doublings"
-            )
-        g_b, s_b = _dual_point(rho, sigma, target, b)
+    mu = 1.0
+    point = _dual_point(rho, sigma, target, mu)
+    while point[1] > 0.0 and mu < 2.0 ** 60:
+        a, g_a, s_a = mu, point[0], point[1]
+        mu *= 2.0
+        point = _dual_point(rho, sigma, target, mu)
+    if point[1] > 0.0:
+        raise NumericalError(
+            "dual bracket failed to enclose a maximum after 60 doublings")
+    b, g_b, s_b = mu, point[0], point[1]
     best = max(g_a, g_b)
-    prev, s_prev, last, s_last = a, s_a, b, s_b
-    for step in range(200):
+    for _ in range(200):
         meet = (g_b - g_a + s_a * a - s_b * b) / (s_a - s_b)
         upper = g_a + s_a * (meet - a)
         if upper <= _DUAL_FLOOR * (tr_sigma + meet * tr_rho):
             return 0.0
         if upper - best <= 1e-12 * best or b - a <= 1e-13 * b:
             return best
-        if step % 2 == 0 or s_last == s_prev:
-            mu = meet
-        else:
-            mu = last - s_last * (last - prev) / (s_last - s_prev)
+        _, slope, curvature, root, slope_across, curvature_across = point
+        step = mu - slope / curvature if curvature < 0.0 else math.nan
+        if (root > mu) == (slope > 0.0) and not min(mu, root) < step < max(mu, root):
+            if (slope_across > 0.0) != (slope > 0.0):
+                step = root * (1.0 + (5e-13 if root - a < b - root else -5e-13))
+            elif curvature_across < 0.0:
+                step = mu - slope_across / curvature_across
+        mu = step if a < step < b else meet
         if not a < mu < b:
             mu = 0.5 * (a + b)
-        g_mu, s_mu = _dual_point(rho, sigma, target, mu)
-        best = max(best, g_mu)
-        prev, s_prev, last, s_last = last, s_last, mu, s_mu
-        if s_mu > 0.0:
-            a, g_a, s_a = mu, g_mu, s_mu
+        point = _dual_point(rho, sigma, target, mu)
+        best = max(best, point[0])
+        if point[1] > 0.0:
+            a, g_a, s_a = mu, point[0], point[1]
         else:
-            b, g_b, s_b = mu, g_mu, s_mu
+            b, g_b, s_b = mu, point[0], point[1]
     raise NumericalError("dual search did not certify its maximum in 200 steps")
 
 
@@ -404,7 +403,7 @@ def hypothesis_test_divergence(pair: DivergencePair, eps: float) -> float:
     """-log2 of the least sigma-mass of a test accepting rho with prob >= 1-eps.
 
     The mass is the maximum of the concave dual ``dual_test_objective``,
-    found by a tangent-and-secant search that certifies it to a relative
+    found by a Newton-and-tangent search that certifies it to a relative
     1e-12 (about 1.4e-12 bits); +inf when the mass is 0 to rounding, as
     for rho and sigma with orthogonal supports in any basis.
     """

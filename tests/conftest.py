@@ -266,20 +266,21 @@ def counting_half_norm_batches(monkeypatch):
 
 
 @contextlib.contextmanager
-def counting_event_masses(monkeypatch):
-    """Patch ``divergences._ds_event_masses``, the D_s event-mass kernel,
-    to record every call as (threshold, mass) pairs, one per threshold
-    it receives; yields the list of calls."""
+def counting_dual_points(monkeypatch):
+    """Patch ``divergences._dual_point``, the one eigensolve of every D_s
+    and D_h search step, to record each call as (mu, slope); yields the
+    list of calls.  A D_s point at threshold c has mu = 1/c, and its slope
+    is the excess mass at c."""
     calls = []
-    event_masses = divergences._ds_event_masses
+    dual_point = divergences._dual_point
 
-    def wrapped(rho, sigma, cs):
-        masses = event_masses(rho, sigma, cs)
-        calls.append(list(zip(cs.tolist(), masses.tolist())))
-        return masses
+    def wrapped(rho, sigma, target, mu, *args):
+        out = dual_point(rho, sigma, target, mu, *args)
+        calls.append((mu, out[1]))
+        return out
 
     with monkeypatch.context() as patch:
-        patch.setattr(divergences, "_ds_event_masses", wrapped)
+        patch.setattr(divergences, "_dual_point", wrapped)
         yield calls
 
 

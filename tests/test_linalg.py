@@ -75,26 +75,30 @@ def test_eig_reconstruction_residual():
 def test_reconstruction_residual_check_fires(monkeypatch):
     rng = np.random.default_rng(2)
     a = random_hermitian(rng, 4)
-    rho = random_density(rng, 3)
-    sigma = random_density(rng, 3) + 0.1 * np.eye(3)
-    pair = DivergencePair.of(rho, sigma / np.trace(sigma).real)
+    # a (2, 3, 3) pair of cq blocks, so that D_s solves stacks
+    rho = np.array([w * random_density(rng, 3) for w in (0.4, 0.6)])
+    sigma = np.array([w * (random_density(rng, 3) + 0.1 * np.eye(3)) for w in (0.5, 0.5)])
+    pair = DivergencePair.of(rho, sigma / np.trace(sigma, axis1=1, axis2=2).real.sum())
     assert not pair.commuting
     eigh = np.linalg.eigh
 
-    def perturbed_eigh(stack, min_ndim):
+    def perturbed_eigh(stack, fires):
         lam, v = eigh(stack)
-        if np.ndim(stack) >= min_ndim:
+        if fires(stack, lam):
             v = v + 1e-6
         return lam, v
 
     a = as_hermitian(a)
     # a single matrix
-    monkeypatch.setattr(np.linalg, "eigh", lambda s: perturbed_eigh(s, 2))
+    monkeypatch.setattr(np.linalg, "eigh", lambda s: perturbed_eigh(s, lambda s, lam: True))
     with pytest.raises(NumericalError, match="residual"):
         _eigh_checked(a)
-    # only the stacked D_s scan sees perturbed eigenvectors
-    monkeypatch.setattr(np.linalg, "eigh", lambda s: perturbed_eigh(s, 3))
+    # only the indefinite stacks of the D_s search, mu rho - sigma, see
+    # perturbed eigenvectors; sigma's own stack does not
+    monkeypatch.setattr(np.linalg, "eigh", lambda s: perturbed_eigh(
+        s, lambda s, lam: np.ndim(s) == 3 and lam.min() < 0.0 < lam.max()))
     _eigh_checked(a)
+    _eigh_checked(pair.sigma)
     with pytest.raises(NumericalError, match="residual"):
         info_spectrum_divergence_bracket(pair, 0.3)
 
