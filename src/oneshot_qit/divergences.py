@@ -41,7 +41,6 @@ _DS_WIDTH_BITS = 1e-12
 # {rho <= c sigma} keeps the eigenvalues of rho / c - sigma up to _DS_EVENT_TOL
 # times their radius: a jump's crossing lies 1e-9 to 2e-7 bits below its pencil.
 _DS_EVENT_TOL = DEFAULT_CLUSTER_TOL
-_DS_STRADDLE_BITS = 0.45 * _DS_WIDTH_BITS
 
 
 @dataclass(frozen=True)
@@ -146,6 +145,48 @@ def _dual_point(
             slope - sign * w_k, curvature - sign * bend_k)
 
 
+def _dual_search(point, a: tuple, b: tuple, last: tuple, stop):
+    """Narrow a bracket on the concave dual g of ``point`` (``_dual_point``
+    as a function of mu) until ``stop(a, b, meet, best)`` returns a result.
+
+    Points are tuples (mu, *point(mu)).  The ends a, of positive slope,
+    and b, of non-positive slope, enclose the maximum of g, and only their
+    mu, g and slope are read; last is the point evaluated last.  meet is
+    where the tangents at a and b meet, above the maximum by concavity,
+    and best the largest g seen.  Each step is a Newton step on the slope
+    from the last point, unless the nearest crossing lies between the
+    point and that step: then the crossing if the slope changes sign
+    across it (a kink), else a Newton step on the branch across it.  A
+    step that leaves (a, b) takes the tangent meet, failing that the
+    midpoint.  The next point lies 0.45e-12 bits past the step, away from
+    the nearer end, so that a converged estimate ends with two points, one
+    on each side; it is kept a quarter of that inside (a, b).
+    """
+    hair = 0.45 * _DS_WIDTH_BITS * LN2  # two points astride fit in a D_s bracket
+    best = max(a[1], b[1])
+    for _ in range(200):
+        (mu_a, g_a, s_a), (mu_b, g_b, s_b) = a[:3], b[:3]
+        meet = (g_b - g_a + s_a * mu_a - s_b * mu_b) / (s_a - s_b)
+        result = stop(a, b, meet, best)
+        if result is not None:
+            return result
+        mu, _, slope, curvature, root, slope_across, curvature_across = last
+        step = mu - slope / curvature if curvature < 0.0 else math.nan
+        if (root > mu) == (slope > 0.0) and not min(mu, root) < step < max(mu, root):
+            if (slope_across > 0.0) != (slope > 0.0):
+                step = root
+            elif curvature_across < 0.0:
+                step = mu - slope_across / curvature_across
+        if not mu_a < step < mu_b:
+            step = meet if mu_a < meet < mu_b else 0.5 * (mu_a + mu_b)
+        mu = step * (1.0 + hair if step - mu_a < mu_b - step else 1.0 - hair)
+        mu = min(max(mu, mu_a * (1.0 + 0.25 * hair)), mu_b * (1.0 - 0.25 * hair))
+        last = (mu, *point(mu))
+        best = max(best, last[1])
+        a, b = (last, b) if last[2] > 0.0 else (a, last)
+    raise NumericalError("dual search did not meet its stop rule in 200 steps")
+
+
 # ---------------------------------------------------------------------------
 # Information-spectrum divergence
 # ---------------------------------------------------------------------------
@@ -199,60 +240,6 @@ def _ds_exact_bits(rho: np.ndarray, sigma: np.ndarray, eps: float) -> float:
     return math.inf  # event mass never exceeds eps (unreachable for densities)
 
 
-def _ds_narrow(point, a: float, b: float, p_b: tuple) -> tuple[float, float]:
-    """Narrow log2 thresholds a < b, a feasible and b infeasible, to the
-    last feasible and infeasible points at most ``_DS_WIDTH_BITS`` apart;
-    ``point(c)`` is ``_dual_point`` at mu = 1/c, its slope the excess mass.
-
-    The estimate from the last point x, ``p_b`` at b first, is a Newton
-    step in t = log2 c on the smooth excess, unless x's nearest jump lies
-    between x and that step: then the jump (a Newton step on lam_k -
-    split) if the excess changes sign across it, else a Newton step on the
-    branch across it.  The next point is aimed past the estimate, towards
-    the nearer end, by at least ``_DS_STRADDLE_BITS`` and twice the error
-    that the change of the derivative since the last point on the branch
-    predicts (a hundredth of the step without one): a converged estimate
-    ends with two points, neither on a predicted jump.  Points are
-    projected into the ITP ball (Oliveira and Takahashi, ACM TOMS 47,
-    2021) around the midpoint, at most bisection's count plus one steps
-    (two when rounding in t leaves the last width a hair above tol), and
-    kept tol/4 inside the bracket.
-    """
-    tol = _DS_WIDTH_BITS
-    steps_left = max(math.ceil(math.log2((b - a) / tol)), 0) + 1
-    x, (_, slope, curvature, root, slope_across, curvature_across) = b, p_b
-    prev = None  # (t, d excess / dt) of the previous point on the branch
-    while b - a > tol:
-        feasible = slope <= 0.0
-        jump = -math.log2(root) if root > 0.0 else math.inf
-        rate = -curvature * 2.0 ** -x * LN2
-        est = x - slope / rate if rate > 0.0 else math.nan
-        if (x < jump) == feasible and not min(x, jump) < est < max(x, jump):
-            if (slope_across > 0.0) == feasible:
-                est, rate = jump, None
-            else:
-                rate, prev = -curvature_across * 2.0 ** -x * LN2, None
-                est = x - slope_across / rate if rate > 0.0 else math.nan
-        offset = _DS_STRADDLE_BITS
-        if not a < est < b:
-            est = b if feasible else a
-        elif rate is not None:
-            # twice the Newton step's error |s''/2s'| (est - x)^2, s = excess
-            error = (0.01 * abs(est - x) if prev is None else
-                     abs((rate - prev[1]) / (x - prev[0]) / rate) * (est - x) ** 2)
-            offset, prev = max(offset, error), (x, rate)
-        width, mid = b - a, 0.5 * (a + b)
-        x = est + offset if est - a < b - est else est - offset
-        radius = tol * 2.0 ** (steps_left - 1) - 0.5 * width
-        x = mid + min(max(x - mid, -radius), radius)
-        c = 2.0 ** min(max(x, a + 0.25 * tol), b - 0.25 * tol)
-        x = math.log2(c)
-        _, slope, curvature, root, slope_across, curvature_across = point(c)
-        a, b = (x, b) if slope <= 0.0 else (a, x)
-        steps_left -= 1
-    return a, b
-
-
 def _ds_pencil_bracket(
     rho: np.ndarray, sigma: np.ndarray, sigma_eig: tuple[np.ndarray, np.ndarray],
     eps: float,
@@ -264,7 +251,8 @@ def _ds_pencil_bracket(
     eigenvalue.  A threshold c is one ``_dual_point`` at mu = 1/c, split at
     ``_DS_EVENT_TOL``, whose slope is the excess mass(c) - (eps + 1e-12):
     bisection over the sorted pencil eigenvalues finds the adjacent
-    feasible/infeasible pair, and ``_ds_narrow`` narrows it.
+    feasible/infeasible pair, and ``_dual_search``, from the infeasible
+    end, narrows it until log2(b/a) <= ``_DS_WIDTH_BITS``.
     ``sigma_eig`` is sigma's eigensystem from ``_check_support``.
     """
     inv_sqrt = _spectral_func(*sigma_eig, lambda x: x ** -0.5)
@@ -274,27 +262,31 @@ def _ds_pencil_bracket(
         return -math.inf, -math.inf, -math.inf
     target = _trace(rho) - (eps + 1e-12)
 
-    def point(c: float) -> tuple:
-        return _dual_point(rho, sigma, target, 1.0 / c, _DS_EVENT_TOL)
+    def point(mu: float) -> tuple:
+        return _dual_point(rho, sigma, target, mu, _DS_EVENT_TOL)
 
-    candidates = np.concatenate([[pencil[0] * 0.5], pencil, [pencil[-1] * 2.0]])
-    lo, hi = 0, candidates.size - 1
-    if point(candidates[lo])[1] > 0.0:
+    mus = 1.0 / np.concatenate([[pencil[0] * 0.5], pencil, [pencil[-1] * 2.0]])
+    lo, hi = 0, mus.size - 1
+    b = (mus[lo], *point(mus[lo]))
+    if b[2] > 0.0:
         return -math.inf, -math.inf, -math.inf
-    p_hi = point(candidates[hi])
-    if p_hi[1] <= 0.0:
-        top = math.log2(candidates[hi])  # no infeasible threshold: saturation
+    a = (mus[hi], *point(mus[hi]))
+    if a[2] <= 0.0:
+        top = -math.log2(mus[hi])  # no infeasible threshold: saturation
         return top, top, math.inf
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        p_mid = point(candidates[mid])
-        if p_mid[1] <= 0.0:
-            lo = mid
+        p_mid = (mus[mid], *point(mus[mid]))
+        if p_mid[2] <= 0.0:
+            lo, b = mid, p_mid
         else:
-            hi, p_hi = mid, p_mid
-    lower, upper = _ds_narrow(point, math.log2(candidates[lo]),
-                              math.log2(candidates[hi]), p_hi)
-    return upper, lower, upper
+            hi, a = mid, p_mid
+
+    def narrow(a, b, meet, best):
+        return (a[0], b[0]) if math.log2(b[0] / a[0]) <= _DS_WIDTH_BITS else None
+
+    mu_a, mu_b = _dual_search(point, a, b, a, narrow)
+    return -math.log2(mu_a), -math.log2(mu_b), -math.log2(mu_a)
 
 
 def info_spectrum_divergence_bracket(
@@ -306,10 +298,9 @@ def info_spectrum_divergence_bracket(
     of the event {rho <= 2^c sigma} under rho still stays at or below
     eps; the supremum itself is a left limit and is not attained.  For
     non-commuting pairs the mass, non-decreasing in the threshold, is
-    bisected over the sorted pencil eigenvalues, and Newton steps on the
-    mass or on the eigenvalue that makes its jump narrow the crossing to
-    a bracket of width at most 1e-12 bits, in at most two evaluations
-    more than log-space bisection.
+    bisected over the sorted pencil eigenvalues, and the search that
+    maximizes the D_h dual narrows the crossing to a bracket of width at
+    most 1e-12 bits: the mass is the slope of that dual at mu = 2^-c.
     """
     _check_eps(eps)
     sigma_eig = _check_support(pair)
@@ -324,8 +315,8 @@ def info_spectrum_divergence(pair: DivergencePair, eps: float) -> float:
 
     Exact for commuting pairs (sorted eigenvalue ratios).  For
     non-commuting pairs a bisection over the pencil eigenvalues, refined
-    by safeguarded Newton steps in log space, locates the threshold; the
-    certified bracket is :func:`info_spectrum_divergence_bracket`.
+    by the search of the D_h dual, locates the threshold; the certified
+    bracket is :func:`info_spectrum_divergence_bracket`.
     """
     return info_spectrum_divergence_bracket(pair, eps)[0]
 
@@ -339,19 +330,12 @@ def _optimal_test_mass(rho: np.ndarray, sigma: np.ndarray, eps: float) -> float:
 
     Evaluated through the concave one-dimensional dual
     g(mu) = mu (1 - eps) - Tr[(mu rho - sigma)_+], whose maximum equals
-    the primal optimum (randomized tests included), from one
-    ``_dual_point`` per step.  The maximum lies between a point a of
-    positive slope (first mu = 0, where g = 0 and 1 - eps is a
-    supergradient) and a point b of non-positive slope, found by doubling
-    from mu = 1.  Each step is a Newton step on the slope from the last
-    point, unless the nearest crossing lies between the point and that
-    step: then a point a hair past the crossing if the slope changes sign
-    there (a kink), else a Newton step on the branch across it.  A step
-    that leaves (a, b) takes the meeting point of the tangents at a and b,
-    failing that bisection.  By concavity the tangents meet above the
-    maximum, so the search stops once that upper bound exceeds the best
-    value seen by at most a relative 1e-12, or once b - a <= 1e-13 b, and
-    returns the best value seen; about seven eigensolves is typical.
+    the primal optimum (randomized tests included).  ``_dual_search``
+    starts from a = 0 (g = 0, and 1 - eps is a supergradient) and the
+    first b of non-positive slope when doubling from mu = 1.  It stops once
+    g at the tangent meet, an upper bound, exceeds the best value seen by
+    at most a relative 1e-12, or once b - a <= 1e-13 b, and returns the
+    best value seen; about seven eigensolves is typical.
 
     g is only known to rounding, about eps_mach·‖mu rho − sigma‖₁ <=
     eps_mach·(Tr sigma + mu Tr rho).  Once the tangents meet at or below
@@ -361,51 +345,36 @@ def _optimal_test_mass(rho: np.ndarray, sigma: np.ndarray, eps: float) -> float:
     """
     target = 1.0 - eps
     tr_rho, tr_sigma = _trace(rho), _trace(sigma)
-    a, g_a, s_a = 0.0, 0.0, target
-    mu = 1.0
-    point = _dual_point(rho, sigma, target, mu)
-    while point[1] > 0.0 and mu < 2.0 ** 60:
-        a, g_a, s_a = mu, point[0], point[1]
-        mu *= 2.0
-        point = _dual_point(rho, sigma, target, mu)
-    if point[1] > 0.0:
+
+    def point(mu: float) -> tuple:
+        return _dual_point(rho, sigma, target, mu)
+
+    a, b = (0.0, 0.0, target), (1.0, *point(1.0))
+    while b[2] > 0.0 and b[0] < 2.0 ** 60:
+        a, b = b, (2.0 * b[0], *point(2.0 * b[0]))
+    if b[2] > 0.0:
         raise NumericalError(
             "dual bracket failed to enclose a maximum after 60 doublings")
-    b, g_b, s_b = mu, point[0], point[1]
-    best = max(g_a, g_b)
-    for _ in range(200):
-        meet = (g_b - g_a + s_a * a - s_b * b) / (s_a - s_b)
-        upper = g_a + s_a * (meet - a)
+
+    def certify(a, b, meet, best):
+        upper = a[1] + a[2] * (meet - a[0])
         if upper <= _DUAL_FLOOR * (tr_sigma + meet * tr_rho):
             return 0.0
-        if upper - best <= 1e-12 * best or b - a <= 1e-13 * b:
+        if upper - best <= 1e-12 * best or b[0] - a[0] <= 1e-13 * b[0]:
             return best
-        _, slope, curvature, root, slope_across, curvature_across = point
-        step = mu - slope / curvature if curvature < 0.0 else math.nan
-        if (root > mu) == (slope > 0.0) and not min(mu, root) < step < max(mu, root):
-            if (slope_across > 0.0) != (slope > 0.0):
-                step = root * (1.0 + (5e-13 if root - a < b - root else -5e-13))
-            elif curvature_across < 0.0:
-                step = mu - slope_across / curvature_across
-        mu = step if a < step < b else meet
-        if not a < mu < b:
-            mu = 0.5 * (a + b)
-        point = _dual_point(rho, sigma, target, mu)
-        best = max(best, point[0])
-        if point[1] > 0.0:
-            a, g_a, s_a = mu, point[0], point[1]
-        else:
-            b, g_b, s_b = mu, point[0], point[1]
-    raise NumericalError("dual search did not certify its maximum in 200 steps")
+        return None
+
+    return _dual_search(point, a, b, b, certify)
 
 
 def hypothesis_test_divergence(pair: DivergencePair, eps: float) -> float:
     """-log2 of the least sigma-mass of a test accepting rho with prob >= 1-eps.
 
     The mass is the maximum of the concave dual ``dual_test_objective``,
-    found by a Newton-and-tangent search that certifies it to a relative
-    1e-12 (about 1.4e-12 bits); +inf when the mass is 0 to rounding, as
-    for rho and sigma with orthogonal supports in any basis.
+    found by the Newton-and-tangent search that also narrows D_s, which
+    certifies it to a relative 1e-12 (about 1.4e-12 bits); +inf when the
+    mass is 0 to rounding, as for rho and sigma with orthogonal supports
+    in any basis.
     """
     _check_eps(eps)
     beta = _optimal_test_mass(pair.rho, pair.sigma, eps)
@@ -422,8 +391,8 @@ def dual_test_objective(pair: DivergencePair, eps: float, mu: float) -> float:
     ``hypothesis_test_divergence`` maximizes.
     """
     _check_eps(eps)
-    if not mu >= 0.0:
-        raise DomainError(f"mu must be non-negative, got {mu}")
+    if not 0.0 <= mu < math.inf:
+        raise DomainError(f"mu must be non-negative and finite, got {mu}")
     return _dual_point(pair.rho, pair.sigma, 1.0 - eps, mu)[0]
 
 
