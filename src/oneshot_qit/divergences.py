@@ -76,12 +76,14 @@ class DivergencePair:
         """A pair of Hermitian PSD arrays, rho of unit trace, such as the
         joint operators of validated ``CQState``s: only the shapes are
         checked (two states may differ in d or |X|) and the commutation
-        flag computed."""
+        flag computed.  The flag compares max|[rho, sigma]| with
+        ``_COMMUTATOR_TOL``·max|rho|·max|sigma|, maxima over the whole
+        stack, so it does not change when either operator is scaled."""
         if rho.shape != sigma.shape:
             raise DomainError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-        comm = rho @ sigma - sigma @ rho
-        commuting = float(np.max(np.abs(comm))) <= _COMMUTATOR_TOL
-        return cls(rho, sigma, commuting)
+        comm = float(np.max(np.abs(rho @ sigma - sigma @ rho)))
+        scale = float(np.max(np.abs(rho))) * float(np.max(np.abs(sigma)))
+        return cls(rho, sigma, comm <= _COMMUTATOR_TOL * scale)
 
 
 def _trace(a: np.ndarray) -> float:
@@ -332,7 +334,9 @@ def _optimal_test_mass(rho: np.ndarray, sigma: np.ndarray, eps: float) -> float:
     g(mu) = mu (1 - eps) - Tr[(mu rho - sigma)_+], whose maximum equals
     the primal optimum (randomized tests included).  ``_dual_search``
     starts from a = 0 (g = 0, and 1 - eps is a supergradient) and the
-    first b of non-positive slope when doubling from mu = 1.  It stops once
+    first b of non-positive slope when doubling from mu = Tr sigma / Tr rho
+    (1 when either trace is 0), so the count does not grow with the scale
+    of sigma; past 2^60 times the start it gives up.  It stops once
     g at the tangent meet, an upper bound, exceeds the best value seen by
     at most a relative 1e-12, or once b - a <= 1e-13 b, and returns the
     best value seen; about seven eigensolves is typical.
@@ -349,8 +353,9 @@ def _optimal_test_mass(rho: np.ndarray, sigma: np.ndarray, eps: float) -> float:
     def point(mu: float) -> tuple:
         return _dual_point(rho, sigma, target, mu)
 
-    a, b = (0.0, 0.0, target), (1.0, *point(1.0))
-    while b[2] > 0.0 and b[0] < 2.0 ** 60:
+    start = tr_sigma / tr_rho if tr_sigma > 0.0 and tr_rho > 0.0 else 1.0
+    a, b = (0.0, 0.0, target), (start, *point(start))
+    while b[2] > 0.0 and b[0] < start * 2.0 ** 60:
         a, b = b, (2.0 * b[0], *point(2.0 * b[0]))
     if b[2] > 0.0:
         raise NumericalError(

@@ -249,7 +249,8 @@ def counting_half_norm_batches(monkeypatch):
     simulators, to record, per batch, the number of operators it
     receives; yields the list of those counts.  It sees the exact
     curves' batches, Monte-Carlo extraction's set table (one batch per
-    call) and the blocks each chunk solves.
+    call) and the blocks each chunk solves, but not a covering chunk
+    that takes ``simulate._jacobi_half_norms``.
 
     It counts batches whatever the block dimension, whereas
     ``counting_eigensolves`` sees only the blocks that reach LAPACK."""

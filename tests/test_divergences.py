@@ -116,6 +116,22 @@ def test_ds_noncommuting_bracket_and_scaling():
     )
 
 
+def test_commutation_flag_and_ds_bracket_do_not_change_with_the_scale_of_sigma():
+    # the flag is relative to the operators' size: an absolute 1e-10 once
+    # flagged this non-commuting pair commuting at sigma x 1e-12, and the
+    # commuting one non-commuting at sigma x 1e12
+    rng = np.random.default_rng(35)
+    pairs = [(False, random_noncommuting_pair(rng, 4)),
+             (True, DivergencePair.of(*random_commuting_pair(rng, 4)))]
+    for commuting, base in pairs:
+        want = info_spectrum_divergence_bracket(base, 0.2)
+        for t in 10.0 ** np.arange(-12, 13, 3):
+            pair = DivergencePair.of(base.rho, t * base.sigma)
+            assert pair.commuting == commuting, t
+            got = np.array(info_spectrum_divergence_bracket(pair, 0.2)) + math.log2(t)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
 def test_ds_rejects_bad_eps_and_support():
     pair = classical_pair([0.5, 0.5], [0.5, 0.5])
     with pytest.raises(DomainError):
@@ -416,6 +432,22 @@ def test_dh_eigensolve_budget(monkeypatch):
                     hypothesis_test_divergence(scaled, eps)
                 assert 0 < len(matrices_per_call) <= 24, (d, k, scale, eps)
                 assert max(matrices_per_call) <= max(k, 1), (d, k, scale, eps)
+
+
+def test_dh_dual_points_do_not_grow_with_the_scale_of_sigma(monkeypatch):
+    # the doubling starts at mu = Tr sigma / Tr rho; from mu = 1 it took
+    # about 16 points at sigma x 1e3 where it takes 7 at sigma as given
+    rng = np.random.default_rng(73)
+    for d, k in ((2, 0), (3, 0), (4, 0), (8, 0), (2, 3), (4, 4)):
+        pair = random_noncommuting_pair(rng, d, k)
+        for eps in (0.05, 0.3, 0.8):
+            counts = []
+            for scale in (1.0, 1e3, 1e-3):
+                scaled = DivergencePair.of(pair.rho, scale * pair.sigma)
+                with counting_dual_points(monkeypatch) as calls:
+                    hypothesis_test_divergence(scaled, eps)
+                counts.append(len(calls))
+            assert counts[1] == counts[0] == counts[2], (d, k, eps, counts)
 
 
 def test_dh_orthogonal_supports_are_infinite_at_once(monkeypatch):

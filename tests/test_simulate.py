@@ -11,6 +11,7 @@ import pytest
 from oneshot_qit import (
     CQState,
     DomainError,
+    NumericalError,
     search_max_extractable,
     search_min_codebook,
     simulate,
@@ -359,11 +360,14 @@ def test_covering_monte_carlo_scaling_sanity():
 
 def test_covering_monte_carlo_deterministic_across_workers():
     rng = np.random.default_rng(74)
-    # (|X|, m, samples, zero last entry in p): types counted per edge;
-    # looked up; per edge over several row blocks, the last chunk partial
-    for alphabet, m, samples, zero_p in [(3, 8, 20_000, False), (5, 4, 3 * 4096, True),
-                                          (2, 2000, 2 * 4096 + 50, False)]:
-        state = random_cq_state(rng, alphabet, 2)
+    # (|X|, m, samples, zero last entry in p, d): types counted per edge;
+    # looked up; per edge over several row blocks, the last chunk partial;
+    # at d = 4 the full chunks hold over _JACOBI_BATCH distinct types
+    for alphabet, m, samples, zero_p, dim in [(3, 8, 20_000, False, 2),
+                                               (5, 4, 3 * 4096, True, 2),
+                                               (2, 2000, 2 * 4096 + 50, False, 2),
+                                               (8, 16, 2 * 4096 + 50, False, 4)]:
+        state = random_cq_state(rng, alphabet, dim)
         if zero_p:
             state = CQState(np.append(state.p[:-1], 0.0) / state.p[:-1].sum(), state.rhos)
         runs = [
@@ -392,7 +396,8 @@ def test_covering_monte_carlo_matches_dense_codebook_oracle():
     # types looked up (|X| > m/2) and counted per edge (|X| <= m/2, from
     # (3, 9) on); m = 20000 draws in several row blocks; (40, 3) and
     # (20, 64) are past the exact type key, (m+1)^|X| > 2^53; the
-    # 3-chunk cases end in a partial chunk
+    # 3-chunk cases end in a partial chunk, and at d = 3 and 4 their full
+    # chunks hold over _JACOBI_BATCH distinct types
     for alphabet, m, dim, zero_p, samples in [
         (4, 1, 2, False, 64),
         (5, 3, 2, False, 64),
@@ -403,6 +408,7 @@ def test_covering_monte_carlo_matches_dense_codebook_oracle():
         (3, 5, 2, False, 2 * 4096 + 100),
         (6, 12, 2, True, 64),
         (8, 16, 3, False, 2 * 4096 + 100),
+        (8, 16, 4, True, 2 * 4096 + 100),
         (3, 20_000, 2, True, 64),
         (40, 3, 2, False, 64),
         (20, 64, 2, True, 64),
@@ -450,6 +456,17 @@ def test_covering_monte_carlo_solves_each_distinct_type_once(monkeypatch):
     assert max(matrices_per_batch) <= 4
     dense = _dense_codebook_values(state, 3, 3 * 4096, seed=17)
     assert est.value == pytest.approx(np.mean(dense), abs=1e-12)
+
+
+def test_covering_monte_carlo_large_chunks_skip_lapack_at_d_3_and_4(monkeypatch):
+    for dim in (3, 4):
+        state = _oracle_state(84, 8, dim, False)
+        with counting_eigensolves(monkeypatch) as matrices_per_call:
+            simulate_covering(state, 16, "mc", samples=2 * 4096 + 100, seed=18, workers=2)
+        # each full chunk holds about 4000 distinct types and takes Jacobi;
+        # the last one, 100 codebooks, stays on eigvalsh
+        assert len(matrices_per_call) == 1
+        assert 1 <= matrices_per_call[0] <= 100 < simulate._JACOBI_BATCH
 
 
 def test_covering_monotone_curve_flagged_not_asserted(corpus):
@@ -591,6 +608,41 @@ def test_small_block_half_norms_match_eigvalsh(monkeypatch):
         half = simulate._half_norms(stack)
     assert matrices_per_call == [5]
     assert half == pytest.approx([0.5 * svd_trace_norm(a) for a in stack], rel=1e-14)
+
+
+def test_jacobi_half_norms_match_eigvalsh(monkeypatch):
+    rng = np.random.default_rng(89)
+    for dim in (3, 4):
+        h = rng.normal(size=(64, dim, dim)) + 1j * rng.normal(size=(64, dim, dim))
+        v = rng.normal(size=(64, dim)) + 1j * rng.normal(size=(64, dim))
+        herm = h + h.conj().swapaxes(1, 2)
+        rank_one = v[:, :, None] * v[:, None, :].conj()
+        trace = np.trace(rank_one, axis1=1, axis2=2)[:, None, None]
+        stacks = [
+            herm,
+            rank_one,
+            rank_one - trace * np.eye(dim) / dim,  # traceless
+            -(h @ h.conj().swapaxes(1, 2)),
+            np.eye(dim) + 1e-13 * herm,
+            np.zeros((3, dim, dim), dtype=complex),
+        ]
+        for stack, scale in itertools.product(stacks, (1e-150, 1e-8, 1.0, 1e8, 1e150)):
+            stack = scale * stack
+            with counting_eigensolves(monkeypatch) as matrices_per_call:
+                half = simulate._jacobi_half_norms(stack)
+            assert matrices_per_call == []
+            expected = 0.5 * np.abs(np.linalg.eigvalsh(stack)).sum(axis=1)
+            np.testing.assert_allclose(half, expected, rtol=1e-14, atol=0.0)
+        # neither the upper triangle nor the diagonal's imaginary part is read
+        poisoned = herm.copy()
+        rows, cols = np.triu_indices(dim, 1)
+        poisoned[:, rows, cols] = np.nan
+        poisoned.imag[:, range(dim), range(dim)] = np.nan
+        assert np.array_equal(simulate._jacobi_half_norms(poisoned),
+                              simulate._jacobi_half_norms(herm))
+    monkeypatch.setattr(simulate, "_JACOBI_SWEEPS", 1)
+    with pytest.raises(NumericalError, match="did not converge"):
+        simulate._jacobi_half_norms(herm)
 
 
 # (|X|, d, zero entry in p); every curve below is a single batch that
