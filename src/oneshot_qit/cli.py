@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float)
     p.add_argument("--grid", type=_grid, default=2048,
                    help="integer in [2, 2e6], only range-checked: ds has no "
-                        "grid (it bisects over the pencil eigenvalues)")
+                        "grid (it searches the dual of dh)")
 
     p = sub.add_parser("rates", parents=[common],
                        help="first/second-order rate expansions of a state")

@@ -38,6 +38,7 @@ _COMMUTATOR_TOL = 1e-10
 _SUPPORT_TOL = 1e-8
 _DUAL_FLOOR = 64 * np.finfo(float).eps
 _DS_WIDTH_BITS = 1e-12
+_DS_WIDTH = -math.expm1(-_DS_WIDTH_BITS * LN2)  # 1 - 2^-1e-12, relative
 # {rho <= c sigma} keeps the eigenvalues of rho / c - sigma up to _DS_EVENT_TOL
 # times their radius: a jump's crossing lies 1e-9 to 2e-7 bits below its pencil.
 _DS_EVENT_TOL = DEFAULT_CLUSTER_TOL
@@ -147,23 +148,40 @@ def _dual_point(
             slope - sign * w_k, curvature - sign * bend_k)
 
 
-def _dual_search(point, a: tuple, b: tuple, last: tuple, stop):
-    """Narrow a bracket on the concave dual g of ``point`` (``_dual_point``
-    as a function of mu) until ``stop(a, b, meet, best)`` returns a result.
+def _dual_search(rho: np.ndarray, sigma: np.ndarray, target: float, stop,
+                 split_tol: float = 0.0):
+    """Narrow a bracket on the concave dual g(mu) = mu target - Tr[(mu rho -
+    sigma)_+], target > 0, until ``stop(a, b, meet, best)`` returns a result.
 
-    Points are tuples (mu, *point(mu)).  The ends a, of positive slope,
-    and b, of non-positive slope, enclose the maximum of g, and only their
-    mu, g and slope are read; last is the point evaluated last.  meet is
-    where the tangents at a and b meet, above the maximum by concavity,
-    and best the largest g seen.  Each step is a Newton step on the slope
-    from the last point, unless the nearest crossing lies between the
-    point and that step: then the crossing if the slope changes sign
-    across it (a kink), else a Newton step on the branch across it.  A
-    step that leaves (a, b) takes the tangent meet, failing that the
-    midpoint.  The next point lies 0.45e-12 bits past the step, away from
-    the nearer end, so that a converged estimate ends with two points, one
-    on each side; it is kept a quarter of that inside (a, b).
+    Points are tuples (mu, *``_dual_point``(mu)), split at ``split_tol``.
+    The ends a, of positive slope, and b, of non-positive slope, enclose
+    the maximum of g, and only their mu, g and slope are read.  They start
+    from a = 0 (g = 0, and target is a supergradient) and the first b of
+    non-positive slope when doubling from mu = Tr sigma / Tr rho (1 when
+    either trace is 0), so the count does not grow with the scale of
+    sigma; past 2^60 times the start it gives up.  meet is where the
+    tangents at a and b meet, above the maximum by concavity, and best the
+    largest g seen.  Each step is a Newton step on the slope from the last
+    point, unless the nearest crossing lies between the point and that
+    step: then the crossing if the slope changes sign across it (a kink),
+    else a Newton step on the branch across it.  A step that leaves (a, b)
+    takes the tangent meet, failing that the midpoint.  The next point lies
+    0.45e-12 bits past the step, away from the nearer end, so that a
+    converged estimate ends with two points, one on each side; it is kept
+    a quarter of that inside (a, b).
     """
+    def point(mu: float) -> tuple:
+        return (mu, *_dual_point(rho, sigma, target, mu, split_tol))
+
+    tr_rho, tr_sigma = _trace(rho), _trace(sigma)
+    start = tr_sigma / tr_rho if tr_sigma > 0.0 and tr_rho > 0.0 else 1.0
+    a, b = (0.0, 0.0, target), point(start)
+    while b[2] > 0.0 and b[0] < start * 2.0 ** 60:
+        a, b = b, point(2.0 * b[0])
+    if b[2] > 0.0:
+        raise NumericalError(
+            "dual bracket failed to enclose a maximum after 60 doublings")
+    last = b
     hair = 0.45 * _DS_WIDTH_BITS * LN2  # two points astride fit in a D_s bracket
     best = max(a[1], b[1])
     for _ in range(200):
@@ -183,7 +201,7 @@ def _dual_search(point, a: tuple, b: tuple, last: tuple, stop):
             step = meet if mu_a < meet < mu_b else 0.5 * (mu_a + mu_b)
         mu = step * (1.0 + hair if step - mu_a < mu_b - step else 1.0 - hair)
         mu = min(max(mu, mu_a * (1.0 + 0.25 * hair)), mu_b * (1.0 - 0.25 * hair))
-        last = (mu, *point(mu))
+        last = point(mu)
         best = max(best, last[1])
         a, b = (last, b) if last[2] > 0.0 else (a, last)
     raise NumericalError("dual search did not meet its stop rule in 200 steps")
@@ -242,55 +260,6 @@ def _ds_exact_bits(rho: np.ndarray, sigma: np.ndarray, eps: float) -> float:
     return math.inf  # event mass never exceeds eps (unreachable for densities)
 
 
-def _ds_pencil_bracket(
-    rho: np.ndarray, sigma: np.ndarray, sigma_eig: tuple[np.ndarray, np.ndarray],
-    eps: float,
-) -> tuple[float, float, float]:
-    """Certified bracket for the non-commuting supremum (values in bits).
-
-    The event mass is 1 - f'_-(1/c) for the convex f(mu) = Tr[(mu rho -
-    sigma)_+], so it is non-decreasing in c and can jump only at a pencil
-    eigenvalue.  A threshold c is one ``_dual_point`` at mu = 1/c, split at
-    ``_DS_EVENT_TOL``, whose slope is the excess mass(c) - (eps + 1e-12):
-    bisection over the sorted pencil eigenvalues finds the adjacent
-    feasible/infeasible pair, and ``_dual_search``, from the infeasible
-    end, narrows it until log2(b/a) <= ``_DS_WIDTH_BITS``.
-    ``sigma_eig`` is sigma's eigensystem from ``_check_support``.
-    """
-    inv_sqrt = _spectral_func(*sigma_eig, lambda x: x ** -0.5)
-    pencil = np.linalg.eigvalsh(inv_sqrt @ rho @ inv_sqrt).ravel()
-    pencil = np.unique(pencil[pencil > _threshold(pencil)])
-    if pencil.size == 0:
-        return -math.inf, -math.inf, -math.inf
-    target = _trace(rho) - (eps + 1e-12)
-
-    def point(mu: float) -> tuple:
-        return _dual_point(rho, sigma, target, mu, _DS_EVENT_TOL)
-
-    mus = 1.0 / np.concatenate([[pencil[0] * 0.5], pencil, [pencil[-1] * 2.0]])
-    lo, hi = 0, mus.size - 1
-    b = (mus[lo], *point(mus[lo]))
-    if b[2] > 0.0:
-        return -math.inf, -math.inf, -math.inf
-    a = (mus[hi], *point(mus[hi]))
-    if a[2] <= 0.0:
-        top = -math.log2(mus[hi])  # no infeasible threshold: saturation
-        return top, top, math.inf
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        p_mid = (mus[mid], *point(mus[mid]))
-        if p_mid[2] <= 0.0:
-            lo, b = mid, p_mid
-        else:
-            hi, a = mid, p_mid
-
-    def narrow(a, b, meet, best):
-        return (a[0], b[0]) if math.log2(b[0] / a[0]) <= _DS_WIDTH_BITS else None
-
-    mu_a, mu_b = _dual_search(point, a, b, a, narrow)
-    return -math.log2(mu_a), -math.log2(mu_b), -math.log2(mu_a)
-
-
 def info_spectrum_divergence_bracket(
     pair: DivergencePair, eps: float
 ) -> tuple[float, float, float]:
@@ -298,27 +267,39 @@ def info_spectrum_divergence_bracket(
 
     The value is the largest log-threshold c (base 2) at which the mass
     of the event {rho <= 2^c sigma} under rho still stays at or below
-    eps; the supremum itself is a left limit and is not attained.  For
-    non-commuting pairs the mass, non-decreasing in the threshold, is
-    bisected over the sorted pencil eigenvalues, and the search that
-    maximizes the D_h dual narrows the crossing to a bracket of width at
-    most 1e-12 bits: the mass is the slope of that dual at mu = 2^-c.
+    eps; the supremum itself is a left limit and is not attained.  The
+    mass is 1 - f'_-(2^-c) for the convex f(mu) = Tr[(mu rho - sigma)_+],
+    so it is non-decreasing in c.  For non-commuting pairs it is the
+    slope of the D_h dual with target Tr rho - (eps + 1e-12), split at
+    ``_DS_EVENT_TOL``, at mu = 2^-c, and the search that maximizes that
+    dual, from the same doubling start, narrows the sign change of the
+    slope until b - a <= (1 - 2^-1e-12) b: a bracket at most 1e-12 bits
+    wide.  When Tr rho <= eps + 1e-12 every threshold is feasible and
+    all three values are +inf.
     """
     _check_eps(eps)
-    sigma_eig = _check_support(pair)
+    _check_support(pair)
     if pair.commuting:
         value = _ds_exact_bits(pair.rho, pair.sigma, eps)
         return value, value, value
-    return _ds_pencil_bracket(pair.rho, pair.sigma, sigma_eig, eps)
+    target = _trace(pair.rho) - (eps + 1e-12)
+    if target <= 0.0:
+        return math.inf, math.inf, math.inf
+
+    def narrow(a, b, meet, best):
+        return (a[0], b[0]) if b[0] - a[0] <= _DS_WIDTH * b[0] else None
+
+    mu_a, mu_b = _dual_search(pair.rho, pair.sigma, target, narrow, _DS_EVENT_TOL)
+    return -math.log2(mu_a), -math.log2(mu_b), -math.log2(mu_a)
 
 
 def info_spectrum_divergence(pair: DivergencePair, eps: float) -> float:
     """Largest feasible log-threshold, in bits.
 
     Exact for commuting pairs (sorted eigenvalue ratios).  For
-    non-commuting pairs a bisection over the pencil eigenvalues, refined
-    by the search of the D_h dual, locates the threshold; the certified
-    bracket is :func:`info_spectrum_divergence_bracket`.
+    non-commuting pairs the search of the D_h dual locates the threshold
+    where the dual's slope changes sign; the certified bracket is
+    :func:`info_spectrum_divergence_bracket`.
     """
     return info_spectrum_divergence_bracket(pair, eps)[0]
 
@@ -333,13 +314,9 @@ def _optimal_test_mass(rho: np.ndarray, sigma: np.ndarray, eps: float) -> float:
     Evaluated through the concave one-dimensional dual
     g(mu) = mu (1 - eps) - Tr[(mu rho - sigma)_+], whose maximum equals
     the primal optimum (randomized tests included).  ``_dual_search``
-    starts from a = 0 (g = 0, and 1 - eps is a supergradient) and the
-    first b of non-positive slope when doubling from mu = Tr sigma / Tr rho
-    (1 when either trace is 0), so the count does not grow with the scale
-    of sigma; past 2^60 times the start it gives up.  It stops once
-    g at the tangent meet, an upper bound, exceeds the best value seen by
-    at most a relative 1e-12, or once b - a <= 1e-13 b, and returns the
-    best value seen; about seven eigensolves is typical.
+    stops once g at the tangent meet, an upper bound, exceeds the best
+    value seen by at most a relative 1e-12, or once b - a <= 1e-13 b, and
+    returns the best value seen; about seven eigensolves is typical.
 
     g is only known to rounding, about eps_mach·‖mu rho − sigma‖₁ <=
     eps_mach·(Tr sigma + mu Tr rho).  Once the tangents meet at or below
@@ -347,19 +324,7 @@ def _optimal_test_mass(rho: np.ndarray, sigma: np.ndarray, eps: float) -> float:
     from 0 and the mass is 0, as for supports that are orthogonal in any
     basis.  The floor scales with sigma, so the scaling identity holds.
     """
-    target = 1.0 - eps
     tr_rho, tr_sigma = _trace(rho), _trace(sigma)
-
-    def point(mu: float) -> tuple:
-        return _dual_point(rho, sigma, target, mu)
-
-    start = tr_sigma / tr_rho if tr_sigma > 0.0 and tr_rho > 0.0 else 1.0
-    a, b = (0.0, 0.0, target), (start, *point(start))
-    while b[2] > 0.0 and b[0] < start * 2.0 ** 60:
-        a, b = b, (2.0 * b[0], *point(2.0 * b[0]))
-    if b[2] > 0.0:
-        raise NumericalError(
-            "dual bracket failed to enclose a maximum after 60 doublings")
 
     def certify(a, b, meet, best):
         upper = a[1] + a[2] * (meet - a[0])
@@ -369,7 +334,7 @@ def _optimal_test_mass(rho: np.ndarray, sigma: np.ndarray, eps: float) -> float:
             return best
         return None
 
-    return _dual_search(point, a, b, b, certify)
+    return _dual_search(rho, sigma, 1.0 - eps, certify)
 
 
 def hypothesis_test_divergence(pair: DivergencePair, eps: float) -> float:

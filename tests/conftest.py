@@ -187,6 +187,30 @@ def dense_event_mass(rho, sigma, c):
     return float(np.trace(rho @ projector_leq(rho, c * sigma)).real)
 
 
+def ds_bisection_oracle(rho, sigma, eps):
+    """D_s in bits by bisection in log c on ``dense_event_mass``.
+
+    It starts from c = 2^-64, where the mass is near 0 whatever the rank
+    of rho, and doubles from c = 1 to the first infeasible threshold; it
+    assumes the mass is non-decreasing in c and returns log2 of the
+    infeasible end once the bracket is at most 1e-12 bits wide.
+    """
+    if np.ndim(rho) == 3:
+        rho, sigma = block_diagonal(rho), block_diagonal(sigma)
+
+    def feasible(c):
+        return dense_event_mass(rho, sigma, c) <= eps + 1e-12
+
+    c_lo, c_hi = 2.0 ** -64, 1.0
+    assert feasible(c_lo)
+    while feasible(c_hi):
+        c_lo, c_hi = c_hi, 2.0 * c_hi
+    while math.log2(c_hi / c_lo) > 1e-12:
+        mid = math.sqrt(c_lo * c_hi)
+        c_lo, c_hi = (mid, c_hi) if feasible(mid) else (c_lo, mid)
+    return math.log2(c_hi)
+
+
 def ds_crossing_oracle(rho, sigma, grid=2048):
     """A dense threshold scan for the D_s crossing, reusable across eps.
 

@@ -112,6 +112,25 @@ def test_divergence_refuses_bad_grid(capsys, bitpair_file):
         assert captured.out == ""
 
 
+def test_divergence_ds_saturation_is_infinite_for_any_pair(capsys, tmp_path):
+    # at eps within 1e-12 of 1 every threshold is feasible, commuting or not
+    files = {}
+    for name, op in (("diag", np.diag([0.3, 0.7])), ("plus", np.full((2, 2), 0.5)),
+                     ("sigma", np.diag([0.6, 0.4]))):
+        files[name] = str(tmp_path / f"{name}.json")
+        dump_state(CQState(p=[1.0], rhos=[op]), files[name])
+    for rho in ("diag", "plus"):
+        code = run(["divergence", "--kind", "ds", "--state-a", files[rho],
+                    "--state-b", files["sigma"], "--eps", repr(1.0 - 1e-13)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert '"value_bits": Infinity' in captured.out
+        results = json.loads(captured.out, parse_constant=_refuse_nan)["results"]
+        assert results["exact"] == (rho == "diag")
+        assert [results[f"{key}_bits"] for key in (
+            "value", "bracket_lower", "bracket_upper")] == [math.inf] * 3
+
+
 def test_simulate_refuses_non_positive_workers(capsys, bitpair_file):
     for method in ("mc", "exact"):
         code = run([
