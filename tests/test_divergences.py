@@ -271,6 +271,73 @@ def test_ds_eigensolve_budget(monkeypatch):
             assert max(matrices_per_call) <= max(k, 1), (d, k, eps)
 
 
+def _bisection_count(calls):
+    """Event-mass evaluations that bisection makes from the same doubling
+    start: the doubling phase, replayed from the recorded (mu, slope)
+    calls, then one per halving of its bracket on mu, steered by the
+    search's final end of non-positive slope, down to the D_s stop rule
+    b - a <= (1 - 2^-1e-12) b.  Returns (count, doubling-phase
+    evaluations)."""
+    n = 1
+    while calls[n - 1][1] > 0.0:
+        n += 1
+    lo, hi = (calls[n - 2][0] if n > 1 else 0.0), calls[n - 1][0]
+    assert all(lo < mu < hi for mu, _ in calls[n:])
+    crossing = min(mu for mu, slope in calls if slope <= 0.0)
+    doubling_phase = n
+    while hi - lo > (1.0 - 2.0 ** -1e-12) * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if mid >= crossing else (mid, hi)
+        n += 1
+    return n, doubling_phase
+
+
+def test_ds_narrowing_costs_less_than_bisection(monkeypatch):
+    # every call stays within bisection + 2 evaluations, which nothing in
+    # the search enforces, and the mean falls far below bisection's
+    for seed in (52, 58):
+        rng = np.random.default_rng(seed)
+        made, bisection = [], []
+        for d, k in _DS_CASES:
+            pair = random_noncommuting_pair(rng, d, k)
+            for eps in (0.05, 0.2, 0.5, 0.8):
+                with counting_dual_points(monkeypatch) as calls:
+                    info_spectrum_divergence_bracket(pair, eps)
+                count, doubling_phase = _bisection_count(calls)
+                assert doubling_phase < len(calls) <= count + 2, (seed, d, k, eps)
+                made.append(len(calls))
+                bisection.append(count)
+        assert sum(made) <= 0.25 * sum(bisection), (seed, sum(made), sum(bisection))
+
+
+def test_ds_crossings_take_few_points_after_the_pencil_phase(monkeypatch):
+    # no pencil phase precedes the narrowing now, only the doubling start.
+    # After it, a crossing inside the jump just below a pencil eigenvalue
+    # and one between pencil eigenvalues each take at most 12 points, the
+    # bound that crossings between pencil eigenvalues met after the pencil
+    # phase; neither falls back to bisection's 40 or so.  Whole calls of
+    # either kind take no more points on average than the pencil phase and
+    # its narrowing did on these seeds: 7.33 in a jump, 11.02 between.
+    most = {True: 0, False: 0}
+    made = {True: [], False: []}
+    for seed in range(52, 59):
+        rng = np.random.default_rng(seed)
+        for d, k in _DS_CASES:
+            pair = random_noncommuting_pair(rng, d, k)
+            pencil = _pencil_points(pair.rho, pair.sigma)
+            for eps in (0.05, 0.2, 0.5, 0.8):
+                with counting_dual_points(monkeypatch) as calls:
+                    upper = info_spectrum_divergence_bracket(pair, eps)[2]
+                _, doubling_phase = _bisection_count(calls)
+                gap = np.min(np.abs(np.log2(pencil) - upper))
+                in_jump = bool(gap <= 1e-6)
+                most[in_jump] = max(most[in_jump], len(calls) - doubling_phase)
+                made[in_jump].append(len(calls))
+    assert most[True] <= 12 and most[False] <= 12, most
+    assert made[True] and made[False], made
+    assert np.mean(made[True]) <= 7.33 and np.mean(made[False]) <= 11.02, made
+
+
 def test_ds_search_point_budget(monkeypatch):
     # one doubling start and the narrowing take at most 13 points per call
     # and 8.14 on average, the figures of the pencil-eigenvalue bisection
