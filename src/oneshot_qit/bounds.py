@@ -17,7 +17,7 @@ import numpy as np
 
 from .cq import CQState, _whole, joint_embed
 from .divergences import _commuting_pairs
-from .entropic import conditional_test_entropy, hypothesis_test_information
+from .entropic import _test_divergences
 from .errors import DomainError, _check_eps
 from .linalg import _threshold, spec_count
 
@@ -106,11 +106,16 @@ def covering_direct_bound(state: CQState, c: float, m: int) -> float:
 
 
 def pa_size_bounds(state: CQState, eps: float, delta: float, c: float) -> BoundReport:
-    """Sandwich on the log of the maximal extractable randomness."""
+    """Sandwich on the log of the maximal extractable randomness.
+
+    The conditional entropies at 1 - eps + 3 delta and 1 - eps - 2 delta
+    come from one pair (rho_XB, 1_X x rho_B) and one memo of dual points:
+    the second search starts from the tightest bracket the first leaves.
+    """
     validate_sandwich_params(eps, delta, c)
     nu = spec_count(state.marginal())
-    h_low = conditional_test_entropy(state, 1.0 - eps + 3.0 * delta)
-    h_high = conditional_test_entropy(state, 1.0 - eps - 2.0 * delta)
+    h_low, h_high = (-value for value in _test_divergences(
+        state, False, (1.0 - eps + 3.0 * delta, 1.0 - eps - 2.0 * delta)))
     penalty = math.log2(nu * nu / delta ** 4)
     slack = math.log2((1.0 + c) / (c * delta)) + math.log2((eps + c) / (delta - c))
     return BoundReport(
@@ -133,11 +138,16 @@ def pa_size_bounds(state: CQState, eps: float, delta: float, c: float) -> BoundR
 def covering_size_bounds(
     state: CQState, eps: float, delta: float, c: float
 ) -> BoundReport:
-    """Sandwich on the log of the minimal random codebook size."""
+    """Sandwich on the log of the minimal random codebook size.
+
+    The informations at 1 - eps - 2 delta and 1 - eps + 3 delta come from
+    one pair (rho_XB, rho_X x rho_B) and one memo of dual points: the
+    second search starts from the tightest bracket the first leaves.
+    """
     validate_sandwich_params(eps, delta, c)
     nu = spec_count(state.marginal())
-    i_low = hypothesis_test_information(state, 1.0 - eps - 2.0 * delta)
-    i_high = hypothesis_test_information(state, 1.0 - eps + 3.0 * delta)
+    i_low, i_high = _test_divergences(
+        state, True, (1.0 - eps - 2.0 * delta, 1.0 - eps + 3.0 * delta))
     penalty = math.log2(nu * nu / delta ** 4)
     slack = math.log2((1.0 + c) / (c * delta)) + math.log2((eps + c) / (delta - c))
     return BoundReport(

@@ -171,12 +171,11 @@ def state_from_document(doc: dict) -> CQState:
         alphabet = _whole("alphabet_size", doc["alphabet_size"], 1)
         dim_b = _whole("dim_b", doc["dim_b"], 1)
         p = np.asarray(doc["p"], dtype=float)
-        raw = doc["rhos"]
+        rhos = np.asarray(doc["rhos"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed state document: {exc}") from exc
     if p.size != alphabet:
         raise DomainError(f"p has {p.size} entries but alphabet_size={alphabet}")
-    rhos = np.asarray(raw, dtype=float)
     if rhos.shape != (alphabet, dim_b, dim_b, 2):
         raise DomainError(
             "rhos must be [alphabet][dim_b][dim_b][re, im]; "

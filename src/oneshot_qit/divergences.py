@@ -112,98 +112,160 @@ def _check_support(pair: DivergencePair) -> tuple[np.ndarray, np.ndarray]:
 
 def _dual_point(
     rho: np.ndarray, sigma: np.ndarray, target: float, mu: float, split_tol: float = 0.0
-) -> tuple[float, float, float, float, float, float]:
-    """(g, slope, curvature, crossing, slope across, curvature across) at mu.
+) -> tuple[float, float, float, np.ndarray, np.ndarray]:
+    """(g, slope, curvature, branches, branch slopes) at mu.
 
     From one eigensolve mu rho - sigma = V diag(lam) V^dagger, with r =
     V^dagger rho V and P the eigenvalues above the split (``split_tol``
     times their radius): g = mu target - sum_P lam_i, its slope target -
     sum_P r_ii (Hellmann-Feynman; at a kink, either side is a
     supergradient) and, while P holds, its curvature -2 sum_{i in P, j not
-    in P} |r_ij|^2 / (lam_i - lam_j), minus the sum over P of lam_i''.
-    For lam_k, the eigenvalue nearest the split, the estimate mu - (lam_k -
-    split) / r_kk of where it crosses, and the slope and curvature with
-    lam_k across the split, which moves the curvature by lam_k'' = 2
-    sum_{j != k} |r_kj|^2 / (lam_k - lam_j).
+    in P} |r_ij|^2 / (lam_i - lam_j).  The branches are the lam_i minus
+    the split, with their slopes w_i = r_ii >= 0, flat over the blocks:
+    branch i crosses the split near mu - (lam_i - split) / w_i, and the
+    slope of g falls by w_i where a branch crosses upwards.  Only g and
+    the slope depend on the target: the point re-targets to t exactly by
+    adding mu (t - target) to g and t - target to the slope.
     """
     lam, v = _eigh_checked(mu * rho - sigma)
     d = lam.shape[-1]
     r = (v.conj().swapaxes(-1, -2) @ rho @ v).reshape(-1, d, d)
     lam = lam.reshape(-1, d)
-    w = np.diagonal(r, axis1=-2, axis2=-1).real
-    bends = (r * r.conj()).real
+    w = r.diagonal(0, 1, 2).real.ravel()
     split = split_tol * float(np.abs(lam).max()) if split_tol else 0.0
     above = lam > split
-    cross = above[:, :, None] & ~above[:, None, :]
+    cross = above[:, :, None] > above[:, None, :]  # i above, j not
     gap = np.where(cross, lam[:, :, None] - lam[:, None, :], np.inf)
-    slope = target - float(w.ravel() @ above.ravel())
-    curvature = -2.0 * float((bends / gap).sum())
-    x, k = divmod(int(np.abs(lam - split).argmin()), d)
-    w_k, gap_k = float(w[x, k]), lam[x, k] - lam[x]
-    gap_k[gap_k == 0.0] = np.inf
-    bend_k = 2.0 * float((bends[x, k] / gap_k).sum())
-    sign = -1.0 if above[x, k] else 1.0
-    root = mu - (float(lam[x, k]) - split) / w_k if w_k > 0.0 else -math.inf
-    return (mu * target - float(lam.ravel() @ above.ravel()), slope, curvature, root,
-            slope - sign * w_k, curvature - sign * bend_k)
+    curvature = -2.0 * float(((r * r.conj()).real / gap).sum())
+    lam, above = lam.ravel(), above.ravel()
+    return (mu * target - float(lam @ above), target - float(w @ above), curvature,
+            lam - split, w)
 
 
-def _dual_search(rho: np.ndarray, sigma: np.ndarray, target: float, stop,
-                 split_tol: float = 0.0):
+def _model_step(mu: float, slope: float, curvature: float, branches: np.ndarray,
+                weights: np.ndarray) -> float:
+    """The step the branches of a point model: walking from mu in the
+    direction of the slope, the first crossing where the modelled slope
+    changes sign (a kink of g), unless the Newton step on the slope lands
+    before it; nan when there is neither.
+
+    Going up in mu, each branch at or below the split crosses it at mu -
+    branch / weight and takes its weight off the slope; going down, each
+    branch above it gives its weight back.
+    """
+    step = mu - slope / curvature if curvature < 0.0 else math.nan
+    up = slope > 0.0
+    moving = branches <= 0.0 if up else branches > 0.0
+    moving &= weights > 0.0
+    weights = weights[moving]
+    distances = branches[moving] / weights  # a branch crosses at mu - distance
+    if not distances.size:
+        return step
+    first = mu - float(distances.max() if up else distances.min())
+    if min(mu, first) < step < max(mu, first):
+        return step  # the Newton step lands before the first crossing
+    order = (-distances if up else distances).argsort()
+    change = weights[order].cumsum()
+    k = int(change.searchsorted(abs(slope), "left" if up else "right"))
+    if k == change.size:
+        return step
+    kink = mu - float(distances[order[k]])
+    return step if min(mu, kink) < step < max(mu, kink) else kink
+
+
+class _DualMemo:
+    """The dual points taken on one pair at one split, each kept with the
+    target it was taken at.  f(mu) = Tr[(mu rho - sigma)_+] and its
+    branches do not depend on the target, so every point serves a search
+    at any target, re-targeted exactly (see ``_dual_point``)."""
+
+    def __init__(self, rho: np.ndarray, sigma: np.ndarray, split_tol: float = 0.0):
+        self.rho, self.sigma, self.split_tol = rho, sigma, split_tol
+        self.points: list[tuple[float, tuple]] = []
+
+    def point(self, target: float, mu: float) -> tuple:
+        """(mu, *``_dual_point``(mu)) at target, kept for later searches."""
+        point = (mu, *_dual_point(self.rho, self.sigma, target, mu, self.split_tol))
+        self.points.append((target, point))
+        return point
+
+    def at(self, target: float) -> list[tuple]:
+        """Every point taken so far, re-targeted to target, by increasing mu."""
+        return sorted(((mu, g + mu * (target - t), slope + (target - t), *rest)
+                       for t, (mu, g, slope, *rest) in self.points),
+                      key=lambda point: point[0])
+
+
+def _dual_search(memo: _DualMemo, target: float, stop):
     """Narrow a bracket on the concave dual g(mu) = mu target - Tr[(mu rho -
     sigma)_+], target > 0, until ``stop(a, b, meet, best)`` returns a result.
 
-    Points are tuples (mu, *``_dual_point``(mu)), split at ``split_tol``.
+    Points are tuples (mu, *``_dual_point``(mu)) taken through ``memo``.
     The ends a, of positive slope, and b, of non-positive slope, enclose
     the maximum of g, and only their mu, g and slope are read.  They start
-    from a = 0 (g = 0, and target is a supergradient) and the first b of
-    non-positive slope when doubling from mu = Tr sigma / Tr rho (1 when
-    either trace is 0), so the count does not grow with the scale of
-    sigma; past 2^60 times the start it gives up.  meet is where the
-    tangents at a and b meet, above the maximum by concavity, and best the
-    largest g seen.  Each step is a Newton step on the slope from the last
-    point, unless the nearest crossing lies between the point and that
-    step: then the crossing if the slope changes sign across it (a kink),
-    else a Newton step on the branch across it.  A step that leaves (a, b)
-    takes the tangent meet, failing that the midpoint.  The next point lies
-    0.45e-12 bits past the step, away from the nearer end, so that a
-    converged estimate ends with two points, one on each side; it is kept
-    a quarter of that inside (a, b).
+    as the tightest such pair among the memo's points at this target, a = 0
+    (g = 0, and target is a supergradient) when none has positive slope.
+    When none has non-positive slope, b doubles from mu = Tr sigma / Tr rho
+    (1 when either trace is 0), or from twice a if that is larger, so the
+    count does not grow with the scale of sigma; past 2^60 times the start
+    it gives up.  meet is where the tangents at a and b meet, above the
+    maximum by concavity, and best the largest g seen, memo points
+    included.  Each step is the ``_model_step`` of the last point taken (b
+    at first), or if that leaves (a, b) of the other end, failing that the
+    tangent meet, failing that the midpoint.  While the last two steps made
+    no progress, that is, neither halved b - a nor moved less than half as
+    far as the step before, the search takes the tangent meet or the
+    midpoint (a safeguard as in Brent's method, which also reads step
+    lengths, so that Newton steps converging from one side do not trip
+    it).  The next point lies 0.45e-12 bits past the step, away from the
+    nearer end, so that a converged estimate ends with two points, one on
+    each side; it is kept a quarter of that inside (a, b).
     """
-    def point(mu: float) -> tuple:
-        return (mu, *_dual_point(rho, sigma, target, mu, split_tol))
-
-    tr_rho, tr_sigma = _trace(rho), _trace(sigma)
-    start = tr_sigma / tr_rho if tr_sigma > 0.0 and tr_rho > 0.0 else 1.0
-    a, b = (0.0, 0.0, target), point(start)
-    while b[2] > 0.0 and b[0] < start * 2.0 ** 60:
-        a, b = b, point(2.0 * b[0])
-    if b[2] > 0.0:
-        raise NumericalError(
-            "dual bracket failed to enclose a maximum after 60 doublings")
+    seen = memo.at(target)
+    a, b = (0.0, 0.0, target), None
+    for point in seen:
+        if point[2] > 0.0:
+            a = point
+        else:
+            b = point
+            break
+    best = max([0.0, *(point[1] for point in seen)])
+    if b is None:
+        tr_rho, tr_sigma = _trace(memo.rho), _trace(memo.sigma)
+        start = tr_sigma / tr_rho if tr_sigma > 0.0 and tr_rho > 0.0 else 1.0
+        b = memo.point(target, max(start, 2.0 * a[0]))
+        while b[2] > 0.0 and b[0] < start * 2.0 ** 60:
+            a, b = b, memo.point(target, 2.0 * b[0])
+        if b[2] > 0.0:
+            raise NumericalError(
+                "dual bracket failed to enclose a maximum after 60 doublings")
+        best = max(best, a[1], b[1])
     last = b
     hair = 0.45 * _DS_WIDTH_BITS * LN2  # two points astride fit in a D_s bracket
-    best = max(a[1], b[1])
+    stalls, move = 0, math.inf
     for _ in range(200):
         (mu_a, g_a, s_a), (mu_b, g_b, s_b) = a[:3], b[:3]
         meet = (g_b - g_a + s_a * mu_a - s_b * mu_b) / (s_a - s_b)
         result = stop(a, b, meet, best)
         if result is not None:
             return result
-        mu, _, slope, curvature, root, slope_across, curvature_across = last
-        step = mu - slope / curvature if curvature < 0.0 else math.nan
-        if (root > mu) == (slope > 0.0) and not min(mu, root) < step < max(mu, root):
-            if (slope_across > 0.0) != (slope > 0.0):
-                step = root
-            elif curvature_across < 0.0:
-                step = mu - slope_across / curvature_across
+        step = math.nan
+        if stalls < 2:
+            for end in (last, a if last is b else b):  # a = 0 has no branches
+                if len(end) > 3 and not mu_a < step < mu_b:
+                    mu, _, slope, curvature, branches, weights = end
+                    step = _model_step(mu, slope, curvature, branches, weights)
         if not mu_a < step < mu_b:
             step = meet if mu_a < meet < mu_b else 0.5 * (mu_a + mu_b)
         mu = step * (1.0 + hair if step - mu_a < mu_b - step else 1.0 - hair)
         mu = min(max(mu, mu_a * (1.0 + 0.25 * hair)), mu_b * (1.0 - 0.25 * hair))
-        last = point(mu)
+        moved = abs(mu - last[0])
+        last = memo.point(target, mu)
         best = max(best, last[1])
         a, b = (last, b) if last[2] > 0.0 else (a, last)
+        halved = b[0] - a[0] <= 0.5 * (mu_b - mu_a)
+        stalls = 0 if halved or moved <= 0.5 * move else stalls + 1
+        move = moved
     raise NumericalError("dual search did not meet its stop rule in 200 steps")
 
 
@@ -289,7 +351,8 @@ def info_spectrum_divergence_bracket(
     def narrow(a, b, meet, best):
         return (a[0], b[0]) if b[0] - a[0] <= _DS_WIDTH * b[0] else None
 
-    mu_a, mu_b = _dual_search(pair.rho, pair.sigma, target, narrow, _DS_EVENT_TOL)
+    memo = _DualMemo(pair.rho, pair.sigma, _DS_EVENT_TOL)
+    mu_a, mu_b = _dual_search(memo, target, narrow)
     return -math.log2(mu_a), -math.log2(mu_b), -math.log2(mu_a)
 
 
@@ -308,23 +371,29 @@ def info_spectrum_divergence(pair: DivergencePair, eps: float) -> float:
 # Hypothesis-testing divergence
 # ---------------------------------------------------------------------------
 
-def _optimal_test_mass(rho: np.ndarray, sigma: np.ndarray, eps: float) -> float:
-    """min Tr[sigma T] over tests 0 <= T <= 1 with Tr[rho T] >= 1 - eps.
+def _hypothesis_test_divergences(pair: DivergencePair, levels) -> list[float]:
+    """``hypothesis_test_divergence`` at each eps in ``levels``, in order:
+    -log2 of min Tr[sigma T] over tests 0 <= T <= 1 with Tr[rho T] >= 1 - eps.
 
-    Evaluated through the concave one-dimensional dual
-    g(mu) = mu (1 - eps) - Tr[(mu rho - sigma)_+], whose maximum equals
-    the primal optimum (randomized tests included).  ``_dual_search``
-    stops once g at the tangent meet, an upper bound, exceeds the best
-    value seen by at most a relative 1e-12, or once b - a <= 1e-13 b, and
-    returns the best value seen; about seven eigensolves is typical.
+    The mass is the maximum of the concave one-dimensional dual
+    g(mu) = mu (1 - eps) - Tr[(mu rho - sigma)_+], which equals the primal
+    optimum (randomized tests included).  ``_dual_search`` stops once g at
+    the tangent meet, an upper bound, exceeds the best value seen by at
+    most a relative 1e-12, or once b - a <= 1e-13 b, and returns the best
+    value seen; about six eigensolves is typical.  The levels share one
+    ``_DualMemo``, so each search after the first starts from the
+    tightest bracket the earlier points give at its level.
 
     g is only known to rounding, about eps_mach·‖mu rho − sigma‖₁ <=
     eps_mach·(Tr sigma + mu Tr rho).  Once the tangents meet at or below
     ``_DUAL_FLOOR`` times that scale, the maximum is indistinguishable
     from 0 and the mass is 0, as for supports that are orthogonal in any
-    basis.  The floor scales with sigma, so the scaling identity holds.
+    basis: the value is +inf.  The floor scales with sigma, so the scaling
+    identity holds.
     """
-    tr_rho, tr_sigma = _trace(rho), _trace(sigma)
+    for eps in levels:
+        _check_eps(eps)
+    tr_rho, tr_sigma = _trace(pair.rho), _trace(pair.sigma)
 
     def certify(a, b, meet, best):
         upper = a[1] + a[2] * (meet - a[0])
@@ -334,23 +403,20 @@ def _optimal_test_mass(rho: np.ndarray, sigma: np.ndarray, eps: float) -> float:
             return best
         return None
 
-    return _dual_search(rho, sigma, 1.0 - eps, certify)
+    memo = _DualMemo(pair.rho, pair.sigma)
+    masses = [_dual_search(memo, 1.0 - eps, certify) for eps in levels]
+    return [-math.log2(beta) if beta > 0.0 else math.inf for beta in masses]
 
 
 def hypothesis_test_divergence(pair: DivergencePair, eps: float) -> float:
     """-log2 of the least sigma-mass of a test accepting rho with prob >= 1-eps.
 
     The mass is the maximum of the concave dual ``dual_test_objective``,
-    found by the Newton-and-tangent search that also narrows D_s, which
-    certifies it to a relative 1e-12 (about 1.4e-12 bits); +inf when the
-    mass is 0 to rounding, as for rho and sigma with orthogonal supports
-    in any basis.
+    found by the search that also narrows D_s, which certifies it to a
+    relative 1e-12 (about 1.4e-12 bits); +inf when the mass is 0 to
+    rounding, as for rho and sigma with orthogonal supports in any basis.
     """
-    _check_eps(eps)
-    beta = _optimal_test_mass(pair.rho, pair.sigma, eps)
-    if beta <= 0.0:
-        return math.inf
-    return -math.log2(beta)
+    return _hypothesis_test_divergences(pair, (eps,))[0]
 
 
 def dual_test_objective(pair: DivergencePair, eps: float, mu: float) -> float:

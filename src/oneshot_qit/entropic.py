@@ -16,24 +16,30 @@ from dataclasses import dataclass
 from .cq import CQState, _whole, joint_embed
 from .divergences import (
     DivergencePair,
+    _hypothesis_test_divergences,
     _relative_entropy_with_variance,
-    hypothesis_test_divergence,
 )
 from .errors import DomainError, _check_eps
 
 
+def _test_divergences(state: CQState, weighted: bool, levels) -> list[float]:
+    """D_h of the joint state at each eps in ``levels``, against the
+    p(x)-weighted marginals when ``weighted``, else against the marginal in
+    every block: one embedding, one pair and one memo of dual points."""
+    emb = joint_embed(state)
+    reference = emb.rho_x_tensor_rho_b if weighted else emb.one_x_tensor_rho_b
+    pair = DivergencePair._trusted(emb.rho_xb, reference)
+    return _hypothesis_test_divergences(pair, levels)
+
+
 def hypothesis_test_information(state: CQState, eps: float) -> float:
     """One-shot information of the joint state against p(x)-weighted marginals."""
-    emb = joint_embed(state)
-    pair = DivergencePair._trusted(emb.rho_xb, emb.rho_x_tensor_rho_b)
-    return hypothesis_test_divergence(pair, eps)
+    return _test_divergences(state, True, (eps,))[0]
 
 
 def conditional_test_entropy(state: CQState, eps: float) -> float:
     """One-shot conditional entropy of the classical register given the rest."""
-    emb = joint_embed(state)
-    pair = DivergencePair._trusted(emb.rho_xb, emb.one_x_tensor_rho_b)
-    return -hypothesis_test_divergence(pair, eps)
+    return -_test_divergences(state, False, (eps,))[0]
 
 
 def mutual_information_with_variance(state: CQState) -> tuple[float, float]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -290,18 +291,29 @@ def counting_half_norm_batches(monkeypatch):
         yield matrices_per_batch
 
 
+class DualCall(NamedTuple):
+    """One ``divergences._dual_point`` call: where it was taken, its slope,
+    and the target and split it was taken at."""
+
+    mu: float
+    slope: float
+    target: float
+    split_tol: float
+
+
 @contextlib.contextmanager
 def counting_dual_points(monkeypatch):
     """Patch ``divergences._dual_point``, the one eigensolve of every D_s
-    and D_h search step, to record each call as (mu, slope); yields the
+    and D_h search step, to record each call as a ``DualCall``; yields the
     list of calls.  A D_s point at threshold c has mu = 1/c, and its slope
-    is the excess mass at c."""
+    is the excess mass at c.  The target tells apart the levels of
+    searches that share points, as the two of a size sandwich do."""
     calls = []
     dual_point = divergences._dual_point
 
-    def wrapped(rho, sigma, target, mu, *args):
-        out = dual_point(rho, sigma, target, mu, *args)
-        calls.append((mu, out[1]))
+    def wrapped(rho, sigma, target, mu, split_tol=0.0):
+        out = dual_point(rho, sigma, target, mu, split_tol)
+        calls.append(DualCall(mu, out[1], target, split_tol))
         return out
 
     with monkeypatch.context() as patch:

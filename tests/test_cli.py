@@ -177,6 +177,24 @@ def test_state_file_with_non_integral_sizes_exit_code(capsys, tmp_path):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("rhos", [
+    [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]],  # ragged: rows of unequal length
+    [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], ["zero", 0.0]]]],  # a non-numeric entry
+])
+def test_state_file_with_malformed_rhos_exit_code(capsys, tmp_path, rhos):
+    path = tmp_path / "rhos.json"
+    path.write_text(json.dumps({"alphabet_size": 1, "dim_b": 2, "p": [1.0], "rhos": rhos}))
+    code = run([
+        "simulate", "--task", "pa", "--state", str(path),
+        "--size", "1", "--method", "exact",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "malformed state document" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_bounds_success(capsys, antipodal_file):
     payload, _ = run_json(capsys, [
         "bounds", "--task", "covering", "--state", antipodal_file,

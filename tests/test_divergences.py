@@ -23,7 +23,13 @@ from oneshot_qit import (
     relative_entropy_variance,
     spec_count,
 )
-from oneshot_qit.divergences import _DS_EVENT_TOL, _dual_point, dual_test_objective
+from oneshot_qit.divergences import (
+    _DS_EVENT_TOL,
+    _dual_point,
+    _hypothesis_test_divergences,
+    _model_step,
+    dual_test_objective,
+)
 from oneshot_qit.linalg import _eigh_checked, _spectral_func, projector_leq
 
 from conftest import (
@@ -212,10 +218,19 @@ def _pencil_points(rho, sigma):
     return np.sort(np.linalg.eigvals(np.linalg.solve(sigma, rho)).real)
 
 
+def _nearest_crossing(mu, point):
+    """(estimate, weight, above) of the branch of a ``_dual_point`` output
+    nearest the split: where it crosses, to first order, its slope, and
+    whether it lies above the split."""
+    branches, weights = point[3], point[4]
+    i = int(np.abs(branches).argmin())
+    return mu - branches[i] / weights[i], weights[i], bool(branches[i] > 0.0)
+
+
 def test_dual_point_curvature_matches_central_differences():
     # the curvature is the derivative of the slope in mu while no eigenvalue
-    # crosses the split, and the values across the nearest crossing are
-    # those of a point beyond it
+    # crosses the split, and past the crossing of the nearest branch the
+    # slope is the one with that branch's weight moved across the split
     rng = np.random.default_rng(53)
     for d, k in ((2, 0), (3, 0), (8, 0), (16, 0), (2, 4), (4, 2), (8, 2)):
         pair = random_noncommuting_pair(rng, d, k)
@@ -231,18 +246,20 @@ def test_dual_point_curvature_matches_central_differences():
                 assert curvature < 0.0
                 assert abs(curvature - central) <= 1e-5 * abs(curvature), (d, k, mu)
             for mu in np.concatenate([crossings * (1.0 + 1e-4), crossings * (1.0 - 1e-4)]):
-                _, slope, _, root, slope_x, curv_x = _dual_point(
-                    rho, sigma, 0.7, mu, split_tol)
+                point = _dual_point(rho, sigma, 0.7, mu, split_tol)
+                root, weight, above = _nearest_crossing(mu, point)
+                slope_x = point[1] + (weight if above else -weight)
                 beyond = root + 0.5 * (root - mu)
                 far = _dual_point(rho, sigma, 0.7, beyond, split_tol)[1]
-                expected = slope_x + curv_x * (beyond - mu)
-                assert abs(far - expected) <= 1e-3 * abs(slope_x - slope), (d, k, mu)
+                expected = slope_x + point[2] * (beyond - mu)
+                assert abs(far - expected) <= 1e-3 * weight, (d, k, mu)
 
 
 def test_dual_point_crossing_matches_dense_scan_oracle():
-    # near each pencil eigenvalue c, the crossing estimate of a D_s point
-    # converges, by re-evaluation at the estimate, to the jump of the
-    # event mass that the dense threshold scan finds for an eps inside it
+    # near each pencil eigenvalue c, the crossing estimate of the nearest
+    # branch of a D_s point converges, by re-evaluation at the estimate, to
+    # the jump of the event mass that the dense threshold scan finds for an
+    # eps inside it, and the model step of the search takes that crossing
     rng = np.random.default_rng(54)
     for d, k in ((2, 0), (4, 0), (8, 0), (3, 3), (4, 2)):
         pair = random_noncommuting_pair(rng, d, k)
@@ -253,11 +270,14 @@ def test_dual_point_crossing_matches_dense_scan_oracle():
             eps = 0.5 * (before + after)
             mu = (1.0 + 1e-3) / c
             for _ in range(4):
-                mu = _dual_point(rho, sigma, 1.0 - eps, mu, _DS_EVENT_TOL)[3]
+                mu = _nearest_crossing(mu, _dual_point(rho, sigma, 1.0 - eps, mu, _DS_EVENT_TOL))[0]
             assert abs(-math.log2(mu) - crossing(eps)) <= 2e-12, (d, k, c)
             # one estimate from 1e-7 away already lies within the bracket width
-            near = _dual_point(rho, sigma, 1.0 - eps, mu * (1.0 + 1e-7), _DS_EVENT_TOL)[3]
-            assert abs(math.log2(near / mu)) <= 1e-12, (d, k, c)
+            near = mu * (1.0 + 1e-7)
+            point = _dual_point(rho, sigma, 1.0 - eps, near, _DS_EVENT_TOL)
+            assert abs(math.log2(_nearest_crossing(near, point)[0] / mu)) <= 1e-12, (d, k, c)
+            step = _model_step(near, point[1], point[2], point[3], point[4])
+            assert abs(math.log2(step / mu)) <= 1e-12, (d, k, c)
 
 
 def test_ds_eigensolve_budget(monkeypatch):
@@ -273,17 +293,16 @@ def test_ds_eigensolve_budget(monkeypatch):
 
 def _bisection_count(calls):
     """Event-mass evaluations that bisection makes from the same doubling
-    start: the doubling phase, replayed from the recorded (mu, slope)
-    calls, then one per halving of its bracket on mu, steered by the
-    search's final end of non-positive slope, down to the D_s stop rule
-    b - a <= (1 - 2^-1e-12) b.  Returns (count, doubling-phase
+    start: the doubling phase, replayed from the recorded calls, then one
+    per halving of its bracket on mu, steered by the search's final end of
+    non-positive slope, down to the D_s stop rule b - a <= (1 - 2^-1e-12) b.  Returns (count, doubling-phase
     evaluations)."""
     n = 1
-    while calls[n - 1][1] > 0.0:
+    while calls[n - 1].slope > 0.0:
         n += 1
-    lo, hi = (calls[n - 2][0] if n > 1 else 0.0), calls[n - 1][0]
-    assert all(lo < mu < hi for mu, _ in calls[n:])
-    crossing = min(mu for mu, slope in calls if slope <= 0.0)
+    lo, hi = (calls[n - 2].mu if n > 1 else 0.0), calls[n - 1].mu
+    assert all(lo < call.mu < hi for call in calls[n:])
+    crossing = min(call.mu for call in calls if call.slope <= 0.0)
     doubling_phase = n
     while hi - lo > (1.0 - 2.0 ** -1e-12) * hi:
         mid = 0.5 * (lo + hi)
@@ -504,6 +523,95 @@ def test_dh_dual_points_do_not_grow_with_the_scale_of_sigma(monkeypatch):
                     hypothesis_test_divergence(scaled, eps)
                 counts.append(len(calls))
             assert counts[1] == counts[0] == counts[2], (d, k, eps, counts)
+
+
+def _cq_stack_pairs(rng, alphabet, d):
+    """The joint stack of a random cq state against its two references,
+    1_X (x) rho_B and rho_X (x) rho_B."""
+    emb = joint_embed(random_cq_state(rng, alphabet, d))
+    return [DivergencePair._trusted(emb.rho_xb, reference)
+            for reference in (emb.one_x_tensor_rho_b, emb.rho_x_tensor_rho_b)]
+
+
+def _stall_trials(*indices):
+    """The trials ``indices`` of a stream of random D_h calls from
+    default_rng(3), as (pair, eps): |X| and d in {2, 4, 8}, p Dirichlet,
+    each rho_x = G G^dagger / Tr with G complex Gaussian, eps uniform in
+    (0.01, 0.99), against 1_X (x) rho_B on even trials and rho_X (x) rho_B
+    on odd ones."""
+    rng = np.random.default_rng(3)
+    trials = []
+    for trial in range(max(indices) + 1):
+        alphabet, d = int(rng.choice([2, 4, 8])), int(rng.choice([2, 4, 8]))
+        p = rng.dirichlet(np.ones(alphabet))
+        rhos = []
+        for _ in range(alphabet):
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            gram = g @ g.conj().T
+            rhos.append(gram / np.trace(gram).real)
+        eps = float(rng.uniform(0.01, 0.99))
+        if trial in indices:
+            emb = joint_embed(CQState(p, rhos))
+            reference = emb.rho_x_tensor_rho_b if trial % 2 else emb.one_x_tensor_rho_b
+            trials.append((DivergencePair._trusted(emb.rho_xb, reference), eps))
+    return trials
+
+
+def test_dh_search_does_not_stall_between_the_ends(monkeypatch):
+    # trial 1016 once took 75 points: the Newton step from b landed just
+    # above a, the nearest crossing from a just below b, and the bracket
+    # shrank by about 1e-4 per pair of steps; the kink that ends the search
+    # lies where another branch crosses.  Trial 2512 takes 20 points unless
+    # the search steps to the tangent meet after two steps without progress
+    (stall, eps), (slow, slow_eps) = _stall_trials(1016, 2512)
+    assert stall.rho.shape == (2, 4, 4) and eps == 0.9580657641816538
+    for pair, level, want in ((stall, eps, 4.572678805667473),
+                              (slow, slow_eps, -0.6857764961217415)):
+        with counting_dual_points(monkeypatch) as calls:
+            value = hypothesis_test_divergence(pair, level)
+        assert len(calls) <= 16, (level, len(calls))
+        assert abs(value - want) <= 1e-9, level
+
+
+def test_dh_search_point_budget(monkeypatch):
+    # cq stacks against both references, eps from 0.02 to 0.98: at most 16
+    # points per call and 6.5 on average (the search before the model step
+    # and the safeguard took 7.5 on average here, and 68 at most)
+    made = []
+    for seed in range(80, 87):
+        rng = np.random.default_rng(seed)
+        for alphabet in (2, 4, 8):
+            for d in (2, 4, 8):
+                for pair in _cq_stack_pairs(rng, alphabet, d):
+                    for eps in (0.02, 0.2, 0.5, 0.8, 0.98):
+                        with counting_dual_points(monkeypatch) as calls:
+                            hypothesis_test_divergence(pair, eps)
+                        assert 0 < len(calls) <= 16, (seed, alphabet, d, eps, len(calls))
+                        made.append(len(calls))
+    assert sum(made) <= 6.5 * len(made), sum(made) / len(made)
+
+
+def test_memo_seeded_dh_matches_the_fresh_search(monkeypatch):
+    # a search seeded with the points of earlier levels certifies the same
+    # value as one from scratch, to the 1e-12 relative of either certificate
+    rng = np.random.default_rng(88)
+    level_sets = ((0.97, 0.52), (0.52, 0.97), (0.1, 0.3), (0.3, 0.1),
+                  (0.05, 0.5, 0.95), (0.6, 0.6))
+    for alphabet, d in ((2, 2), (2, 4), (4, 4), (8, 2), (4, 8)):
+        for pair in _cq_stack_pairs(rng, alphabet, d):
+            for levels in level_sets:
+                with counting_dual_points(monkeypatch) as calls:
+                    shared = _hypothesis_test_divergences(pair, levels)
+                fresh = [hypothesis_test_divergence(pair, eps) for eps in levels]
+                for got, want in zip(shared, fresh):
+                    assert abs(got - want) <= 1.5e-12, (alphabet, d, levels)
+                assert {call.target for call in calls} <= {1.0 - eps for eps in levels}
+            # a repeated level is certified from the memo without a point
+            with counting_dual_points(monkeypatch) as calls:
+                _hypothesis_test_divergences(pair, (0.6, 0.6))
+            with counting_dual_points(monkeypatch) as fresh_calls:
+                hypothesis_test_divergence(pair, 0.6)
+            assert len(calls) == len(fresh_calls)
 
 
 def test_dh_orthogonal_supports_are_infinite_at_once(monkeypatch):
