@@ -32,9 +32,11 @@ from .linalg import _PSD_TOL, as_hermitian
 
 _PROB_SUM_TOL = 1e-9
 
-# Feasibility caps for exhaustive enumeration and type-class generation;
-# the type-class cap counts entries, classes x alphabet size.
+# Feasibility caps for exhaustive enumeration, Monte-Carlo samples (8
+# bytes of per-sample values each) and type-class generation; the
+# type-class cap counts entries, classes x alphabet size.
 ENUMERATION_CAP = 2_000_000
+MC_SAMPLE_CAP = 100_000_000
 TYPE_CLASS_CAP = 5_000_000
 
 

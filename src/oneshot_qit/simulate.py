@@ -45,24 +45,25 @@ of draws.  Where a chunk takes the Jacobi kernel, its distances match
 exact mode's ``eigvalsh`` to about 1e-15 relative rather than to the
 bit.
 
-Determinism: Monte-Carlo draws come from a counter-based generator
-keyed by (seed, chunk index) over fixed-size sample chunks, a chunk's
-kernel depends on its own types alone, and per-sample values are
-aggregated in sample order, so results are bit-identical for any worker
-count.
+Determinism: ``_monte_carlo`` runs the chunks one after another.  Its
+draws come from a counter-based generator keyed by (seed, chunk index)
+over fixed-size sample chunks, a chunk's kernel depends on its own types
+alone, and per-sample values are aggregated in sample order, so a result
+depends on (seed, samples) alone.  ``workers`` is validated but changes
+neither the value nor the work.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cq import (
     ENUMERATION_CAP,
+    MC_SAMPLE_CAP,
     CQState,
     HashFamily,
     _compositions,
@@ -77,7 +78,6 @@ _JACOBI_BATCH = 1024  # fewest operators a covering chunk solves by Jacobi; see 
 _JACOBI_SWEEPS = 30
 _TINY = np.finfo(float).tiny
 _DRAW_BYTES = 1 << 21  # one row block of Monte-Carlo covering draws
-_SEED_MASK = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -103,15 +103,19 @@ def uniform_function_family(domain_size: int, range_size: int, method: str) -> H
     return HashFamily(domain_size, range_size, kind)
 
 
-def _check_run(method: str, samples, seed, workers) -> tuple[int, int, int]:
-    """The run arguments (samples, seed, workers) as ints, validated."""
+def _check_run(method: str, samples, seed, workers) -> tuple[int, int]:
+    """The run arguments (samples, seed) as ints, validated along with
+    ``workers``, which must be at least 1."""
     if method not in ("exact", "mc", "monte-carlo"):
         raise DomainError(f"method must be 'exact' or 'mc', got {method!r}")
     samples, seed = _whole("samples", samples), _whole("seed", seed)
-    workers = _whole("workers", workers, 1)
-    if method != "exact" and samples < 2:
-        raise DomainError("monte-carlo needs at least 2 samples")
-    return samples, seed, workers
+    _whole("workers", workers, 1)
+    if not 0 <= seed < 1 << 64:
+        raise DomainError(f"seed must be in [0, 2**64), got {seed}")
+    if method != "exact" and not 2 <= samples <= MC_SAMPLE_CAP:
+        raise DomainError(
+            f"monte-carlo needs between 2 and {MC_SAMPLE_CAP} samples, got {samples}")
+    return samples, seed
 
 
 def _half_norms(stack: np.ndarray) -> np.ndarray:
@@ -435,27 +439,25 @@ def _subset_rows(x_size: int):
         yield ((idx[:, None] >> bits) & 1).astype(float)
 
 
-def _run_chunks(n_items: int, workers: int, job) -> np.ndarray:
-    """Fill a value array chunk by chunk; chunk boundaries are fixed, so
-    the result does not depend on the worker count."""
-    values = np.empty(n_items, dtype=float)
-    spans = [
-        (j, start, min(start + _CHUNK, n_items))
-        for j, start in enumerate(range(0, n_items, _CHUNK))
-    ]
-    workers = min(workers, len(spans))
-    if workers == 1:
-        for span in spans:
-            job(values, *span)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda s: job(values, *s), spans))
-    return values
-
-
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    key = np.array([seed & _SEED_MASK, chunk_index], dtype=np.uint64)
+    key = np.array([seed, chunk_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _monte_carlo(samples: int, seed: int, chunk) -> SimulationEstimate:
+    """Monte-Carlo estimate of the mean of the per-sample values that
+    ``chunk(rng, rows)`` returns for ``rows`` samples drawn from ``rng``.
+
+    The samples are split into fixed spans of ``_CHUNK``; span j draws
+    from ``_chunk_rng(seed, j)``, and the values are aggregated in sample
+    order.
+    """
+    values = np.concatenate([
+        chunk(_chunk_rng(seed, j), min(_CHUNK, samples - start))
+        for j, start in enumerate(range(0, samples, _CHUNK))
+    ])
+    half = 1.96 * float(np.std(values, ddof=1)) / math.sqrt(samples)
+    return SimulationEstimate(float(np.mean(values)), "monte-carlo", samples, seed, half)
 
 
 def _codebook_types(rng: np.random.Generator, cdf: np.ndarray, rows: int,
@@ -535,14 +537,6 @@ def _type_distances(types: np.ndarray, m: int, blocks: np.ndarray,
     return _half_norms(stack)[inverse]
 
 
-def _mc_summary(values: np.ndarray) -> tuple[float, float]:
-    value = float(np.mean(values))
-    if values.size < 2:
-        return value, math.inf
-    half = 1.96 * float(np.std(values, ddof=1)) / math.sqrt(values.size)
-    return value, half
-
-
 def simulate_pa(state: CQState, z_size: int, method: str = "exact",
                 samples: int = 100_000, seed: int = 0,
                 workers: int = 1) -> SimulationEstimate:
@@ -551,12 +545,14 @@ def simulate_pa(state: CQState, z_size: int, method: str = "exact",
     Exact mode averages over all z_size**alphabet function tables as z
     times a weighted sum over the 2**alphabet preimages of one output
     block, a subset S having weight z^-|S| (1-1/z)^(|X|-|S|); it is
-    rejected when the subsets exceed the enumeration cap, and it ignores
-    ``workers``.  Monte-Carlo mode draws tables uniformly and reports an
-    unbiased mean with its confidence half-width.
+    rejected when the subsets exceed the enumeration cap.  Monte-Carlo
+    mode draws tables uniformly and reports an unbiased mean with its
+    confidence half-width; it takes at most ``MC_SAMPLE_CAP`` samples.
+    The seed must lie in [0, 2**64).  ``workers`` must be at least 1 and
+    changes neither the value nor the work in either mode.
     """
     z_size = _whole("z_size", z_size, 1)
-    samples, seed, workers = _check_run(method, samples, seed, workers)
+    samples, seed = _check_run(method, samples, seed, workers)
     x_size = state.alphabet_size
 
     if method == "exact":
@@ -572,14 +568,11 @@ def simulate_pa(state: CQState, z_size: int, method: str = "exact",
     target = state.marginal() / z_size
     table = _set_table(weights, target, z_size, samples)
 
-    def job(values, j, start, stop):
-        rng = _chunk_rng(seed, j)
-        tables = rng.integers(0, z_size, size=(stop - start, x_size), dtype=np.int64)
-        values[start:stop] = _hash_values(tables, weights, z_size, target, table)
+    def chunk(rng, rows):
+        tables = rng.integers(0, z_size, size=(rows, x_size), dtype=np.int64)
+        return _hash_values(tables, weights, z_size, target, table)
 
-    values = _run_chunks(samples, workers, job)
-    value, half = _mc_summary(values)
-    return SimulationEstimate(value, "monte-carlo", samples, seed, half)
+    return _monte_carlo(samples, seed, chunk)
 
 
 def simulate_covering(state: CQState, m: int, method: str = "exact",
@@ -591,14 +584,16 @@ def simulate_covering(state: CQState, m: int, method: str = "exact",
     codebooks.  The average depends on a codebook only through its
     symbol histogram, so it is a multinomially weighted sum over the
     C(m+alphabet-1, alphabet-1) types; it is rejected when the types
-    exceed the enumeration cap, and it ignores ``workers``.  The
-    reported sample count remains the full codebook count.  Monte-Carlo
-    mode draws codebooks i.i.d. from p, those of ``Generator.choice`` on
-    each chunk's generator, counts each into its type, and evaluates
-    each distinct type of a chunk once with the same kernel.
+    exceed the enumeration cap.  The reported sample count remains the
+    full codebook count.  Monte-Carlo mode draws codebooks i.i.d. from
+    p, those of ``Generator.choice`` on each chunk's generator, counts
+    each into its type, and evaluates each distinct type of a chunk once
+    with the same kernel; it takes at most ``MC_SAMPLE_CAP`` samples.
+    The seed must lie in [0, 2**64).  ``workers`` must be at least 1 and
+    changes neither the value nor the work in either mode.
     """
     m = _whole("m", m, 1)
-    samples, seed, workers = _check_run(method, samples, seed, workers)
+    samples, seed = _check_run(method, samples, seed, workers)
     x_size = state.alphabet_size
 
     if method == "exact":
@@ -617,13 +612,10 @@ def simulate_covering(state: CQState, m: int, method: str = "exact",
     cdf = state.p.cumsum()
     cdf /= cdf[-1]
 
-    def job(values, j, start, stop):
-        types = _codebook_types(_chunk_rng(seed, j), cdf, stop - start, m)
-        values[start:stop] = _type_distances(types, m, blocks, rho_b)
+    def chunk(rng, rows):
+        return _type_distances(_codebook_types(rng, cdf, rows, m), m, blocks, rho_b)
 
-    values = _run_chunks(samples, workers, job)
-    value, half = _mc_summary(values)
-    return SimulationEstimate(value, "monte-carlo", samples, seed, half)
+    return _monte_carlo(samples, seed, chunk)
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,34 @@ def test_simulate_refuses_non_positive_workers(capsys, bitpair_file):
         assert captured.out == ""
 
 
+def test_simulate_refuses_seed_outside_64_bits(capsys, bitpair_file):
+    for method, seed in (("mc", "-1"), ("exact", "-1"), ("mc", str(2 ** 64))):
+        code = run([
+            "simulate", "--task", "covering", "--state", bitpair_file, "--size", "2",
+            "--method", method, "--samples", "100", "--seed", seed,
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "seed" in captured.err
+        assert captured.out == ""
+
+
+def test_simulate_refuses_samples_above_cap_before_any_draw(capsys, monkeypatch, bitpair_file):
+    def refuse(seed, chunk_index):
+        raise AssertionError("a chunk was drawn")
+
+    monkeypatch.setattr(oneshot_qit.simulate, "_chunk_rng", refuse)
+    for task in ("pa", "covering"):
+        code = run([
+            "simulate", "--task", task, "--state", bitpair_file, "--size", "2",
+            "--method", "mc", "--samples", str(oneshot_qit.simulate.MC_SAMPLE_CAP + 1),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "samples" in captured.err
+        assert captured.out == ""
+
+
 def test_bounds_domain_error_exit_code(capsys, antipodal_file):
     code = run([
         "bounds", "--task", "covering", "--state", antipodal_file,

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -239,40 +240,55 @@ def test_pa_monte_carlo_memory_does_not_grow_with_output_size(monkeypatch):
         assert value == pytest.approx(_dense_table_value(state, 1024, table), abs=1e-12)
 
 
-def test_mc_workers_validated_and_pool_sized_by_chunks(monkeypatch):
-    pool_sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            pool_sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", SerialPool)
+def test_mc_workers_below_one_refused():
     state = bit_pair_trivial_side()
-    three_chunks = 3 * simulate._CHUNK
-    serial = simulate_pa(state, 2, "mc", samples=three_chunks, seed=1)
-    assert pool_sizes == []
-    pooled = simulate_pa(state, 2, "mc", samples=three_chunks, seed=1, workers=8)
-    assert pool_sizes == [3]
-    assert pooled.value == serial.value
-    simulate_covering(state, 2, "mc", samples=three_chunks, seed=1, workers=2)
-    assert pool_sizes == [3, 2]
-    simulate_pa(state, 2, "mc", samples=100, seed=1, workers=8)  # one chunk
-    assert pool_sizes == [3, 2]
     for workers in (0, -3):
         for runner, method in itertools.product(
                 (simulate_pa, simulate_covering), ("mc", "exact")):
             with pytest.raises(DomainError, match="workers"):
                 runner(state, 2, method, samples=100, workers=workers)
-    assert pool_sizes == [3, 2]
+
+
+def test_mc_chunks_start_no_thread(monkeypatch):
+    # three chunks at eight workers run in the caller's thread, with the
+    # values of one worker
+    def refuse(self):
+        raise AssertionError("a Monte-Carlo run started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    state = _oracle_state(81, 3, 2, False)
+    three_chunks = 3 * simulate._CHUNK
+    for runner in (simulate_pa, simulate_covering):
+        serial, many = (runner(state, 4, "mc", samples=three_chunks, seed=1, workers=w)
+                        for w in (1, 8))
+        assert many.value.hex() == serial.value.hex()
+        assert many.half_width.hex() == serial.half_width.hex()
+
+
+def test_mc_seed_outside_64_bits_refused():
+    # the generator keys on 64 bits, so -1 and 2**64 would repeat the
+    # draws of 2**64 - 1 and 0 under another reported seed
+    state = bit_pair_trivial_side()
+    for runner, method in itertools.product(
+            (simulate_pa, simulate_covering), ("mc", "exact")):
+        for seed in (-1, 2 ** 64, 2 ** 70):
+            with pytest.raises(DomainError, match="seed"):
+                runner(state, 2, method, samples=100, seed=seed)
+        top = runner(state, 2, method, samples=100, seed=2 ** 64 - 1)
+        assert top.seed == 2 ** 64 - 1
+
+
+def test_mc_samples_above_cap_refused_before_any_draw(monkeypatch):
+    def refuse(seed, chunk_index):
+        raise AssertionError("a chunk was drawn")
+
+    monkeypatch.setattr(simulate, "_chunk_rng", refuse)
+    state = bit_pair_trivial_side()
+    for runner in (simulate_pa, simulate_covering):
+        with pytest.raises(DomainError, match="samples"):
+            runner(state, 2, "mc", samples=simulate.MC_SAMPLE_CAP + 1)
+        # exact mode reads no sample count
+        assert runner(state, 2, "exact", samples=simulate.MC_SAMPLE_CAP + 1).method == "exact"
 
 
 def test_pa_estimates_in_range(corpus):
