@@ -15,14 +15,20 @@ accepted by :func:`load_state` is::
 where ``rhos[x][i][j]`` is entry (i, j) of the x-th density operator.
 Writers must emit Hermitian data; the reader symmetrizes and validates.
 Probabilities are renormalized when their sum is within 1e-9 of 1 and
-rejected otherwise.
+rejected otherwise.  :func:`load_state` validates each distinct file
+content once per process and hands every later load of the same bytes
+the same frozen state.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -39,13 +45,23 @@ ENUMERATION_CAP = 2_000_000
 MC_SAMPLE_CAP = 100_000_000
 TYPE_CLASS_CAP = 5_000_000
 
+# Bytes of state arrays that the memo of ``load_state`` may retain
+_STATE_MEMO_BYTES = 64 * 2**20
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
 
 @dataclass(frozen=True)
 class CQState:
     """Distribution ``p`` over an alphabet plus one density operator per symbol.
 
     ``rhos`` has shape (alphabet_size, dim_b, dim_b).  Instances are
-    validated and frozen at construction; treat the arrays as read-only.
+    validated and frozen at construction, and every array they hold or
+    hand out is read-only.  The marginal and the joint embedding are
+    derived once per instance, on first use.
     """
 
     p: np.ndarray
@@ -98,12 +114,28 @@ class CQState:
     def marginal(self) -> np.ndarray:
         """Average output operator sum_x p(x) rho^x.
 
-        The blocks were validated at construction, and a convex
+        Computed once per state: every call returns the same read-only
+        array.  The blocks were validated at construction, and a convex
         combination of Hermitian blocks is Hermitian, so only the
         Hermitian part is taken, without a check.
         """
+        return self._marginal
+
+    @cached_property
+    def _marginal(self) -> np.ndarray:
         m = np.tensordot(self.p, self.rhos, axes=1)
-        return (m + m.conj().T) / 2
+        return _read_only((m + m.conj().T) / 2)
+
+    @cached_property
+    def _joint_embedding(self) -> JointEmbedding:
+        rho_b = self._marginal
+        weights = self.p[:, None, None]
+        return JointEmbedding(
+            _read_only(weights * self.rhos),
+            _read_only(weights * rho_b),
+            np.broadcast_to(rho_b, self.rhos.shape),
+            rho_b,
+        )
 
 
 @dataclass(frozen=True)
@@ -113,7 +145,7 @@ class JointEmbedding:
     Each is an (alphabet_size, d, d) stack of diagonal blocks indexed by
     the classical symbol: ``rho_xb`` holds p(x) * rho^x,
     ``rho_x_tensor_rho_b`` holds p(x) * rho_b, and ``one_x_tensor_rho_b``
-    holds rho_b in every block (a read-only view).
+    holds rho_b in every block (a view).  All four arrays are read-only.
     """
 
     rho_xb: np.ndarray
@@ -123,15 +155,12 @@ class JointEmbedding:
 
 
 def joint_embed(state: CQState) -> JointEmbedding:
-    """The joint operator and its two product references, as block stacks."""
-    rho_b = state.marginal()
-    weights = state.p[:, None, None]
-    return JointEmbedding(
-        weights * state.rhos,
-        weights * rho_b,
-        np.broadcast_to(rho_b, state.rhos.shape),
-        rho_b,
-    )
+    """The joint operator and its two product references, as block stacks.
+
+    Built once per state: every call returns the same embedding, whose
+    arrays are read-only and share ``rho_b`` with ``state.marginal()``.
+    """
+    return state._joint_embedding
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +227,81 @@ def state_to_document(state: CQState) -> dict:
     }
 
 
+def _held_bytes(state: CQState) -> int:
+    """Bytes of a state's arrays once its marginal and joint embedding
+    are derived: p, rhos, the marginal and two stacks the size of rhos
+    (the third embedding stack is a view)."""
+    return state.p.nbytes + 3 * state.rhos.nbytes + state.rhos[0].nbytes
+
+
+class _StateMemo:
+    """Validated states keyed by a digest of their file's bytes, evicted
+    least recently used first so that their ``_held_bytes`` sum to at
+    most ``limit``.  A state larger than ``limit`` is not kept."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.held = 0
+        self._states: OrderedDict[bytes, tuple[CQState, int]] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: bytes) -> CQState | None:
+        with self._lock:
+            entry = self._states.get(key)
+            if entry is None:
+                return None
+            self._states.move_to_end(key)
+            return entry[0]
+
+    def put(self, key: bytes, state: CQState) -> None:
+        size = _held_bytes(state)
+        with self._lock:
+            if size > self.limit or key in self._states:
+                return
+            self._states[key] = (state, size)
+            self.held += size
+            while self.held > self.limit:
+                _, (_, evicted) = self._states.popitem(last=False)
+                self.held -= evicted
+
+    def clear(self) -> None:
+        with self._lock:
+            self._states.clear()
+            self.held = 0
+
+
+_STATE_MEMO = _StateMemo(_STATE_MEMO_BYTES)
+
+
 def load_state(path) -> CQState:
-    """Read and validate a JSON state file."""
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"state file {path} is not valid JSON: {exc}") from exc
-    return state_from_document(doc)
+    """Read and validate a JSON state file, once per distinct content.
+
+    The file is read as bytes on every call, so an edit is always seen.
+    A state whose bytes were validated before is taken from a process-wide
+    memo keyed by the blake2b digest of the bytes: the same bytes, from
+    any path, give the same frozen ``CQState``, whose marginal and joint
+    embedding are then derived once.  The memo keeps states whose arrays
+    (``_held_bytes``) sum to at most ``_STATE_MEMO_BYTES``, evicting the
+    least recently loaded; a larger state is validated on every load.
+    Errors are never memoised: a file that is not UTF-8 JSON or not a
+    valid state raises a ``DomainError`` that names the path, on every
+    call.
+    """
+    data = Path(path).read_bytes()
+    key = hashlib.blake2b(data).digest()
+    state = _STATE_MEMO.get(key)
+    if state is None:
+        try:
+            doc = json.loads(data.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            # not UTF-8, not JSON, or nested too deep to parse
+            raise DomainError(f"state file {path} is not valid JSON: {exc}") from exc
+        try:
+            state = state_from_document(doc)
+        except DomainError as exc:
+            raise DomainError(f"state file {path}: {exc}") from exc
+        _STATE_MEMO.put(key, state)
+    return state
 
 
 def dump_state(state: CQState, path) -> None:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from oneshot_qit import CQState, divergences, simulate
+from oneshot_qit import CQState, cq, divergences, simulate
 from oneshot_qit.linalg import projector_leq
 
 
@@ -266,6 +266,17 @@ def counting_eigensolves(monkeypatch):
         patch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
         patch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
         yield matrices_per_call
+
+
+@pytest.fixture()
+def cold_state_memo():
+    """Empty the process-wide state memo of ``cq.load_state`` before and
+    after the test, so that the test parses and validates every state
+    file it loads afresh, whatever tests ran before it; yields the memo.
+    For tests that count eigensolves or validations across a load."""
+    cq._STATE_MEMO.clear()
+    yield cq._STATE_MEMO
+    cq._STATE_MEMO.clear()
 
 
 @contextlib.contextmanager

@@ -180,7 +180,8 @@ def test_commuting_pairs_solve_only_multi_entry_clusters(corpus, monkeypatch):
                 assert got == bound(big, c, 4)
 
 
-def test_cq_paths_solve_only_block_sized_matrices(monkeypatch, tmp_path, capsys):
+def test_cq_paths_solve_only_block_sized_matrices(monkeypatch, tmp_path, capsys,
+                                                 cold_state_memo):
     rng = np.random.default_rng(65)
     state, other = random_cq_state(rng, 16, 2), random_cq_state(rng, 16, 2)
     path_a, path_b = str(tmp_path / "a.json"), str(tmp_path / "b.json")

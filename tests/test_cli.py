@@ -16,7 +16,7 @@ from oneshot_qit import CQState, dump_state
 from oneshot_qit import cli
 from oneshot_qit.cli import run
 
-from conftest import binary_antipodal, bit_pair_trivial_side
+from conftest import binary_antipodal, bit_pair_trivial_side, random_cq_state
 
 
 @pytest.fixture()
@@ -221,6 +221,49 @@ def test_state_file_with_malformed_rhos_exit_code(capsys, tmp_path, rhos):
     assert "malformed state document" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_state_file_not_utf8_exit_code(capsys, tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\x00\x01binary")
+    code = run([
+        "simulate", "--task", "pa", "--state", str(path),
+        "--size", "2", "--method", "exact",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"state file {path} is not valid JSON" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+_COLD_WARM_ARGVS = [
+    *[["divergence", "--kind", kind, "--state-a", "{a}", "--state-b", "{b}", "--eps", "0.2"]
+      for kind in ("ds", "dh", "d2", "kl", "var")],
+    *[["bounds", "--task", task, "--state", "{a}", "--eps", "0.3", "--delta", "0.09",
+       "--c", "0.04"] for task in ("pa", "covering")],
+    ["rates", "--task", "covering", "--state", "{a}", "--eps", "0.2", "--n-list", "10,100"],
+    ["simulate", "--task", "pa", "--state", "{a}", "--size", "2", "--method", "exact"],
+    ["simulate", "--task", "covering", "--state", "{a}", "--size", "3", "--method", "mc",
+     "--samples", "300", "--seed", "5"],
+    ["search", "--task", "covering", "--state", "{a}", "--eps", "0.5", "--cap", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", _COLD_WARM_ARGVS, ids=lambda argv: "-".join(argv[:3]))
+def test_cold_and_warm_loads_print_the_same(capsys, tmp_path, argv, cold_state_memo):
+    rng = np.random.default_rng(31)
+    paths = {}
+    for name in ("a", "b"):
+        paths[name] = str(tmp_path / f"{name}.json")
+        dump_state(random_cq_state(rng, 3, 2), paths[name])
+    argv = [arg.format(**paths) for arg in argv]
+    outputs = []
+    for _ in range(2):
+        assert run(argv) == 0
+        outputs.append(capsys.readouterr().out)
+        assert cold_state_memo.held > 0
+    assert outputs[0] == outputs[1]
 
 
 def test_bounds_success(capsys, antipodal_file):

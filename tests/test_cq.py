@@ -3,6 +3,8 @@
 import itertools
 import json
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -23,7 +25,12 @@ from oneshot_qit import (
 from oneshot_qit import cq
 from oneshot_qit.cq import _compositions, _type_tables
 
-from conftest import binary_antipodal, bit_pair_trivial_side, random_cq_state
+from conftest import (
+    binary_antipodal,
+    bit_pair_trivial_side,
+    counting_eigensolves,
+    random_cq_state,
+)
 
 
 def test_valid_classical_bit_pair():
@@ -165,6 +172,144 @@ def test_state_file_reader_symmetrizes(tmp_path):
     path.write_text(json.dumps(doc))
     state = load_state(path)
     assert np.max(np.abs(state.rhos[0] - state.rhos[0].conj().T)) == 0.0
+
+
+def test_marginal_and_joint_embedding_are_derived_once_read_only():
+    state = random_cq_state(np.random.default_rng(24), 3, 2)
+    p, rhos = state.p[:, None, None], state.rhos
+    marginal = state.marginal()
+    emb = joint_embed(state)
+    assert state.marginal() is marginal and joint_embed(state) is emb
+    assert emb.rho_b is marginal
+    direct = sum(state.p[x] * rhos[x] for x in range(state.alphabet_size))
+    assert np.max(np.abs(marginal - direct)) <= 1e-15
+    assert np.array_equal(emb.rho_xb, p * rhos)
+    assert np.array_equal(emb.rho_x_tensor_rho_b, p * marginal)
+    assert np.array_equal(emb.one_x_tensor_rho_b, np.stack([marginal] * 3))
+    for array in (marginal, *vars(emb).values()):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+
+
+def _state_file(path, state):
+    dump_state(state, path)
+    return path
+
+
+def test_load_state_sees_a_rewritten_file(tmp_path):
+    rng = np.random.default_rng(25)
+    first, second = random_cq_state(rng, 2, 2), random_cq_state(rng, 2, 2)
+    path = _state_file(tmp_path / "s.json", first)
+    assert np.max(np.abs(load_state(path).rhos - first.rhos)) <= 1e-15
+    loaded = load_state(_state_file(path, second))
+    assert np.max(np.abs(loaded.rhos - second.rhos)) <= 1e-15
+    assert np.max(np.abs(loaded.p - second.p)) <= 1e-15
+
+
+def test_same_bytes_at_two_paths_are_validated_once(tmp_path, monkeypatch,
+                                                    cold_state_memo):
+    state = random_cq_state(np.random.default_rng(26), 3, 2)
+    a = _state_file(tmp_path / "a.json", state)
+    b = _state_file(tmp_path / "b.json", state)
+    with counting_eigensolves(monkeypatch) as calls:
+        loaded = [load_state(a), load_state(str(b)), load_state(a)]
+    assert calls == [3]  # the eigvalsh of the PSD check, once
+    assert loaded[0] is loaded[1] is loaded[2]
+    assert not loaded[0].p.flags.writeable and not loaded[0].rhos.flags.writeable
+
+
+def test_bad_state_files_raise_on_every_load(tmp_path, cold_state_memo):
+    doc = state_to_document(binary_antipodal())
+    not_psd = dict(doc, rhos=[[[[0.505, 0.0], [0.51, 0.0]], [[0.51, 0.0], [0.505, 0.0]]]],
+                   p=[1.0], alphabet_size=1)
+    bad = {
+        b"{not json": "not valid JSON",
+        b"\xff\xfe\x00binary": "not valid JSON.*utf-8",
+        b"[" * 100_000 + b"]" * 100_000: "not valid JSON.*recursion",
+        json.dumps(dict(doc, p=[0.6, 0.6])).encode(): "probability sum",
+        json.dumps(not_psd).encode(): "block 0 is not PSD",
+    }
+    path = tmp_path / "s.json"
+    other = tmp_path / "other.json"
+    for data, message in bad.items():
+        path.write_text(json.dumps(doc))
+        good = load_state(path)
+        for target in (path, other, path):
+            target.write_bytes(data)
+            with pytest.raises(DomainError, match=message) as caught:
+                load_state(target)
+            assert str(target) in str(caught.value)
+        path.write_text(json.dumps(doc))
+        assert load_state(path) is good
+    assert len(cold_state_memo._states) == 1
+
+
+def test_state_memo_bound_evicts_least_recently_loaded(tmp_path, monkeypatch,
+                                                       cold_state_memo):
+    rng = np.random.default_rng(27)
+    small = [random_cq_state(rng, 2, 2) for _ in range(3)]
+    size = cq._held_bytes(small[0])
+    assert size == 2 * 8 + 3 * 2 * 4 * 16 + 4 * 16
+    monkeypatch.setattr(cold_state_memo, "limit", 2 * size + size // 2)
+    a, b, c = (_state_file(tmp_path / f"{name}.json", s)
+               for name, s in zip("abc", small))
+
+    def validations(*paths):
+        with counting_eigensolves(monkeypatch) as calls:
+            for path in paths:
+                load_state(path)
+        return len(calls)
+
+    assert validations(a, b, a) == 2
+    assert validations(c) == 1  # evicts b, the least recently loaded
+    assert cold_state_memo.held == 2 * size <= cold_state_memo.limit
+    assert validations(a, c) == 0
+    assert validations(b) == 1  # evicts a
+    assert validations(c, b) == 0
+    assert validations(a) == 1
+
+    # a state larger than the bound is validated on every load and
+    # evicts nothing
+    large = _state_file(tmp_path / "large.json", random_cq_state(rng, 3, 4))
+    assert cq._held_bytes(load_state(large)) > cold_state_memo.limit
+    assert validations(large, large) == 2
+    assert validations(b, a) == 0
+    assert cold_state_memo.held == sum(size for _, size in cold_state_memo._states.values())
+
+
+def test_state_memo_under_concurrent_loads(tmp_path, monkeypatch, cold_state_memo):
+    rng = np.random.default_rng(28)
+    states = [random_cq_state(rng, 2, 2) for _ in range(6)]
+    paths = [_state_file(tmp_path / f"{i}.json", s) for i, s in enumerate(states)]
+    monkeypatch.setattr(cold_state_memo, "limit", 3 * cq._held_bytes(states[0]))
+    failures = []
+
+    def worker(offset):
+        try:
+            for k in range(60):
+                i = (offset + k * (offset + 1)) % len(paths)
+                loaded = load_state(paths[i])
+                if np.max(np.abs(loaded.rhos - states[i].rhos)) > 1e-15:
+                    failures.append(i)
+        except Exception as exc:  # reported by the assertion below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    retained = cold_state_memo._states.values()
+    assert cold_state_memo.held == sum(size for _, size in retained) <= cold_state_memo.limit
+    assert len(retained) == 3
 
 
 # ---------------------------------------------------------------------------
