@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cq import CQState, _whole, joint_embed
-from .divergences import _commuting_pairs
+from .divergences import DivergencePair, _commuting_pairs
 from .entropic import _test_divergences
 from .errors import DomainError, _check_eps
-from .linalg import _threshold, spec_count
+from .linalg import _cluster_labels, _Operator, _threshold
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,16 @@ def _pinched_exceedance_mass(
     """
     emb = joint_embed(state)
     reference = emb.rho_x_tensor_rho_b if weight_threshold else emb.one_x_tensor_rho_b
-    masses, thresholds = _commuting_pairs(emb.rho_xb, c * reference)
+    pair = DivergencePair._trusted(state._operators["rho_xb"], _Operator(c * reference))
+    masses, thresholds = _commuting_pairs(pair)
     return float(np.sum(masses[masses - thresholds > _threshold(masses, thresholds)]))
+
+
+def _marginal_spec_count(state: CQState) -> int:
+    """nu, the number of distinct eigenvalue clusters of the marginal, as
+    ``spec_count`` counts them, from its eigensystem solved once per state."""
+    lam, _ = state._operators["rho_b"].eig
+    return int(_cluster_labels(lam)[-1]) + 1
 
 
 def pa_direct_bound(state: CQState, c: float, z_size: int) -> float:
@@ -87,7 +95,7 @@ def pa_direct_bound(state: CQState, c: float, z_size: int) -> float:
         raise DomainError(f"c must be > 0, got {c}")
     z_size = _whole("z_size", z_size, 1)
     tail = _pinched_exceedance_mass(state, c, weight_threshold=False)
-    nu = spec_count(state.marginal())
+    nu = _marginal_spec_count(state)
     return tail + math.sqrt(c * nu * z_size)
 
 
@@ -101,7 +109,7 @@ def covering_direct_bound(state: CQState, c: float, m: int) -> float:
         raise DomainError(f"c must be > 0, got {c}")
     m = _whole("m", m, 1)
     tail = _pinched_exceedance_mass(state, c, weight_threshold=True)
-    nu = spec_count(state.marginal())
+    nu = _marginal_spec_count(state)
     return tail + math.sqrt(nu * c / m)
 
 
@@ -113,7 +121,7 @@ def pa_size_bounds(state: CQState, eps: float, delta: float, c: float) -> BoundR
     the second search starts from the tightest bracket the first leaves.
     """
     validate_sandwich_params(eps, delta, c)
-    nu = spec_count(state.marginal())
+    nu = _marginal_spec_count(state)
     h_low, h_high = (-value for value in _test_divergences(
         state, False, (1.0 - eps + 3.0 * delta, 1.0 - eps - 2.0 * delta)))
     penalty = math.log2(nu * nu / delta ** 4)
@@ -145,7 +153,7 @@ def covering_size_bounds(
     second search starts from the tightest bracket the first leaves.
     """
     validate_sandwich_params(eps, delta, c)
-    nu = spec_count(state.marginal())
+    nu = _marginal_spec_count(state)
     i_low, i_high = _test_divergences(
         state, True, (1.0 - eps - 2.0 * delta, 1.0 - eps + 3.0 * delta))
     penalty = math.log2(nu * nu / delta ** 4)

@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .bounds import covering_size_bounds, pa_size_bounds, validate_sandwich_params
-from .cq import ENUMERATION_CAP, joint_embed, load_state
+from .cq import ENUMERATION_CAP, load_state
 from .divergences import (
     DivergencePair,
     collision_divergence,
@@ -157,9 +157,8 @@ def _parser() -> argparse.ArgumentParser:
 def _cmd_divergence(args) -> dict:
     state_a = load_state(args.state_a)
     state_b = load_state(args.state_b)
-    rho = joint_embed(state_a).rho_xb
-    sigma = joint_embed(state_b).rho_xb
-    pair = DivergencePair._trusted(rho, sigma)
+    pair = DivergencePair._trusted(state_a._operators["rho_xb"],
+                                   state_b._operators["rho_xb"])
     kind = args.kind
     if kind in ("ds", "dh") and args.eps is None:
         raise DomainError(f"--eps is required for kind {kind}")
@@ -185,6 +184,8 @@ def _cmd_rates(args) -> dict:
     if (args.n is None) == (args.n_list is None):
         raise DomainError("pass exactly one of --n or --n-list")
     n_values = [args.n] if args.n is not None else list(args.n_list)
+    if not n_values:
+        raise DomainError("--n-list names no blocklength")
     if any(n < 1 for n in n_values):
         raise DomainError("blocklengths must be positive")
     if args.task == "pa":

@@ -27,14 +27,14 @@ import json
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError
-from .linalg import _PSD_TOL, as_hermitian
+from .linalg import _PSD_TOL, _Operator, as_hermitian
 
 _PROB_SUM_TOL = 1e-9
 
@@ -60,8 +60,9 @@ class CQState:
 
     ``rhos`` has shape (alphabet_size, dim_b, dim_b).  Instances are
     validated and frozen at construction, and every array they hold or
-    hand out is read-only.  The marginal and the joint embedding are
-    derived once per instance, on first use.
+    hand out is read-only.  The marginal, the joint embedding and the
+    eigensystem of each of the embedding's four operators are derived
+    once per instance, each on first use.
     """
 
     p: np.ndarray
@@ -137,6 +138,14 @@ class CQState:
             rho_b,
         )
 
+    @cached_property
+    def _operators(self) -> dict[str, _Operator]:
+        """The joint embedding's four operators, keyed by their field
+        names, each with its eigensystem solved once, on first use: the
+        operators that the pairs and bounds of this state read."""
+        emb = self._joint_embedding
+        return {f.name: _Operator(getattr(emb, f.name)) for f in fields(emb)}
+
 
 @dataclass(frozen=True)
 class JointEmbedding:
@@ -159,6 +168,8 @@ def joint_embed(state: CQState) -> JointEmbedding:
 
     Built once per state: every call returns the same embedding, whose
     arrays are read-only and share ``rho_b`` with ``state.marginal()``.
+    The eigensystems of these operators are likewise solved once per
+    state, when a pair or bound of the state first reads them.
     """
     return state._joint_embedding
 
@@ -228,10 +239,15 @@ def state_to_document(state: CQState) -> dict:
 
 
 def _held_bytes(state: CQState) -> int:
-    """Bytes of a state's arrays once its marginal and joint embedding
-    are derived: p, rhos, the marginal and two stacks the size of rhos
-    (the third embedding stack is a view)."""
-    return state.p.nbytes + 3 * state.rhos.nbytes + state.rhos[0].nbytes
+    """Bytes of a state's arrays once everything it derives is derived:
+    p, rhos, the marginal, two embedding stacks the size of rhos (the
+    third is a view), and the eigensystems of the three stacks and the
+    marginal, each an eigenvector array the size of its operator and
+    one real eigenvalue per column."""
+    stack, block = state.rhos.nbytes, state.rhos[0].nbytes
+    stack_values, block_values = state.rhos[..., 0].real.nbytes, state.rhos[0, 0].real.nbytes
+    return (state.p.nbytes + 3 * stack + block
+            + 3 * (stack + stack_values) + block + block_values)
 
 
 class _StateMemo:
@@ -279,10 +295,11 @@ def load_state(path) -> CQState:
     The file is read as bytes on every call, so an edit is always seen.
     A state whose bytes were validated before is taken from a process-wide
     memo keyed by the blake2b digest of the bytes: the same bytes, from
-    any path, give the same frozen ``CQState``, whose marginal and joint
-    embedding are then derived once.  The memo keeps states whose arrays
-    (``_held_bytes``) sum to at most ``_STATE_MEMO_BYTES``, evicting the
-    least recently loaded; a larger state is validated on every load.
+    any path, give the same frozen ``CQState``, whose marginal, joint
+    embedding and operator eigensystems are then derived once.  The memo
+    keeps states whose arrays (``_held_bytes``) sum to at most
+    ``_STATE_MEMO_BYTES``, evicting the least recently loaded; a larger
+    state is validated on every load.
     Errors are never memoised: a file that is not UTF-8 JSON or not a
     valid state raises a ``DomainError`` that names the path, on every
     call.

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .linalg import (
     DEFAULT_CLUSTER_TOL,
     _cluster_labels,
     _eigh_checked,
+    _Operator,
     _spectral_func,
     _threshold,
     as_hermitian,
@@ -46,17 +48,40 @@ _DS_EVENT_TOL = DEFAULT_CLUSTER_TOL
 
 @dataclass(frozen=True)
 class DivergencePair:
-    """A validated (rho, sigma) pair with a cached commutation flag.
+    """A validated (rho, sigma) pair, with each operator's eigensystem
+    and the commutation flag derived on first use.
 
     ``rho`` is a density operator (unit trace unless constructed with
     ``normalized=False``, which only relaxes the trace check); ``sigma``
     is PSD and may be unnormalized.  Both are (d, d), or both are
-    (k, d, d) stacks of diagonal blocks.
+    (k, d, d) stacks of diagonal blocks.  The two fields are
+    ``linalg._Operator``s, whose ``eig`` is the one accessor of their
+    eigensystems: a pair of a state's joint operators shares the state's
+    (``CQState._operators``), so each is solved once per state, and any
+    other pair solves each of its own once.
     """
 
-    rho: np.ndarray
-    sigma: np.ndarray
-    commuting: bool
+    _rho: _Operator
+    _sigma: _Operator
+
+    @property
+    def rho(self) -> np.ndarray:
+        return self._rho.array
+
+    @property
+    def sigma(self) -> np.ndarray:
+        return self._sigma.array
+
+    @cached_property
+    def commuting(self) -> bool:
+        """Whether max|[rho, sigma]| <= ``_COMMUTATOR_TOL``·max|rho|·max|sigma|,
+        maxima over the whole stack, so that scaling either operator does
+        not change it.  Computed on first read: only D_s, and the CLI's
+        ``exact`` field beside it, read it."""
+        rho, sigma = self.rho, self.sigma
+        comm = float(np.max(np.abs(rho @ sigma - sigma @ rho)))
+        scale = float(np.max(np.abs(rho))) * float(np.max(np.abs(sigma)))
+        return comm <= _COMMUTATOR_TOL * scale
 
     @classmethod
     def of(cls, rho, sigma, normalized: bool = True) -> "DivergencePair":
@@ -70,21 +95,17 @@ class DivergencePair:
             tr = _trace(rho)
             if abs(tr - 1.0) > _PSD_TOL:
                 raise DomainError(f"rho has trace {tr}, expected 1")
-        return cls._trusted(rho, sigma)
+        return cls._trusted(_Operator(rho), _Operator(sigma))
 
     @classmethod
-    def _trusted(cls, rho: np.ndarray, sigma: np.ndarray) -> "DivergencePair":
-        """A pair of Hermitian PSD arrays, rho of unit trace, such as the
+    def _trusted(cls, rho: _Operator, sigma: _Operator) -> "DivergencePair":
+        """A pair of Hermitian PSD operators, rho of unit trace, such as the
         joint operators of validated ``CQState``s: only the shapes are
-        checked (two states may differ in d or |X|) and the commutation
-        flag computed.  The flag compares max|[rho, sigma]| with
-        ``_COMMUTATOR_TOL``·max|rho|·max|sigma|, maxima over the whole
-        stack, so it does not change when either operator is scaled."""
-        if rho.shape != sigma.shape:
-            raise DomainError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-        comm = float(np.max(np.abs(rho @ sigma - sigma @ rho)))
-        scale = float(np.max(np.abs(rho))) * float(np.max(np.abs(sigma)))
-        return cls(rho, sigma, comm <= _COMMUTATOR_TOL * scale)
+        checked, as two states may differ in d or |X|."""
+        if rho.array.shape != sigma.array.shape:
+            raise DomainError(
+                f"dimension mismatch: {rho.array.shape} vs {sigma.array.shape}")
+        return cls(rho, sigma)
 
 
 def _trace(a: np.ndarray) -> float:
@@ -95,10 +116,11 @@ def _trace(a: np.ndarray) -> float:
 def _check_support(pair: DivergencePair) -> tuple[np.ndarray, np.ndarray]:
     """Require the support of rho to sit inside the support of sigma.
 
-    Returns sigma's eigensystem (lam, v), from which callers take their
-    functions of sigma without a second eigensolve.
+    Returns sigma's eigensystem (lam, v), which the pair solves once
+    (once per state for a state's operators), so that callers take their
+    functions of sigma without an eigensolve of their own.
     """
-    lam, v = _eigh_checked(pair.sigma)
+    lam, v = pair._sigma.eig
     kernel = lam <= _threshold(lam)
     weights = np.sum(v.conj() * (pair.rho @ v), axis=-2).real
     leak = float(np.sum(weights[kernel]))
@@ -273,19 +295,21 @@ def _dual_search(memo: _DualMemo, target: float, stop):
 # Information-spectrum divergence
 # ---------------------------------------------------------------------------
 
-def _commuting_pairs(rho: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _commuting_pairs(pair: DivergencePair) -> tuple[np.ndarray, np.ndarray]:
     """Joint spectrum (r_i, s_i) of a commuting pair in a common eigenbasis.
 
     Block by block, rho is diagonalized within each eigenvalue cluster of
-    sigma; for a non-commuting pair this pinches rho to those clusters.
+    sigma, from the pair's eigensystem of sigma; for a non-commuting pair
+    this pinches rho to those clusters.
     Clusters are contiguous runs of sigma's ascending eigenvalues, and
     the output lists them block by block in that order.  A singleton
     cluster contributes its diagonal entry (what a 1x1 ``eigvalsh``
     returns), so only clusters of two or more entries are solved.
     """
-    d = sigma.shape[-1]
-    lam, v = _eigh_checked(sigma.reshape(-1, d, d))
-    m = v.conj().swapaxes(-1, -2) @ rho.reshape(-1, d, d) @ v
+    d = pair.sigma.shape[-1]
+    lam, v = pair._sigma.eig
+    lam, v = lam.reshape(-1, d), v.reshape(-1, d, d)
+    m = v.conj().swapaxes(-1, -2) @ pair.rho.reshape(-1, d, d) @ v
     labels = _cluster_labels(lam)
     r = np.diagonal(m, axis1=-2, axis2=-1).real.copy()
     s = lam.copy()
@@ -300,10 +324,10 @@ def _commuting_pairs(rho: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np
     return r.ravel(), s.ravel()
 
 
-def _ds_exact_bits(rho: np.ndarray, sigma: np.ndarray, eps: float) -> float:
+def _ds_exact_bits(pair: DivergencePair, eps: float) -> float:
     """Exact D_s of a commuting pair whose support ``_check_support`` passed:
     the sorted ratios r/s over the joint spectrum where s is non-zero."""
-    r, s = _commuting_pairs(rho, sigma)
+    r, s = _commuting_pairs(pair)
     keep = s > _threshold(s)
     r = np.clip(r[keep], 0.0, None)
     s = s[keep]
@@ -342,7 +366,7 @@ def info_spectrum_divergence_bracket(
     _check_eps(eps)
     _check_support(pair)
     if pair.commuting:
-        value = _ds_exact_bits(pair.rho, pair.sigma, eps)
+        value = _ds_exact_bits(pair, eps)
         return value, value, value
     target = _trace(pair.rho) - (eps + 1e-12)
     if target <= 0.0:
@@ -453,9 +477,10 @@ def collision_divergence(pair: DivergencePair) -> float:
 
 def _log_likelihood(pair: DivergencePair) -> tuple[np.ndarray, np.ndarray]:
     """(rho delta, delta) for the log-likelihood operator delta = log rho -
-    log sigma (support-restricted), from one eigensolve of each operator."""
+    log sigma (support-restricted), from the pair's eigensystem of each
+    operator."""
     sigma_eig = _check_support(pair)
-    log_rho = _spectral_func(*_eigh_checked(pair.rho), math.log)
+    log_rho = _spectral_func(*pair._rho.eig, math.log)
     log_sigma = _spectral_func(*sigma_eig, math.log)
     delta = log_rho - log_sigma
     return pair.rho @ delta, delta

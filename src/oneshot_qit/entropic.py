@@ -13,7 +13,7 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from .cq import CQState, _whole, joint_embed
+from .cq import CQState, _whole
 from .divergences import (
     DivergencePair,
     _hypothesis_test_divergences,
@@ -22,14 +22,19 @@ from .divergences import (
 from .errors import DomainError, _check_eps
 
 
+def _joint_pair(state: CQState, weighted: bool) -> DivergencePair:
+    """The joint state against the p(x)-weighted marginals when
+    ``weighted``, else against the marginal in every block; the pair
+    shares the state's operators and with them their eigensystems."""
+    operators = state._operators
+    reference = "rho_x_tensor_rho_b" if weighted else "one_x_tensor_rho_b"
+    return DivergencePair._trusted(operators["rho_xb"], operators[reference])
+
+
 def _test_divergences(state: CQState, weighted: bool, levels) -> list[float]:
-    """D_h of the joint state at each eps in ``levels``, against the
-    p(x)-weighted marginals when ``weighted``, else against the marginal in
-    every block: one embedding, one pair and one memo of dual points."""
-    emb = joint_embed(state)
-    reference = emb.rho_x_tensor_rho_b if weighted else emb.one_x_tensor_rho_b
-    pair = DivergencePair._trusted(emb.rho_xb, reference)
-    return _hypothesis_test_divergences(pair, levels)
+    """D_h of the ``_joint_pair`` at each eps in ``levels``: one pair and
+    one memo of dual points."""
+    return _hypothesis_test_divergences(_joint_pair(state, weighted), levels)
 
 
 def hypothesis_test_information(state: CQState, eps: float) -> float:
@@ -44,16 +49,12 @@ def conditional_test_entropy(state: CQState, eps: float) -> float:
 
 def mutual_information_with_variance(state: CQState) -> tuple[float, float]:
     """(information, information variance) of the joint state, in bits / bits^2."""
-    emb = joint_embed(state)
-    pair = DivergencePair._trusted(emb.rho_xb, emb.rho_x_tensor_rho_b)
-    return _relative_entropy_with_variance(pair)
+    return _relative_entropy_with_variance(_joint_pair(state, True))
 
 
 def conditional_entropy_with_variance(state: CQState) -> tuple[float, float]:
     """(conditional entropy, conditional variance), in bits / bits^2."""
-    emb = joint_embed(state)
-    pair = DivergencePair._trusted(emb.rho_xb, emb.one_x_tensor_rho_b)
-    entropy, variance = _relative_entropy_with_variance(pair)
+    entropy, variance = _relative_entropy_with_variance(_joint_pair(state, False))
     return -entropy, variance
 
 

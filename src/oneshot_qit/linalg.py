@@ -6,7 +6,8 @@ not finite or not (numerically) Hermitian; the private kernels (leading
 underscore) take arrays that a caller has already validated.  Only
 ``as_hermitian`` takes (..., n, n) stacks of diagonal blocks; the
 single-operator routines refuse them.  All functions are pure, hold no
-state, and are safe to call concurrently.
+state, and are safe to call concurrently; an ``_Operator`` keeps the
+eigensystem of one trusted array once it is solved.
 
 One threshold rule serves every module: an eigenvalue counts as zero, and
 the gap between two adjacent eigenvalues as none, when it is at most
@@ -18,6 +19,7 @@ checks for PSD operators of unit trace use the absolute ``_PSD_TOL``.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -96,6 +98,25 @@ def _eigh_checked(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             "exceeds tolerance"
         )
     return lam, v
+
+
+class _Operator:
+    """A trusted Hermitian (..., n, n) array and its ``_eigh_checked``
+    eigensystem, solved on first use and kept as read-only arrays.
+
+    Holders of one operator share one instance, so the operator is solved
+    once for all of them; two threads may both solve it, to the same bits.
+    """
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+    @cached_property
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        lam, v = _eigh_checked(self.array)
+        lam.setflags(write=False)
+        v.setflags(write=False)
+        return lam, v
 
 
 def _spectral_func(

@@ -103,9 +103,12 @@ def iid_test_divergence(p, q, n: int, eps: float) -> float:
 
 def _sweep_inputs(p, q, n_list) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """The checked pair and sorted blocklengths, all refused or accepted
-    before any spectrum is built."""
+    before any spectrum is built; an empty ``n_list`` is refused."""
     p, q = _check_pair(p, q)
-    return p, q, sorted(_check_blocklength(n, p.size) for n in n_list)
+    n_values = sorted(_check_blocklength(n, p.size) for n in n_list)
+    if not n_values:
+        raise DomainError("n_list names no blocklength")
+    return p, q, n_values
 
 
 def second_order_sweep(p, q, eps: float, n_list) -> list[SweepRow]:

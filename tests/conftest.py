@@ -250,15 +250,19 @@ def ds_crossing_oracle(rho, sigma, grid=2048):
 
 
 @contextlib.contextmanager
-def counting_eigensolves(monkeypatch):
+def counting_eigensolves(monkeypatch, inputs=None):
     """Patch numpy's ``eigh`` and ``eigvalsh`` to record, per call, the
-    number of matrices solved; yields the list of those counts."""
+    number of matrices solved; yields the list of those counts.  When
+    ``inputs`` is a list, each solved array is appended to it as well
+    (see ``solves_of``)."""
     matrices_per_call = []
 
     def counting(solver):
         def wrapped(a, *args, **kwargs):
             a = np.asarray(a)
             matrices_per_call.append(int(np.prod(a.shape[:-2])))
+            if inputs is not None:
+                inputs.append(a)
             return solver(a, *args, **kwargs)
         return wrapped
 
@@ -266,6 +270,13 @@ def counting_eigensolves(monkeypatch):
         patch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
         patch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
         yield matrices_per_call
+
+
+def solves_of(inputs, operator) -> int:
+    """How many of the arrays that ``counting_eigensolves`` recorded in
+    ``inputs`` equal ``operator``, shape included: the solves of that
+    operator, told apart from the solves of the dual's mu rho - sigma."""
+    return sum(np.array_equal(a, operator) for a in inputs)
 
 
 @pytest.fixture()

@@ -25,7 +25,7 @@ from oneshot_qit import (
     validate_sandwich_params,
 )
 from oneshot_qit.cli import run
-from oneshot_qit.divergences import _commuting_pairs
+from oneshot_qit.divergences import DivergencePair, _commuting_pairs
 from oneshot_qit.linalg import _cluster_labels, _eigh_checked
 
 from conftest import (
@@ -162,22 +162,29 @@ def test_commuting_pairs_solve_only_multi_entry_clusters(corpus, monkeypatch):
         emb = joint_embed(state)
         for reference in (emb.rho_x_tensor_rho_b, emb.one_x_tensor_rho_b):
             for c in (0.5, 2.0):
+                pair = DivergencePair.of(emb.rho_xb, c * reference)
                 with counting_eigensolves(monkeypatch) as calls:
-                    r, s = _commuting_pairs(emb.rho_xb, c * reference)
+                    r, s = _commuting_pairs(pair)
                 want_r, want_s = _commuting_pairs_loop(emb.rho_xb, c * reference)
                 assert np.array_equal(r, want_r) and np.array_equal(s, want_s)
                 clustered += len(calls) > 1
     assert clustered > 0
     # the direct bounds at |X| = 1200: the loop's values, from one stacked
-    # eigh and the marginal's cluster count instead of 1,200+ solves
+    # eigh and the marginal's cluster count instead of 1,200+ solves; on a
+    # warm state the marginal's eigensystem is already solved
     for bound in (pa_direct_bound, covering_direct_bound):
         for c in (0.3, 1.0):
+            fresh = CQState(big.p, big.rhos)
             with counting_eigensolves(monkeypatch) as calls:
-                got = bound(big, c, 4)
+                got = bound(fresh, c, 4)
             assert len(calls) == 2
+            with counting_eigensolves(monkeypatch) as calls:
+                assert bound(fresh, c, 4) == got
+            assert len(calls) == 1
             with monkeypatch.context() as patch:
-                patch.setattr(bounds, "_commuting_pairs", _commuting_pairs_loop)
-                assert got == bound(big, c, 4)
+                patch.setattr(bounds, "_commuting_pairs",
+                              lambda pair: _commuting_pairs_loop(pair.rho, pair.sigma))
+                assert got == bound(fresh, c, 4)
 
 
 def test_cq_paths_solve_only_block_sized_matrices(monkeypatch, tmp_path, capsys,

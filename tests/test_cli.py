@@ -12,11 +12,17 @@ import numpy as np
 import pytest
 
 import oneshot_qit
-from oneshot_qit import CQState, dump_state
+from oneshot_qit import CQState, DivergencePair, dump_state, joint_embed, load_state
 from oneshot_qit import cli
 from oneshot_qit.cli import run
 
-from conftest import binary_antipodal, bit_pair_trivial_side, random_cq_state
+from conftest import (
+    binary_antipodal,
+    bit_pair_trivial_side,
+    counting_eigensolves,
+    random_cq_state,
+    solves_of,
+)
 
 
 @pytest.fixture()
@@ -264,6 +270,97 @@ def test_cold_and_warm_loads_print_the_same(capsys, tmp_path, argv, cold_state_m
         outputs.append(capsys.readouterr().out)
         assert cold_state_memo.held > 0
     assert outputs[0] == outputs[1]
+
+
+def _two_state_files(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    paths = [str(tmp_path / f"{name}.json") for name in ("a", "b")]
+    for path in paths:
+        dump_state(random_cq_state(rng, 3, 2), path)
+    return paths
+
+
+def test_divergences_solve_each_state_operator_once(capsys, tmp_path, monkeypatch,
+                                                    cold_state_memo):
+    # ds at two eps, d2, kl and var on one pair of loaded states: the
+    # states' joint operators are solved once each, not once per command
+    a, b = _two_state_files(tmp_path, 32)
+    argvs = [["divergence", "--kind", "ds", "--state-a", a, "--state-b", b, "--eps", eps]
+             for eps in ("0.1", "0.3")]
+    argvs += [["divergence", "--kind", kind, "--state-a", a, "--state-b", b]
+              for kind in ("d2", "kl", "var")]
+    solved = []
+    with counting_eigensolves(monkeypatch, solved):
+        for argv in argvs:
+            assert run(argv) == 0, capsys.readouterr().err
+    capsys.readouterr()
+    rho, sigma = joint_embed(load_state(a)).rho_xb, joint_embed(load_state(b)).rho_xb
+    assert not DivergencePair.of(rho, sigma).commuting
+    assert (solves_of(solved, rho), solves_of(solved, sigma)) == (1, 1)
+
+
+def test_bounds_and_rates_solve_each_state_operator_once(capsys, tmp_path, monkeypatch,
+                                                         cold_state_memo):
+    # both tasks of bounds and rates on one loaded state read the marginal
+    # (nu), the joint operator and its two references, each solved once
+    [path, _] = _two_state_files(tmp_path, 33)
+    argvs = [["bounds", "--task", task, "--state", path, "--eps", "0.3", "--delta", "0.09",
+              "--c", "0.04"] for task in ("pa", "covering")]
+    argvs += [["rates", "--task", task, "--state", path, "--eps", "0.2", "--n", "100"]
+              for task in ("pa", "covering")]
+    solved = []
+    with counting_eigensolves(monkeypatch, solved):
+        for argv in argvs:
+            assert run(argv) == 0, capsys.readouterr().err
+    capsys.readouterr()
+    emb = joint_embed(load_state(path))
+    assert [solves_of(solved, op) for op in (emb.rho_b, emb.rho_xb, emb.rho_x_tensor_rho_b,
+                                             emb.one_x_tensor_rho_b)] == [1, 1, 1, 1]
+
+
+def test_only_ds_forms_the_commutator(capsys, tmp_path, monkeypatch, cold_state_memo):
+    # the commutation flag is computed on first read, and only D_s reads it
+    a, b = _two_state_files(tmp_path, 34)
+    argvs = [["divergence", "--kind", kind, "--state-a", a, "--state-b", b, "--eps", "0.2"]
+             for kind in ("dh", "d2", "kl", "var")]
+    argvs += [["bounds", "--task", task, "--state", a, "--eps", "0.3", "--delta", "0.09",
+               "--c", "0.04"] for task in ("pa", "covering")]
+    argvs += [["rates", "--task", task, "--state", a, "--eps", "0.2", "--n-list", "10,100"]
+              for task in ("pa", "covering")]
+
+    formed = []
+    flag = DivergencePair.commuting.func
+
+    def forming(pair):
+        formed.append(pair)
+        return flag(pair)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(DivergencePair, "commuting", property(forming))
+        for argv in argvs:
+            assert run(argv) == 0, capsys.readouterr().err
+        assert formed == []
+        assert run(["divergence", "--kind", "ds", "--state-a", a, "--state-b", b,
+                    "--eps", "0.2"]) == 0
+    assert len(formed) == 2  # the D_s kernel, then the "exact" field
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["rates", "--task", "pa", "--state", "{state}", "--eps", "0.2", "--n-list", ","],
+     "--n-list"),
+    (["rates", "--task", "covering", "--state", "{state}", "--eps", "0.2", "--n-list", ""],
+     "--n-list"),
+    (["sweep", "--regime", "second", "--p", "0.5,0.5", "--q", "0.5,0.5", "--eps", "0.2",
+      "--n-list", ""], "n_list"),
+    (["sweep", "--regime", "moderate", "--p", "0.3,0.7", "--q", "0.5,0.5", "--t", "0.3",
+      "--n-list", ","], "n_list"),
+], ids=["rates-pa", "rates-covering", "sweep-second", "sweep-moderate"])
+def test_empty_blocklength_list_exit_code(capsys, antipodal_file, argv, option):
+    code = run([arg.format(state=antipodal_file) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"{option} names no blocklength" in captured.err
 
 
 def test_bounds_success(capsys, antipodal_file):

@@ -192,6 +192,23 @@ def test_marginal_and_joint_embedding_are_derived_once_read_only():
             array[0, 0] = 1.0
 
 
+def test_held_bytes_count_every_derived_array():
+    # what a memoised state holds once its pairs and bounds have derived
+    # everything: the operator eigensystems count toward the memo's bound
+    state = random_cq_state(np.random.default_rng(29), 3, 2)
+    emb = joint_embed(state)
+    eigensystems = [array for op in state._operators.values() for array in op.eig]
+    assert len(eigensystems) == 8
+    for array in eigensystems:
+        assert not array.flags.writeable
+    for name, op in state._operators.items():
+        assert op.array is getattr(emb, name) and op.eig is op.eig
+    # the third embedding stack is a view of the marginal
+    assert np.shares_memory(emb.one_x_tensor_rho_b, state.marginal())
+    held = [state.p, state.rhos, state.marginal(), emb.rho_xb, emb.rho_x_tensor_rho_b]
+    assert cq._held_bytes(state) == sum(a.nbytes for a in held + eigensystems)
+
+
 def _state_file(path, state):
     dump_state(state, path)
     return path
@@ -250,7 +267,10 @@ def test_state_memo_bound_evicts_least_recently_loaded(tmp_path, monkeypatch,
     rng = np.random.default_rng(27)
     small = [random_cq_state(rng, 2, 2) for _ in range(3)]
     size = cq._held_bytes(small[0])
-    assert size == 2 * 8 + 3 * 2 * 4 * 16 + 4 * 16
+    # p, rhos, marginal, two embedding stacks, and the eigenvectors and
+    # eigenvalues of the three stacks and the marginal
+    assert size == (2 * 8 + 3 * 2 * 4 * 16 + 4 * 16
+                    + 3 * (2 * 4 * 16 + 2 * 2 * 8) + 4 * 16 + 2 * 8)
     monkeypatch.setattr(cold_state_memo, "limit", 2 * size + size // 2)
     a, b, c = (_state_file(tmp_path / f"{name}.json", s)
                for name, s in zip("abc", small))

@@ -30,6 +30,7 @@ from oneshot_qit.divergences import (
     _model_step,
     dual_test_objective,
 )
+from oneshot_qit.entropic import _joint_pair
 from oneshot_qit.linalg import _eigh_checked, _spectral_func, projector_leq
 
 from conftest import (
@@ -528,9 +529,8 @@ def test_dh_dual_points_do_not_grow_with_the_scale_of_sigma(monkeypatch):
 def _cq_stack_pairs(rng, alphabet, d):
     """The joint stack of a random cq state against its two references,
     1_X (x) rho_B and rho_X (x) rho_B."""
-    emb = joint_embed(random_cq_state(rng, alphabet, d))
-    return [DivergencePair._trusted(emb.rho_xb, reference)
-            for reference in (emb.one_x_tensor_rho_b, emb.rho_x_tensor_rho_b)]
+    state = random_cq_state(rng, alphabet, d)
+    return [_joint_pair(state, weighted) for weighted in (False, True)]
 
 
 def _stall_trials(*indices):
@@ -551,9 +551,7 @@ def _stall_trials(*indices):
             rhos.append(gram / np.trace(gram).real)
         eps = float(rng.uniform(0.01, 0.99))
         if trial in indices:
-            emb = joint_embed(CQState(p, rhos))
-            reference = emb.rho_x_tensor_rho_b if trial % 2 else emb.one_x_tensor_rho_b
-            trials.append((DivergencePair._trusted(emb.rho_xb, reference), eps))
+            trials.append((_joint_pair(CQState(p, rhos), trial % 2 == 1), eps))
     return trials
 
 
@@ -798,7 +796,8 @@ def _trace(a):
 
 def test_divergence_kernels_solve_each_operator_once(corpus, monkeypatch):
     # sigma's eigensystem from the support check also gives its functions:
-    # the values of the two-solve path, to the bit, with one solve of sigma
+    # the values of the two-solve path, to the bit, with one solve of sigma.
+    # A pair keeps what it solved: a fresh pair solves, a warm one does not
     for state in corpus:
         emb = joint_embed(state)
         for reference in (emb.rho_x_tensor_rho_b, emb.one_x_tensor_rho_b):
@@ -815,9 +814,33 @@ def test_divergence_kernels_solve_each_operator_once(corpus, monkeypatch):
                 (relative_entropy_variance, 2,
                  max(second - mean * mean, 0.0) / (LN2 * LN2)),
             ):
-                with counting_eigensolves(monkeypatch) as calls:
-                    assert fn(pair) == want, fn.__name__
-                assert len(calls) == solves, fn.__name__
+                pair = DivergencePair.of(rho, sigma)
+                for cold in (True, False):
+                    with counting_eigensolves(monkeypatch) as calls:
+                        assert fn(pair) == want, fn.__name__
+                    assert len(calls) == (solves if cold else 0), fn.__name__
+
+
+def test_lazy_commutation_flag_matches_the_eager_one(corpus):
+    # the flag the pair computes on first read is the one it used to
+    # compute at construction, and it is formed once per pair
+    def eager(rho, sigma):
+        comm = float(np.max(np.abs(rho @ sigma - sigma @ rho)))
+        scale = float(np.max(np.abs(rho))) * float(np.max(np.abs(sigma)))
+        return comm <= 1e-10 * scale
+
+    pairs = [_joint_pair(state, weighted) for state in corpus for weighted in (False, True)]
+    pairs += [DivergencePair.of(a.rhos, b.rhos, normalized=False)
+              for a in corpus for b in corpus
+              if a is not b and a.rhos.shape == b.rhos.shape and a.dim_b > 1]
+    rng = np.random.default_rng(45)
+    pairs += [DivergencePair.of(*random_commuting_pair(rng, d)) for d in (2, 3, 4)]
+    flags = []
+    for pair in pairs:
+        assert "commuting" not in vars(pair)
+        flags.append(pair.commuting)
+        assert flags[-1] == eager(pair.rho, pair.sigma) and vars(pair)["commuting"] is flags[-1]
+    assert True in flags and False in flags
 
 
 def test_pair_refuses_operators_of_different_shape():

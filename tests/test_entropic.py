@@ -1,6 +1,8 @@
 """Entropic quantities on classical-quantum states and rate formulas."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -198,15 +200,16 @@ def test_entropy_identity_regression(corpus):
 def test_cq_pairs_are_validated_once(corpus, monkeypatch):
     # pairs built from validated states skip DivergencePair.of's two
     # validation eigensolves and give its values to the bit; the relative
-    # entropy and its variance come from one eigensolve of each operator
-    for state in corpus:
-        emb = joint_embed(state)
-        for reference, info, spectral, sign in (
-            (emb.rho_x_tensor_rho_b, hypothesis_test_information,
-             mutual_information_with_variance, 1.0),
-            (emb.one_x_tensor_rho_b, conditional_test_entropy,
-             conditional_entropy_with_variance, -1.0),
+    # entropy and its variance come from one eigensolve of each operator of
+    # a fresh state, and from none once the state has solved them
+    for corpus_state in corpus:
+        for weighted, info, spectral, sign in (
+            (True, hypothesis_test_information, mutual_information_with_variance, 1.0),
+            (False, conditional_test_entropy, conditional_entropy_with_variance, -1.0),
         ):
+            state = CQState(corpus_state.p, corpus_state.rhos)
+            emb = joint_embed(state)
+            reference = emb.rho_x_tensor_rho_b if weighted else emb.one_x_tensor_rho_b
             with counting_eigensolves(monkeypatch) as public_calls:
                 public = DivergencePair.of(emb.rho_xb, reference)
                 want = sign * hypothesis_test_divergence(public, 0.3)
@@ -214,9 +217,48 @@ def test_cq_pairs_are_validated_once(corpus, monkeypatch):
                 assert info(state, 0.3) == want
             assert len(calls) == len(public_calls) - 2
             want = (sign * relative_entropy(public), relative_entropy_variance(public))
-            with counting_eigensolves(monkeypatch) as calls:
-                assert spectral(state) == want
-            assert len(calls) == 2
+            for solves in (2, 0):
+                with counting_eigensolves(monkeypatch) as calls:
+                    assert spectral(state) == want
+                assert len(calls) == solves
+
+
+def test_state_eigensystems_under_concurrent_reads():
+    # threads that read one state's eigensystems at once, each solving it
+    # if none is stored yet, all get the serial values to the bit
+    rng = np.random.default_rng(46)
+    source = random_cq_state(rng, 6, 4)
+    serial = CQState(source.p, source.rhos)
+    want = (mutual_information_with_variance(serial),
+            conditional_entropy_with_variance(serial))
+    results, failures = [], []
+
+    def worker(state, parity):
+        try:
+            for k in range(6):
+                conditional = (parity + k) % 2 == 1
+                spectral = (conditional_entropy_with_variance if conditional
+                            else mutual_information_with_variance)
+                results.append((conditional, spectral(state)))
+        except Exception as exc:  # reported by the assertion below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            state = CQState(source.p, source.rhos)
+            threads = [threading.Thread(target=worker, args=(state, t)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
+    assert len(results) == 5 * 8 * 6
+    assert all(value == want[conditional] for conditional, value in results)
 
 
 # ---------------------------------------------------------------------------

@@ -302,7 +302,7 @@ def test_threshold_rule_is_shared_at_its_boundary(scale):
         gapped = np.diag([scale - small, scale])
         assert spec_count(gapped) == (2 if kept else 1)
         assert abs(pinch(gapped, flat)[0, 1]) == pytest.approx(0.0 if kept else 0.5)
-        r, _ = _commuting_pairs(flat, gapped)
+        r, _ = _commuting_pairs(DivergencePair.of(flat, gapped))
         assert np.sort(r) == pytest.approx([0.5, 0.5] if kept else [0.0, 1.0], abs=1e-12)
         leq = projector_leq(np.diag([0.0, small]), np.diag([scale, 0.0]))
         assert np.trace(leq).real == pytest.approx(1.0 if kept else 2.0)

@@ -143,6 +143,16 @@ def test_sweeps_refuse_bad_blocklengths_before_any_spectrum(spectrum_calls):
     assert spectrum_calls == []
 
 
+def test_sweeps_refuse_an_empty_blocklength_list(spectrum_calls):
+    for n_list in ([], ()):
+        with pytest.raises(DomainError, match="n_list names no blocklength"):
+            second_order_sweep(P, Q, 0.2, n_list)
+        for direction in (-1, +1):
+            with pytest.raises(DomainError, match="n_list names no blocklength"):
+                moderate_sweep(P, Q, 1.0 / 3.0, n_list, direction)
+    assert spectrum_calls == []
+
+
 def test_classical_entropies_refuse_bad_pairs():
     for f in (classical_relative_entropy, classical_relative_entropy_variance):
         with pytest.raises(DomainError, match="strictly positive"):
