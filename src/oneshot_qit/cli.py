@@ -150,6 +150,28 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, through the named subcommand's own
+    subparser when that alone parses every argument.
+
+    The full parser hands everything after the subcommand to that same
+    subparser's ``parse_known_args``, so the namespace is the same.  Any
+    other argv, and any argument the subparser leaves over, goes through
+    the full parser, so that every message and exit code is its own.
+    """
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    [commands] = [action.choices for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            args.subcommand = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -338,7 +360,7 @@ def _emit(payload: dict, fmt: str) -> None:
 
 def run(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:  # argparse has already reported on stderr
         return 2 if exc.code not in (0, None) else 0
 

@@ -408,7 +408,7 @@ def _compositions(n: int, counts: np.ndarray, rows: int):
         yield chunk
 
 
-def _type_log_terms(types: np.ndarray, n: int, log_fact: np.ndarray,
+def _type_log_terms(types: np.ndarray, n, log_fact: np.ndarray,
                     log_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two terms of each type row's multinomial log p-mass.
 
@@ -416,7 +416,9 @@ def _type_log_terms(types: np.ndarray, n: int, log_fact: np.ndarray,
     log n! - Σ_x log t_x!, read from ``log_fact`` (log j! for j <= n),
     and its log-likelihood Σ_x t_x log p_x, with 0·log 0 = 0; a row that
     uses a symbol of log-probability -inf gets -inf.  The log p-mass of
-    the class is their sum.
+    the class is their sum.  ``n`` is one int for all rows, or an int
+    array with each row's own length, whose log n! is read per row; a
+    row's terms do not depend on the rows beside it.
     """
     log_mult = log_fact[n] - log_fact[types].sum(axis=1)
     zero = np.isneginf(log_p)

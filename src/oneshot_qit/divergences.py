@@ -85,17 +85,18 @@ class DivergencePair:
 
     @classmethod
     def of(cls, rho, sigma, normalized: bool = True) -> "DivergencePair":
-        rho = as_hermitian(rho)
-        sigma = as_hermitian(sigma)
+        rho = _Operator(as_hermitian(rho))
+        sigma = _Operator(as_hermitian(sigma))
+        # the PSD check reads the eigensystem the pair keeps for its kernels
         for name, op in (("rho", rho), ("sigma", sigma)):
-            lam_min = float(np.linalg.eigvalsh(op).min())
+            lam_min = float(op.eig[0].min())
             if lam_min < -_PSD_TOL:
                 raise DomainError(f"{name} is not PSD: eigenvalue {lam_min:.3e}")
         if normalized:
-            tr = _trace(rho)
+            tr = _trace(rho.array)
             if abs(tr - 1.0) > _PSD_TOL:
                 raise DomainError(f"rho has trace {tr}, expected 1")
-        return cls._trusted(_Operator(rho), _Operator(sigma))
+        return cls._trusted(rho, sigma)
 
     @classmethod
     def _trusted(cls, rho: _Operator, sigma: _Operator) -> "DivergencePair":

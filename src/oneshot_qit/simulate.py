@@ -20,13 +20,17 @@ one block.  The covering average depends on a codebook only through its
 type, so it is an average over the C(m+|X|-1, |X|-1) types.  They come
 in lexicographic chunks from ``cq._compositions``, the enumerator that
 ``cq.iid_type_spectrum`` uses, and are weighted by the same type
-log-mass helper.  Both averages go through one kernel, ``_exact_curve``,
-which evaluates a curve of sizes in one streamed pass: a single exact
-call is a curve of one size, a search is the curve over 1..cap.  It
-packs the (size, subset) or (size, type) operators of consecutive sizes
-into stacked batches of at most ``_CHUNK`` matrices and sums each size's
-terms with one exactly rounded ``math.fsum``, so memory stays one batch.
-The enumeration cap counts these subsets and types.
+log-mass helper.  The types of every m <= m_cap are the compositions of
+m_cap into |X|+1 parts, the first part being the slack m_cap − m, so a
+covering search enumerates them once, m running down from m_cap.  Both
+averages go through one kernel, ``_exact_curve``, which evaluates a
+curve of sizes in one streamed pass: a single exact call is a curve of
+one size, a search is the curve over 1..cap.  The (size, subset) or
+(size, type) rows come in size order, in stacked chunks of at most
+``_CHUNK`` operators; each chunk is one trace-norm batch, and each size's
+terms are summed by one exactly rounded ``math.fsum`` as soon as the size
+is complete, so memory stays one chunk.  The enumeration cap counts these
+subsets and types.
 
 Monte-Carlo extraction costs O(|X|) per table plus one trace norm per
 output block whose preimage set is not in the run's set table, whatever
@@ -208,8 +212,9 @@ def _distances(stack: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return _half_norms(stack - reference)
 
 
-def _contract(rows: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Σ_x r_x blocks[x] for each real coefficient row r, as a (batch, d, d) stack.
+def _contract(rows: np.ndarray, blocks: np.ndarray, out=None) -> np.ndarray:
+    """Σ_x r_x blocks[x] for each real coefficient row r, as a (batch, d, d)
+    stack, written to the contiguous complex ``out`` if one is given.
 
     The rows are contracted against a real (|X|, 2·d·d) view of the
     blocks' interleaved real and imaginary parts, so they are never
@@ -217,7 +222,10 @@ def _contract(rows: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """
     x_size, d, _ = blocks.shape
     flat = np.ascontiguousarray(blocks).view(float).reshape(x_size, 2 * d * d)
-    return (rows @ flat).view(complex).reshape(-1, d, d)
+    if out is None:
+        return (rows @ flat).view(complex).reshape(-1, d, d)
+    np.matmul(rows, flat, out=out.view(float).reshape(len(rows), 2 * d * d))
+    return out
 
 
 def _block_sums(weights: np.ndarray, preimages: np.ndarray, first: np.ndarray,
@@ -333,110 +341,126 @@ def _hash_values(tables: np.ndarray, weights: np.ndarray, z_size: int,
     return values
 
 
-def _exact_curve(sizes, terms) -> list[float]:
-    """Exact distance at each of ``sizes``, in order.
+def _exact_curve(lengths, chunks) -> list[float]:
+    """Exact distance at each size of a curve, in stream order.
 
-    ``terms(size)`` yields the size's pieces (W, reference, w): a
-    (k, d, d) stack W, one (d, d) reference and k weights, worth
-    Σ_i w_i·½‖W_i − reference‖₁.  Consecutive pieces, across sizes, are
-    packed into stacked batches of exactly ``_CHUNK`` operators (the
-    last one may be shorter), splitting a piece where a batch fills.
-    Sizes stay in order, so each size's weighted terms form one
-    contiguous run that a single exactly rounded ``math.fsum`` consumes;
-    nothing but its value is kept per size.
+    ``chunks`` yields (stack, weights): a (k, d, d) stack of operators
+    A_i and their k weights, worth w_i·½‖A_i‖₁ each.  The rows run through
+    the sizes in order, ``lengths`` giving each size's row count, so a
+    size is one contiguous run of rows, which may straddle chunks.  Each
+    chunk is one ``_half_norms`` batch, sliced at the size boundaries into
+    one ``tolist`` per slice.  A size's terms stream into one exactly
+    rounded ``math.fsum``, which pulls the next chunk only when it needs
+    it and returns as soon as the size is complete: nothing but one
+    chunk's terms and each size's value is held.
     """
-    pieces = ((size, *piece) for size in sizes for piece in terms(size))
-    runs = itertools.groupby(_solved(pieces), key=lambda segment: segment[0])
-    return [math.fsum(itertools.chain.from_iterable(t.tolist() for _, t in run))
-            for _, run in runs]
+    def pieces():
+        sizes = enumerate(lengths)
+        size, left = next(sizes)
+        for stack, weights in chunks:
+            terms = weights * _half_norms(stack)
+            lo = 0
+            while len(terms) - lo >= left:  # the size ends in this chunk
+                yield size, terms[lo:lo + left].tolist()
+                lo += left
+                size, left = next(sizes, (None, math.inf))
+            if lo < len(terms):
+                yield size, terms[lo:].tolist()
+                left -= len(terms) - lo
+
+    return [math.fsum(itertools.chain.from_iterable(terms for _, terms in run))
+            for _, run in itertools.groupby(pieces(), key=lambda piece: piece[0])]
 
 
-def _solved(pieces):
-    """(size, w·½‖W − reference‖₁) for each piece, solved in batches of
-    at most ``_CHUNK`` operators."""
-    def solve(batch):
-        bounds = list(itertools.accumulate((len(w) for _, _, _, w in batch), initial=0))
-        stack = np.empty((bounds[-1], *batch[0][1].shape[1:]), dtype=complex)
-        for (_, part, reference, _), start, stop in zip(batch, bounds, bounds[1:]):
-            np.subtract(part, reference, out=stack[start:stop])
-        norms = _half_norms(stack)
-        for (size, _, _, weights), start, stop in zip(batch, bounds, bounds[1:]):
-            yield size, weights * norms[start:stop]
+def _extraction_chunks(state: CQState, sizes: range):
+    """Chunks (see ``_exact_curve``) of the exact extraction distance at
+    each z of ``sizes``, a range of step 1: z times the average over the
+    preimages S of one output block, a subset S having weight
+    z^-|S| (1-1/z)^(|X|-|S|).
 
-    batch, room = [], _CHUNK
-    for size, stack, reference, weights in pieces:
-        while len(weights):
-            take = min(len(weights), room)
-            batch.append((size, stack[:take], reference, weights[:take]))
-            stack, weights, room = stack[take:], weights[take:], room - take
-            if not room:
-                yield from solve(batch)
-                batch, room = [], _CHUNK
-    if batch:
-        yield from solve(batch)
-
-
-def _extraction_terms(state: CQState):
-    """Pieces of the exact extraction distance at z: z times the
-    average over the preimages S of one output block, a subset S having
-    weight z^-|S| (1-1/z)^(|X|-|S|).
-
-    The subset sums Σ_{x∈S} p_x ρ_x do not depend on z.  When one chunk
-    holds every subset they are built once for the whole curve; larger
-    alphabets rebuild them chunk by chunk for each z, so memory stays
-    one chunk.
+    The rows are the pairs (z, S) in order, S running over all 2^|X|
+    subsets at each z, and a chunk holds ``_CHUNK`` consecutive rows.  The
+    target ρ_B/z and the weight of each subset size are tabled once per
+    chunk for the sizes it spans.  The subset sums Σ_{x∈S} p_x ρ_x do not
+    depend on z.  When one chunk holds every subset they are built once
+    for the whole curve, and a chunk is cut from their differences with
+    the tabled targets; larger alphabets build each chunk's own sums, so
+    memory stays one chunk.
     """
     x_size = state.alphabet_size
     blocks = state.p[:, None, None] * state.rhos
     rho_b = state.marginal()
+    subsets = 1 << x_size
+    ks = np.arange(x_size + 1, dtype=float)
 
-    def subset_sums():
-        for rows in _subset_rows(x_size):
-            yield rows.sum(axis=1), _contract(rows, blocks)
+    def subset_sums(subset):
+        members = (subset[:, None] >> np.arange(x_size)) & 1
+        return _contract(members.astype(float), blocks), members.sum(axis=1)
 
-    built = list(subset_sums()) if 2 ** x_size <= _CHUNK else None
+    built = subset_sums(np.arange(subsets)) if subsets <= _CHUNK else None
+    total = len(sizes) * subsets
+    for start in range(0, total, _CHUNK):
+        stop = min(start + _CHUNK, total)
+        first, last = start // subsets, (stop - 1) // subsets
+        z_sizes = np.arange(sizes[first], sizes[last] + 1)
+        z = z_sizes[:, None].astype(float)
+        weight = z ** (1.0 - ks) * (1.0 - 1.0 / z) ** (x_size - ks)
+        target = rho_b / z_sizes[:, None, None]
+        rows = slice(start - first * subsets, stop - first * subsets)
+        if built is not None:
+            # real and imaginary parts subtract apart: a complex subtraction
+            # broadcast over the sizes is several times slower
+            sums, count = built
+            parts = (sums.view(float).reshape(subsets, -1)
+                     - target.view(float).reshape(len(z_sizes), 1, -1))
+            stack = parts.view(complex).reshape(-1, *rho_b.shape)
+            yield stack[rows], weight[:, count].ravel()[rows]
+        else:
+            index, subset = np.divmod(np.arange(rows.start, rows.stop), subsets)
+            stack, count = subset_sums(subset)
+            stack -= target[index]
+            yield stack, weight[index, count]
 
-    def terms(z_size):
-        z = float(z_size)
-        target = rho_b / z_size
-        for size, sums in built or subset_sums():
-            yield sums, target, z ** (1.0 - size) * (1.0 - 1.0 / z) ** (x_size - size)
 
-    return terms
+def _covering_chunks(state: CQState, m_cap: int, curve: bool):
+    """Chunks (see ``_exact_curve``) of the exact covering distance: the
+    types of the codebooks, each with its multinomial p-weight, at m_cap
+    alone, or for a curve at m = m_cap, m_cap − 1, …, 1 in that order.
 
-
-def _covering_terms(state: CQState, m_max: int):
-    """Pieces of the exact covering distance at m <= m_max: the types of
-    the codebooks, each with its multinomial p-weight.
-
-    The type tables are built once for m_max.  A chunk has fewer than
-    ``_CHUNK`` rows when |X| > 64, so that its memory does not grow with
-    the alphabet.
+    A curve's types of every size are the compositions of m_cap into
+    |X| + 1 parts whose first part is the slack m_cap − m.  Their
+    lexicographic order runs the slack up from 0, so m runs down from
+    m_cap, and within one m it is the order of the |X|-part compositions
+    of m that a single size enumerates.  The last rank, slack m_cap, is
+    the empty codebook and is dropped.  Each run of equal m is contracted
+    against ρ_x/m, so an operator has the bits of a one-size enumeration.
+    A chunk has fewer than ``_CHUNK`` rows when |X| > 64, so that its
+    memory does not grow with the alphabet.
     """
     x_size = state.alphabet_size
     rho_b = state.marginal()
-    counts, log_fact = _type_tables(m_max, x_size)
+    counts, log_fact = _type_tables(m_cap, x_size + curve)
     rows = max(1, _CHUNK * 64 // max(x_size, 64))
     with np.errstate(divide="ignore"):
         log_p = np.log(state.p)
-
-    def terms(m):
-        blocks = state.rhos / m
-        for types in _compositions(m, counts, rows):
-            log_mult, log_like = _type_log_terms(types, m, log_fact, log_p)
-            # a type using a zero-probability symbol gets weight 0
-            yield _contract(types, blocks), rho_b, np.exp(log_mult + log_like)
-
-    return terms
-
-
-def _subset_rows(x_size: int):
-    """Indicator rows of all subsets of range(x_size), one chunk at a time."""
-    bits = np.arange(x_size)
-    total = 1 << x_size
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total))
-        yield ((idx[:, None] >> bits) & 1).astype(float)
+    for chunk in _compositions(m_cap, counts, rows):
+        m, types, cuts = m_cap, chunk, [0, len(chunk)]
+        if curve:
+            chunk = chunk[:-1] if chunk[-1, 0] == m_cap else chunk
+            if not len(chunk):
+                return
+            slack = chunk[:, 0]
+            m, types = m_cap - slack, np.ascontiguousarray(chunk[:, 1:])
+            cuts = np.searchsorted(slack, np.arange(slack[0], slack[-1] + 2)).tolist()
+        log_mult, log_like = _type_log_terms(types, m, log_fact, log_p)
+        rows_f = types.astype(float)  # an int64 product would bypass BLAS
+        stack = np.empty((len(types), *rho_b.shape), dtype=complex)
+        for lo, hi in zip(cuts, cuts[1:]):
+            size = int(m[lo]) if curve else m
+            _contract(rows_f[lo:hi], state.rhos / size, out=stack[lo:hi])
+        stack -= rho_b
+        # a type using a zero-probability symbol gets weight 0
+        yield stack, np.exp(log_mult + log_like)
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -561,7 +585,7 @@ def simulate_pa(state: CQState, z_size: int, method: str = "exact",
                 f"{2 ** x_size} subsets exceed the enumeration cap "
                 f"{ENUMERATION_CAP}; use method='mc'"
             )
-        [value] = _exact_curve([z_size], _extraction_terms(state))
+        [value] = _exact_curve([2 ** x_size], _extraction_chunks(state, range(z_size, z_size + 1)))
         return SimulationEstimate(value, "exact", z_size ** x_size, seed, 0.0)
 
     weights = state.p[:, None, None] * state.rhos
@@ -603,7 +627,7 @@ def simulate_covering(state: CQState, m: int, method: str = "exact",
                 f"{n_types} codebook types exceed the enumeration cap "
                 f"{ENUMERATION_CAP}; use method='mc'"
             )
-        [value] = _exact_curve([m], _covering_terms(state, m))
+        [value] = _exact_curve([n_types], _covering_chunks(state, m, curve=False))
         return SimulationEstimate(value, "exact", x_size ** m, seed, 0.0)
 
     rho_b = state.marginal()
@@ -657,7 +681,7 @@ def search_max_extractable(state: CQState, eps: float, z_cap: int) -> SearchResu
             "search refuses monte-carlo estimates for certification"
         )
     sizes = range(1, z_cap + 1)
-    values = _exact_curve(sizes, _extraction_terms(state))
+    values = _exact_curve([2 ** state.alphabet_size] * z_cap, _extraction_chunks(state, sizes))
     curve = [(z, SimulationEstimate(value, "exact", z ** state.alphabet_size, 0, 0.0))
              for z, value in zip(sizes, values)]
     qualifying = [z for z, est in curve if est.value <= eps + 1e-12]
@@ -687,7 +711,9 @@ def search_min_codebook(state: CQState, eps: float, m_cap: int) -> SearchResult:
             "search refuses monte-carlo estimates for certification"
         )
     sizes = range(1, m_cap + 1)
-    values = _exact_curve(sizes, _covering_terms(state, m_cap))
+    # the curve runs from m_cap down
+    lengths = [math.comb(m + state.alphabet_size - 1, m) for m in reversed(sizes)]
+    values = _exact_curve(lengths, _covering_chunks(state, m_cap, curve=True))[::-1]
     curve = [(m, SimulationEstimate(value, "exact", state.alphabet_size ** m, 0, 0.0))
              for m, value in zip(sizes, values)]
     qualifying = [m for m, est in curve if est.value <= eps + 1e-12]

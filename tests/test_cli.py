@@ -555,3 +555,51 @@ def test_console_entry_point_subprocess(bitpair_file):
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["results"]["value"] == pytest.approx(0.25, abs=1e-12)
+
+
+_SIMULATE = ["simulate", "--task", "pa", "--state", "s.json", "--size", "2", "--method", "exact"]
+_DIVERGENCE = ["divergence", "--kind", "ds", "--state-a", "a.json", "--state-b", "b.json",
+               "--eps", "0.3"]
+
+
+@pytest.mark.parametrize("argv", [
+    _SIMULATE,
+    _SIMULATE + ["--samples", "10", "--seed", "3", "--workers", "2", "--format", "csv"],
+    _DIVERGENCE,
+    ["rates", "--task", "covering", "--state", "s.json", "--eps", "0.2", "--n-list", "10,100"],
+    ["bounds", "--task", "pa", "--state", "s.json", "--eps=0.3", "--delta", "0.09",
+     "--c", "0.04", "--quiet"],
+    ["search", "--task", "covering", "--state", "s.json", "--eps", "0.25", "--cap", "8",
+     "--quiet"],
+    ["sweep", "--regime", "second", "--p", "0.3,0.7", "--q", "0.5,0.5", "--eps", "0.2",
+     "--n-list", "4"],
+    ["simulate", "--tas", "pa", "--state", "s.json", "--size", "2", "--method", "exact"],
+    [],
+    ["-h"],
+    ["divergence", "-h"],
+    ["bounds", "--help"],
+    ["frobnicate", "--eps", "0.3"],
+    ["--", *_SIMULATE],
+    _SIMULATE + ["--bogus"],
+    _SIMULATE + ["extra"],
+    ["simulate", "--task", "pa", "--state", "s.json", "--size", "two", "--method", "exact"],
+    ["simulate", "--task", "pa"],
+    _DIVERGENCE + ["--grid", "1"],
+    _DIVERGENCE + ["--kind", "nope"],
+])
+def test_subcommand_dispatch_parses_as_the_full_parser(capsys, argv):
+    # run() parses a subcommand with its own subparser; the namespace, the
+    # exit code and both streams are those of the full parser
+    def outcome(parse):
+        try:
+            namespace, code = vars(parse(list(argv))), None
+        except SystemExit as exc:
+            namespace, code = None, exc.code
+        captured = capsys.readouterr()
+        return namespace, code, captured.out, captured.err
+
+    want = outcome(cli.build_parser().parse_args)
+    assert outcome(cli._parse) == want
+    if want[1] is not None:  # run() reports the full parser's exit as its own
+        assert run(list(argv)) == (0 if want[1] == 0 else 2)
+        assert capsys.readouterr()[:] == want[2:]

@@ -797,7 +797,9 @@ def _trace(a):
 def test_divergence_kernels_solve_each_operator_once(corpus, monkeypatch):
     # sigma's eigensystem from the support check also gives its functions:
     # the values of the two-solve path, to the bit, with one solve of sigma.
-    # A pair keeps what it solved: a fresh pair solves, a warm one does not
+    # DivergencePair.of checks PSD from the eigensystems the pair keeps, so
+    # building a pair and running a kernel solve each operator once, and a
+    # warm pair solves nothing
     for state in corpus:
         emb = joint_embed(state)
         for reference in (emb.rho_x_tensor_rho_b, emb.one_x_tensor_rho_b):
@@ -808,17 +810,20 @@ def test_divergence_kernels_solve_each_operator_once(corpus, monkeypatch):
             delta = (_spectral_func(*_eigh_checked(rho), math.log)
                      - _spectral_func(*_eigh_checked(sigma), math.log))
             mean, second = _trace(rho @ delta), _trace(rho @ delta @ delta)
-            for fn, solves, want in (
-                (collision_divergence, 1, math.log2(_trace(w @ w))),
-                (relative_entropy, 2, mean / LN2),
-                (relative_entropy_variance, 2,
-                 max(second - mean * mean, 0.0) / (LN2 * LN2)),
+            for fn, want in (
+                (collision_divergence, math.log2(_trace(w @ w))),
+                (relative_entropy, mean / LN2),
+                (relative_entropy_variance, max(second - mean * mean, 0.0) / (LN2 * LN2)),
             ):
-                pair = DivergencePair.of(rho, sigma)
-                for cold in (True, False):
-                    with counting_eigensolves(monkeypatch) as calls:
-                        assert fn(pair) == want, fn.__name__
-                    assert len(calls) == (solves if cold else 0), fn.__name__
+                inputs = []
+                with counting_eigensolves(monkeypatch, inputs) as calls:
+                    pair = DivergencePair.of(rho, sigma)
+                    assert fn(pair) == want, fn.__name__
+                assert len(calls) == 2, fn.__name__
+                assert all(map(np.array_equal, inputs, (rho, sigma))), fn.__name__
+                with counting_eigensolves(monkeypatch) as calls:
+                    assert fn(pair) == want, fn.__name__
+                assert calls == [], fn.__name__
 
 
 def test_lazy_commutation_flag_matches_the_eager_one(corpus):

@@ -688,11 +688,13 @@ def test_exact_curves_match_brute_force_and_single_size_calls(monkeypatch):
             case = (alphabet, dim, zero_p, z)
             assert est.value == pytest.approx(brute_force_pa(state, z), abs=1e-12), case
             assert cov_est.value == pytest.approx(brute_force_covering(state, m), abs=1e-12), case
+            # a curve's rows have the bits of a one-size call's, and each
+            # size's sum is exactly rounded
             single = simulate_pa(state, z, "exact")
-            assert est.value == pytest.approx(single.value, abs=1e-14), case
+            assert est.value == single.value, case
             assert (est.samples, est.method, est.half_width) == (single.samples, "exact", 0.0)
             single = simulate_covering(state, m, "exact")
-            assert cov_est.value == pytest.approx(single.value, abs=1e-14), case
+            assert cov_est.value == single.value, case
             assert cov_est.samples == single.samples
 
 
@@ -742,6 +744,34 @@ def test_search_eigensolve_budget(monkeypatch):
     with counting_half_norm_batches(monkeypatch) as matrices_per_call:
         search_min_codebook(state, 0.25, 8)
     assert matrices_per_call == [494]
+
+
+def test_covering_curve_is_one_composition_stream(monkeypatch):
+    # the types of every m <= m_cap are the compositions of m_cap into
+    # |X| + 1 parts, the slack m_cap - m first: one enumeration per curve
+    calls = []
+    compositions = simulate._compositions
+
+    def recording(n, counts, rows):
+        calls.append((n, counts.shape[0]))
+        return compositions(n, counts, rows)
+
+    monkeypatch.setattr(simulate, "_compositions", recording)
+    state = _oracle_state(86, 4, 2, False)
+    with counting_half_norm_batches(monkeypatch) as matrices_per_call:
+        search_min_codebook(state, 0.25, 8)
+    assert calls == [(8, 5)]
+    assert matrices_per_call == [494]
+    # a zero-probability symbol: the types that use it weigh 0 in the same
+    # stream, and a single size still enumerates the |X|-part compositions
+    state = _oracle_state(88, 3, 2, True)
+    calls.clear()
+    curve = search_min_codebook(state, 0.3, 6).curve
+    assert calls == [(6, 4)]
+    for m, est in curve:
+        assert est.value == pytest.approx(brute_force_covering(state, m), abs=1e-12), m
+        assert est.value == simulate_covering(state, m, "exact").value, m
+    assert calls[1:] == [(m, 3) for m in range(1, 7)]
 
 
 def test_near_cap_search_memory_is_one_batch():
