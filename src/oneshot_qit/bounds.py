@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cq import CQState, _whole, joint_embed
-from .divergences import DivergencePair, _commuting_pairs
-from .entropic import _test_divergences
+from .cq import CQState, _whole
+from .divergences import _commuting_pairs
+from .entropic import _joint_pair, _test_divergences
 from .errors import DomainError, _check_eps
-from .linalg import _cluster_labels, _Operator, _threshold
+from .linalg import _cluster_labels, _threshold
 
 
 @dataclass(frozen=True)
@@ -66,14 +66,13 @@ def _pinched_exceedance_mass(
     The reference is the identity-weighted marginal when
     ``weight_threshold`` is False (extraction) and the p(x)-weighted
     marginal when True (covering).  Both are block-diagonal multiples of
-    the marginal, so the comparison is exact in their joint spectrum.
+    the marginal, so the comparison is exact in their joint spectrum,
+    which the state's own pair (``entropic._joint_pair``) solves once.
     Exceeding means by more than the cluster tolerance, relative to the
     larger of the two operators, so exact ties never count.
     """
-    emb = joint_embed(state)
-    reference = emb.rho_x_tensor_rho_b if weight_threshold else emb.one_x_tensor_rho_b
-    pair = DivergencePair._trusted(state._operators["rho_xb"], _Operator(c * reference))
-    masses, thresholds = _commuting_pairs(pair)
+    masses, reference = _commuting_pairs(_joint_pair(state, weight_threshold))
+    thresholds = c * reference
     return float(np.sum(masses[masses - thresholds > _threshold(masses, thresholds)]))
 
 

@@ -365,9 +365,10 @@ def _type_tables(n_max: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return counts, log_fact
 
 
-def _compositions(n: int, counts: np.ndarray, rows: int):
-    """All length-k tuples of non-negative integers summing to n, in
-    lexicographic order, as int64 chunks of at most ``rows`` rows.
+def _compositions(n: int, counts: np.ndarray, rows: int, ranks: int | None = None):
+    """The first ``ranks`` (by default all) length-k tuples of
+    non-negative integers summing to n, in lexicographic order, as int64
+    chunks of at most ``rows`` rows.
 
     ``counts`` is the table of ``_type_tables(n_max, k)`` for an
     n_max >= n.  Each row is unranked on its own.  Of the compositions
@@ -385,7 +386,7 @@ def _compositions(n: int, counts: np.ndarray, rows: int):
     ones, once nothing is left to place.
     """
     k = counts.shape[0]
-    total = int(counts[-1, n])
+    total = int(counts[-1, n]) if ranks is None else ranks
     for start in range(0, total, rows):
         rank = np.arange(start, min(start + rows, total))
         left = np.full(rank.size, n)

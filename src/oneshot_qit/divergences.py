@@ -481,8 +481,8 @@ def _log_likelihood(pair: DivergencePair) -> tuple[np.ndarray, np.ndarray]:
     log sigma (support-restricted), from the pair's eigensystem of each
     operator."""
     sigma_eig = _check_support(pair)
-    log_rho = _spectral_func(*pair._rho.eig, math.log)
-    log_sigma = _spectral_func(*sigma_eig, math.log)
+    log_rho = _spectral_func(*pair._rho.eig, np.log)
+    log_sigma = _spectral_func(*sigma_eig, np.log)
     delta = log_rho - log_sigma
     return pair.rho @ delta, delta
 

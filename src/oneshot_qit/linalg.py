@@ -120,17 +120,17 @@ class _Operator:
 
 
 def _spectral_func(
-    lam: np.ndarray, v: np.ndarray, f: Callable[[float], float]
+    lam: np.ndarray, v: np.ndarray, f: Callable[[np.ndarray], np.ndarray]
 ) -> np.ndarray:
     """f of the operator whose eigensystem (lam, v) ``_eigh_checked``
-    computed, restricted to its support: f acts on the eigenvalues above
-    ``_threshold(lam)`` and the kernel maps to 0 (Moore-Penrose style), so
-    inverses, logarithms and negative powers of PSD operators are defined.
-    A (..., n, n) stack is mapped block by block, with the threshold
-    relative to the whole stack."""
+    computed, restricted to its support: f, an elementwise numpy function,
+    maps the eigenvalues above ``_threshold(lam)`` in one call and the
+    kernel maps to 0 (Moore-Penrose style), so inverses, logarithms and
+    negative powers of PSD operators are defined.  A (..., n, n) stack is
+    mapped block by block, with the threshold relative to the whole stack."""
     out = np.zeros(lam.shape, dtype=float)
     mask = lam > _threshold(lam)
-    out[mask] = [float(f(x)) for x in lam[mask]]
+    out[mask] = f(lam[mask])
     return (v * out[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 

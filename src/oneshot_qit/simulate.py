@@ -17,20 +17,17 @@ function sends each x to a given output block independently with
 probability 1/z, and the trace norm adds up over the blocks, so the
 extraction average is z times an average over the 2^|X| preimages S of
 one block.  The covering average depends on a codebook only through its
-type, so it is an average over the C(m+|X|-1, |X|-1) types.  They come
-in lexicographic chunks from ``cq._compositions``, the enumerator that
-``cq.iid_type_spectrum`` uses, and are weighted by the same type
-log-mass helper.  The types of every m <= m_cap are the compositions of
-m_cap into |X|+1 parts, the first part being the slack m_cap − m, so a
-covering search enumerates them once, m running down from m_cap.  Both
-averages go through one kernel, ``_exact_curve``, which evaluates a
-curve of sizes in one streamed pass: a single exact call is a curve of
-one size, a search is the curve over 1..cap.  The (size, subset) or
-(size, type) rows come in size order, in stacked chunks of at most
-``_CHUNK`` operators; each chunk is one trace-norm batch, and each size's
-terms are summed by one exactly rounded ``math.fsum`` as soon as the size
-is complete, so memory stays one chunk.  The enumeration cap counts these
-subsets and types.
+type.  The types of every m <= m_cap are the compositions of m_cap into
+|X|+1 parts, the slack m_cap − m first, from ``cq._compositions``, the
+enumerator of ``cq.iid_type_spectrum``, weighted by the same type
+log-mass helper.  Each protocol has one curve function,
+``_extraction_curve`` and ``_covering_curve``, which evaluates a range of
+sizes in one streamed pass of ``_exact_curve``: a single exact call is
+the curve of one size, a search the curve over 1..cap.  The rows come in
+stacked chunks of at most ``_CHUNK`` operators, each one trace-norm
+batch, and each size's terms are summed by one exactly rounded
+``math.fsum`` as soon as the size is complete, so memory stays one
+chunk.  The enumeration cap counts these subsets and types.
 
 Monte-Carlo extraction costs O(|X|) per table plus one trace norm per
 output block whose preimage set is not in the run's set table, whatever
@@ -207,11 +204,6 @@ def _jacobi_half_norms(stack: np.ndarray) -> np.ndarray:
     raise NumericalError(f"Jacobi sweeps did not converge in {_JACOBI_SWEEPS} sweeps")
 
 
-def _distances(stack: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """½‖stack[i] − reference‖₁ for each (d, d) operator of a (batch, d, d) stack."""
-    return _half_norms(stack - reference)
-
-
 def _contract(rows: np.ndarray, blocks: np.ndarray, out=None) -> np.ndarray:
     """Σ_x r_x blocks[x] for each real coefficient row r, as a (batch, d, d)
     stack, written to the contiguous complex ``out`` if one is given.
@@ -293,7 +285,7 @@ def _set_table(weights: np.ndarray, target: np.ndarray, z_size: int, samples: in
     stack = np.empty((total, *weights.shape[1:]), dtype=complex)
     stack[_set_ranks(preimages, first, sizes, start, binom)] = _block_sums(
         weights, preimages, first, sizes)
-    return _distances(stack, target), start, binom
+    return _half_norms(stack - target), start, binom
 
 
 def _hash_values(tables: np.ndarray, weights: np.ndarray, z_size: int,
@@ -335,8 +327,8 @@ def _hash_values(tables: np.ndarray, weights: np.ndarray, z_size: int,
             _set_ranks(preimages, first[known], sizes[known], start, binom)]
         solve = ~known
         if solve.any():
-            distances[solve] = _distances(
-                _block_sums(weights, preimages, first[solve], sizes[solve]), target)
+            distances[solve] = _half_norms(
+                _block_sums(weights, preimages, first[solve], sizes[solve]) - target)
         values += np.bincount(rows, weights=distances, minlength=batch)
     return values
 
@@ -372,20 +364,19 @@ def _exact_curve(lengths, chunks) -> list[float]:
             for _, run in itertools.groupby(pieces(), key=lambda piece: piece[0])]
 
 
-def _extraction_chunks(state: CQState, sizes: range):
-    """Chunks (see ``_exact_curve``) of the exact extraction distance at
-    each z of ``sizes``, a range of step 1: z times the average over the
-    preimages S of one output block, a subset S having weight
-    z^-|S| (1-1/z)^(|X|-|S|).
+def _extraction_curve(state: CQState, sizes: range) -> list[float]:
+    """Exact extraction distance at each z of ``sizes``, a range of step 1,
+    in increasing z: z times the average over the preimages S of one
+    output block, a subset S having weight z^-|S| (1-1/z)^(|X|-|S|).
 
-    The rows are the pairs (z, S) in order, S running over all 2^|X|
-    subsets at each z, and a chunk holds ``_CHUNK`` consecutive rows.  The
-    target ρ_B/z and the weight of each subset size are tabled once per
-    chunk for the sizes it spans.  The subset sums Σ_{x∈S} p_x ρ_x do not
-    depend on z.  When one chunk holds every subset they are built once
-    for the whole curve, and a chunk is cut from their differences with
-    the tabled targets; larger alphabets build each chunk's own sums, so
-    memory stays one chunk.
+    The rows of ``_exact_curve`` are the pairs (z, S) in order, S running
+    over all 2^|X| subsets at each z, and a chunk holds ``_CHUNK``
+    consecutive rows.  The target ρ_B/z and the weight of each subset
+    size are tabled once per chunk for the sizes it spans.  The subset
+    sums Σ_{x∈S} p_x ρ_x do not depend on z.  When one chunk holds every
+    subset they are built once for the whole curve, and a chunk is cut
+    from their differences with the tabled targets; larger alphabets
+    build each chunk's own sums, so memory stays one chunk.
     """
     x_size = state.alphabet_size
     blocks = state.p[:, None, None] * state.rhos
@@ -397,70 +388,75 @@ def _extraction_chunks(state: CQState, sizes: range):
         members = (subset[:, None] >> np.arange(x_size)) & 1
         return _contract(members.astype(float), blocks), members.sum(axis=1)
 
-    built = subset_sums(np.arange(subsets)) if subsets <= _CHUNK else None
-    total = len(sizes) * subsets
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        first, last = start // subsets, (stop - 1) // subsets
-        z_sizes = np.arange(sizes[first], sizes[last] + 1)
-        z = z_sizes[:, None].astype(float)
-        weight = z ** (1.0 - ks) * (1.0 - 1.0 / z) ** (x_size - ks)
-        target = rho_b / z_sizes[:, None, None]
-        rows = slice(start - first * subsets, stop - first * subsets)
-        if built is not None:
-            # real and imaginary parts subtract apart: a complex subtraction
-            # broadcast over the sizes is several times slower
-            sums, count = built
-            parts = (sums.view(float).reshape(subsets, -1)
-                     - target.view(float).reshape(len(z_sizes), 1, -1))
-            stack = parts.view(complex).reshape(-1, *rho_b.shape)
-            yield stack[rows], weight[:, count].ravel()[rows]
-        else:
-            index, subset = np.divmod(np.arange(rows.start, rows.stop), subsets)
-            stack, count = subset_sums(subset)
-            stack -= target[index]
-            yield stack, weight[index, count]
+    def chunks():
+        built = subset_sums(np.arange(subsets)) if subsets <= _CHUNK else None
+        total = len(sizes) * subsets
+        for start in range(0, total, _CHUNK):
+            stop = min(start + _CHUNK, total)
+            first, last = start // subsets, (stop - 1) // subsets
+            z_sizes = np.arange(sizes[first], sizes[last] + 1)
+            z = z_sizes[:, None].astype(float)
+            weight = z ** (1.0 - ks) * (1.0 - 1.0 / z) ** (x_size - ks)
+            target = rho_b / z_sizes[:, None, None]
+            rows = slice(start - first * subsets, stop - first * subsets)
+            if built is not None:
+                # real and imaginary parts subtract apart: a complex
+                # subtraction broadcast over the sizes is several times slower
+                sums, count = built
+                parts = (sums.view(float).reshape(subsets, -1)
+                         - target.view(float).reshape(len(z_sizes), 1, -1))
+                stack = parts.view(complex).reshape(-1, *rho_b.shape)
+                yield stack[rows], weight[:, count].ravel()[rows]
+            else:
+                index, subset = np.divmod(np.arange(rows.start, rows.stop), subsets)
+                stack, count = subset_sums(subset)
+                stack -= target[index]
+                yield stack, weight[index, count]
+
+    return _exact_curve([subsets] * len(sizes), chunks())
 
 
-def _covering_chunks(state: CQState, m_cap: int, curve: bool):
-    """Chunks (see ``_exact_curve``) of the exact covering distance: the
-    types of the codebooks, each with its multinomial p-weight, at m_cap
-    alone, or for a curve at m = m_cap, m_cap − 1, …, 1 in that order.
+def _covering_curve(state: CQState, sizes: range) -> list[float]:
+    """Exact covering distance at each m >= 1 of ``sizes``, a range of
+    step 1, in increasing m: the types of the codebooks of each size,
+    each with its multinomial p-weight.
 
-    A curve's types of every size are the compositions of m_cap into
-    |X| + 1 parts whose first part is the slack m_cap − m.  Their
-    lexicographic order runs the slack up from 0, so m runs down from
-    m_cap, and within one m it is the order of the |X|-part compositions
-    of m that a single size enumerates.  The last rank, slack m_cap, is
-    the empty codebook and is dropped.  Each run of equal m is contracted
-    against ρ_x/m, so an operator has the bits of a one-size enumeration.
-    A chunk has fewer than ``_CHUNK`` rows when |X| > 64, so that its
-    memory does not grow with the alphabet.
+    The types of every m <= m_cap, the last size, are the compositions
+    of m_cap into |X| + 1 parts whose first part is the slack m_cap − m.
+    Their lexicographic order runs the slack up from 0, so m runs down
+    from m_cap, and within one m it is the order of the |X|-part
+    compositions of m.  The stream stops after the last type of the
+    first size, and the values are reversed into increasing m.  So a
+    single size is the slack-0 prefix, whose leading zero
+    ``_compositions`` skips.  Each run of equal m is contracted against
+    ρ_x/m.  A chunk has fewer than ``_CHUNK`` rows when |X| > 64, so that
+    its memory does not grow with the alphabet.
     """
     x_size = state.alphabet_size
+    m_cap = sizes[-1]
     rho_b = state.marginal()
-    counts, log_fact = _type_tables(m_cap, x_size + curve)
+    counts, log_fact = _type_tables(m_cap, x_size + 1)
+    # counts[x_size - 1, m] is the number of types of size m
+    lengths = [int(counts[x_size - 1, m]) for m in reversed(sizes)]
     rows = max(1, _CHUNK * 64 // max(x_size, 64))
     with np.errstate(divide="ignore"):
         log_p = np.log(state.p)
-    for chunk in _compositions(m_cap, counts, rows):
-        m, types, cuts = m_cap, chunk, [0, len(chunk)]
-        if curve:
-            chunk = chunk[:-1] if chunk[-1, 0] == m_cap else chunk
-            if not len(chunk):
-                return
+
+    def chunks():
+        for chunk in _compositions(m_cap, counts, rows, sum(lengths)):
             slack = chunk[:, 0]
             m, types = m_cap - slack, np.ascontiguousarray(chunk[:, 1:])
             cuts = np.searchsorted(slack, np.arange(slack[0], slack[-1] + 2)).tolist()
-        log_mult, log_like = _type_log_terms(types, m, log_fact, log_p)
-        rows_f = types.astype(float)  # an int64 product would bypass BLAS
-        stack = np.empty((len(types), *rho_b.shape), dtype=complex)
-        for lo, hi in zip(cuts, cuts[1:]):
-            size = int(m[lo]) if curve else m
-            _contract(rows_f[lo:hi], state.rhos / size, out=stack[lo:hi])
-        stack -= rho_b
-        # a type using a zero-probability symbol gets weight 0
-        yield stack, np.exp(log_mult + log_like)
+            log_mult, log_like = _type_log_terms(types, m, log_fact, log_p)
+            rows_f = types.astype(float)  # an int64 product would bypass BLAS
+            stack = np.empty((len(types), *rho_b.shape), dtype=complex)
+            for lo, hi in zip(cuts, cuts[1:]):
+                _contract(rows_f[lo:hi], state.rhos / int(m[lo]), out=stack[lo:hi])
+            stack -= rho_b
+            # a type using a zero-probability symbol gets weight 0
+            yield stack, np.exp(log_mult + log_like)
+
+    return _exact_curve(lengths, chunks())[::-1]
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -585,7 +581,7 @@ def simulate_pa(state: CQState, z_size: int, method: str = "exact",
                 f"{2 ** x_size} subsets exceed the enumeration cap "
                 f"{ENUMERATION_CAP}; use method='mc'"
             )
-        [value] = _exact_curve([2 ** x_size], _extraction_chunks(state, range(z_size, z_size + 1)))
+        [value] = _extraction_curve(state, range(z_size, z_size + 1))
         return SimulationEstimate(value, "exact", z_size ** x_size, seed, 0.0)
 
     weights = state.p[:, None, None] * state.rhos
@@ -607,12 +603,13 @@ def simulate_covering(state: CQState, m: int, method: str = "exact",
     Exact mode computes the p^(x)m-weighted average over all alphabet**m
     codebooks.  The average depends on a codebook only through its
     symbol histogram, so it is a multinomially weighted sum over the
-    C(m+alphabet-1, alphabet-1) types; it is rejected when the types
-    exceed the enumeration cap.  The reported sample count remains the
-    full codebook count.  Monte-Carlo mode draws codebooks i.i.d. from
-    p, those of ``Generator.choice`` on each chunk's generator, counts
-    each into its type, and evaluates each distinct type of a chunk once
-    with the same kernel; it takes at most ``MC_SAMPLE_CAP`` samples.
+    C(m+alphabet-1, alphabet-1) types; it is rejected when the types, or
+    the m + 1 columns of the type tables, exceed the enumeration cap.
+    The reported sample count remains the full codebook count.
+    Monte-Carlo mode draws codebooks i.i.d. from p, those of
+    ``Generator.choice`` on each chunk's generator, counts each into its
+    type, and evaluates each distinct type of a chunk once with the same
+    kernel; both the samples and m are at most ``MC_SAMPLE_CAP``.
     The seed must lie in [0, 2**64).  ``workers`` must be at least 1 and
     changes neither the value nor the work in either mode.
     """
@@ -621,14 +618,17 @@ def simulate_covering(state: CQState, m: int, method: str = "exact",
     x_size = state.alphabet_size
 
     if method == "exact":
-        n_types = math.comb(m + x_size - 1, x_size - 1)
-        if n_types > ENUMERATION_CAP:
+        work = max(math.comb(m + x_size - 1, x_size - 1), m + 1)
+        if work > ENUMERATION_CAP:
             raise DomainError(
-                f"{n_types} codebook types exceed the enumeration cap "
-                f"{ENUMERATION_CAP}; use method='mc'"
+                f"{work} codebook types or type-table columns exceed the "
+                f"enumeration cap {ENUMERATION_CAP}; use method='mc'"
             )
-        [value] = _exact_curve([n_types], _covering_chunks(state, m, curve=False))
+        [value] = _covering_curve(state, range(m, m + 1))
         return SimulationEstimate(value, "exact", x_size ** m, seed, 0.0)
+    if m > MC_SAMPLE_CAP:
+        raise DomainError(f"monte-carlo covering draws a codebook's m codewords at once; "
+                          f"m must be at most {MC_SAMPLE_CAP}, got {m}")
 
     rho_b = state.marginal()
     blocks = state.rhos / m
@@ -680,10 +680,9 @@ def search_max_extractable(state: CQState, eps: float, z_cap: int) -> SearchResu
             f"({work} subsets); lower the cap — the "
             "search refuses monte-carlo estimates for certification"
         )
-    sizes = range(1, z_cap + 1)
-    values = _exact_curve([2 ** state.alphabet_size] * z_cap, _extraction_chunks(state, sizes))
+    values = _extraction_curve(state, range(1, z_cap + 1))
     curve = [(z, SimulationEstimate(value, "exact", z ** state.alphabet_size, 0, 0.0))
-             for z, value in zip(sizes, values)]
+             for z, value in enumerate(values, 1)]
     qualifying = [z for z, est in curve if est.value <= eps + 1e-12]
     found = max(qualifying)  # z=1 gives distance 0, so this is never empty
     cap_limited = curve[-1][1].value <= eps + 1e-12
@@ -710,12 +709,9 @@ def search_min_codebook(state: CQState, eps: float, m_cap: int) -> SearchResult:
             f"({work} codebook types); lower the cap — the "
             "search refuses monte-carlo estimates for certification"
         )
-    sizes = range(1, m_cap + 1)
-    # the curve runs from m_cap down
-    lengths = [math.comb(m + state.alphabet_size - 1, m) for m in reversed(sizes)]
-    values = _exact_curve(lengths, _covering_chunks(state, m_cap, curve=True))[::-1]
+    values = _covering_curve(state, range(1, m_cap + 1))
     curve = [(m, SimulationEstimate(value, "exact", state.alphabet_size ** m, 0, 0.0))
-             for m, value in zip(sizes, values)]
+             for m, value in enumerate(values, 1)]
     qualifying = [m for m, est in curve if est.value <= eps + 1e-12]
     found = min(qualifying) if qualifying else None
     return SearchResult(found, curve, cap_limited=found is None)

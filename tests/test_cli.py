@@ -177,6 +177,28 @@ def test_simulate_refuses_samples_above_cap_before_any_draw(capsys, monkeypatch,
         assert captured.out == ""
 
 
+def test_simulate_refuses_covering_sizes_that_do_not_bound_the_work(capsys, monkeypatch,
+                                                                   tmp_path, bitpair_file):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a type table or a codebook was built")
+
+    monkeypatch.setattr(oneshot_qit.simulate, "_type_tables", refuse)
+    monkeypatch.setattr(oneshot_qit.simulate, "_codebook_types", refuse)
+    one_symbol = str(tmp_path / "one.json")
+    dump_state(CQState([1.0], [np.eye(2) / 2]), one_symbol)
+    for state, method, size in (
+            (one_symbol, "exact", oneshot_qit.simulate.ENUMERATION_CAP),
+            (bitpair_file, "mc", oneshot_qit.simulate.MC_SAMPLE_CAP + 1)):
+        code = run([
+            "simulate", "--task", "covering", "--state", state, "--size", str(size),
+            "--method", method, "--samples", "100",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "cap" in captured.err or "at most" in captured.err
+        assert captured.out == ""
+
+
 def test_bounds_domain_error_exit_code(capsys, antipodal_file):
     code = run([
         "bounds", "--task", "covering", "--state", antipodal_file,

@@ -807,8 +807,8 @@ def test_divergence_kernels_solve_each_operator_once(corpus, monkeypatch):
             rho, sigma = pair.rho, pair.sigma
             quarter = _spectral_func(*_eigh_checked(sigma), lambda x: x ** -0.25)
             w = quarter @ rho @ quarter
-            delta = (_spectral_func(*_eigh_checked(rho), math.log)
-                     - _spectral_func(*_eigh_checked(sigma), math.log))
+            delta = (_spectral_func(*_eigh_checked(rho), np.log)
+                     - _spectral_func(*_eigh_checked(sigma), np.log))
             mean, second = _trace(rho @ delta), _trace(rho @ delta @ delta)
             for fn, want in (
                 (collision_divergence, math.log2(_trace(w @ w))),

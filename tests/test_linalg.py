@@ -104,7 +104,7 @@ def test_reconstruction_residual_check_fires(monkeypatch):
 
 
 def test_mat_func_diagonal_and_identity():
-    assert np.allclose(spectral_func(np.diag([1.0, 4.0]), math.sqrt), np.diag([1.0, 2.0]))
+    assert np.allclose(spectral_func(np.diag([1.0, 4.0]), np.sqrt), np.diag([1.0, 2.0]))
     rng = np.random.default_rng(2)
     rho = random_density(rng, 4)
     assert np.max(np.abs(spectral_func(rho, lambda x: x) - rho)) <= 1e-12

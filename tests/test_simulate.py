@@ -748,30 +748,53 @@ def test_search_eigensolve_budget(monkeypatch):
 
 def test_covering_curve_is_one_composition_stream(monkeypatch):
     # the types of every m <= m_cap are the compositions of m_cap into
-    # |X| + 1 parts, the slack m_cap - m first: one enumeration per curve
+    # |X| + 1 parts, the slack m_cap - m first: one enumeration per curve,
+    # stopped after the last type of the smallest size, and a single size
+    # m is the slack-0 prefix of C(m+|X|-1, |X|-1) ranks of that stream
     calls = []
     compositions = simulate._compositions
 
-    def recording(n, counts, rows):
-        calls.append((n, counts.shape[0]))
-        return compositions(n, counts, rows)
+    def recording(n, counts, rows, ranks=None):
+        calls.append((n, counts.shape[0], ranks))
+        return compositions(n, counts, rows, ranks)
 
     monkeypatch.setattr(simulate, "_compositions", recording)
     state = _oracle_state(86, 4, 2, False)
     with counting_half_norm_batches(monkeypatch) as matrices_per_call:
         search_min_codebook(state, 0.25, 8)
-    assert calls == [(8, 5)]
+    assert calls == [(8, 5, 494)]
     assert matrices_per_call == [494]
-    # a zero-probability symbol: the types that use it weigh 0 in the same
-    # stream, and a single size still enumerates the |X|-part compositions
-    state = _oracle_state(88, 3, 2, True)
-    calls.clear()
-    curve = search_min_codebook(state, 0.3, 6).curve
-    assert calls == [(6, 4)]
-    for m, est in curve:
-        assert est.value == pytest.approx(brute_force_covering(state, m), abs=1e-12), m
-        assert est.value == simulate_covering(state, m, "exact").value, m
-    assert calls[1:] == [(m, 3) for m in range(1, 7)]
+    # a single size's values equal its curve row to the bit: a zero-probability
+    # symbol, whose types weigh 0 in the same stream; one symbol, one type
+    # per size; and |X| > 64, whose chunks are shorter than _CHUNK
+    for state, cap in [(_oracle_state(88, 3, 2, True), 6),
+                       (_oracle_state(89, 1, 2, False), 6),
+                       (_oracle_state(90, 70, 2, False), 3)]:
+        alphabet = state.alphabet_size
+        calls.clear()
+        curve = search_min_codebook(state, 0.3, cap).curve
+        assert calls == [(cap, alphabet + 1, math.comb(cap + alphabet, alphabet) - 1)]
+        for m, est in curve:
+            if alphabet < 70:
+                assert est.value == pytest.approx(brute_force_covering(state, m), abs=1e-12), m
+            assert est.value == simulate_covering(state, m, "exact").value, m
+        assert calls[1:] == [(m, alphabet + 1, math.comb(m + alphabet - 1, alphabet - 1))
+                             for m in range(1, cap + 1)]
+
+
+def test_covering_refusals_precede_any_type_table_or_draw(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a type table or a codebook was built")
+
+    monkeypatch.setattr(simulate, "_type_tables", refuse)
+    monkeypatch.setattr(simulate, "_codebook_types", refuse)
+    # one symbol has one type at every m, but its type tables have m + 1 columns
+    one = CQState([1.0], [np.eye(2) / 2])
+    with pytest.raises(DomainError, match="enumeration cap"):
+        simulate_covering(one, simulate.ENUMERATION_CAP, "exact")
+    # a Monte-Carlo codebook's m uniforms are drawn at once
+    with pytest.raises(DomainError, match="m must be at most"):
+        simulate_covering(binary_antipodal(), simulate.MC_SAMPLE_CAP + 1, "mc", samples=2)
 
 
 def test_near_cap_search_memory_is_one_batch():
