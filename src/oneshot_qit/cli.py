@@ -202,6 +202,7 @@ def _cmd_divergence(args) -> dict:
 
 
 def _cmd_rates(args) -> dict:
+    quantile = normal_quantile(args.eps)  # refuses a bad level before any solve
     state = load_state(args.state)
     if (args.n is None) == (args.n_list is None):
         raise DomainError("pass exactly one of --n or --n-list")
@@ -216,7 +217,7 @@ def _cmd_rates(args) -> dict:
     else:
         first, variance = mutual_information_with_variance(state)
         sign = -1.0
-    coeff = sign * math.sqrt(variance) * normal_quantile(args.eps)
+    coeff = sign * math.sqrt(variance) * quantile
     rows = []
     for n in n_values:
         exp = RateExpansion.assemble(first, coeff, args.eps, n)
@@ -229,7 +230,7 @@ def _cmd_rates(args) -> dict:
     return {
         "first_order_bits": first,
         "variance_bits2": variance,
-        "quantile": normal_quantile(args.eps),
+        "quantile": quantile,
         "rows": rows,
     }
 

@@ -334,17 +334,13 @@ def _ds_exact_bits(pair: DivergencePair, eps: float) -> float:
     s = s[keep]
     ratios = r / s
     order = np.argsort(ratios)
-    ratios, r = ratios[order], r[order]
-    # accumulate the event mass ratio value by ratio value (ties together)
-    values, starts = np.unique(ratios, return_index=True)
-    cum = np.cumsum(r)
-    bounds = np.append(starts[1:], r.size) - 1
-    for value, mass in zip(values, cum[bounds]):
-        if mass > eps + 1e-12:
-            if value <= 0.0:
-                return -math.inf
-            return math.log2(value)
-    return math.inf  # event mass never exceeds eps (unreachable for densities)
+    # the first ratio whose running mass exceeds eps; every member of a
+    # tie group has the group's ratio, so ties need no grouping
+    i = int(np.searchsorted(np.cumsum(r[order]), eps + 1e-12, "right"))
+    if i == r.size:
+        return math.inf  # event mass never exceeds eps (unreachable for densities)
+    value = ratios[order[i]]
+    return -math.inf if value <= 0.0 else math.log2(value)
 
 
 def info_spectrum_divergence_bracket(

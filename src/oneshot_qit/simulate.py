@@ -27,7 +27,10 @@ the curve of one size, a search the curve over 1..cap.  The rows come in
 stacked chunks of at most ``_CHUNK`` operators, each one trace-norm
 batch, and each size's terms are summed by one exactly rounded
 ``math.fsum`` as soon as the size is complete, so memory stays one
-chunk.  The enumeration cap counts these subsets and types.
+chunk.  Each curve function counts the subsets or types it is about to
+stream, and covering its type-table columns, and ``_within_cap``
+refuses a count beyond ``ENUMERATION_CAP`` before any table, draw or
+eigensolve, so every exact call and search refuses with one message.
 
 Monte-Carlo extraction costs O(|X|) per table plus one trace norm per
 output block whose preimage set is not in the run's set table, whatever
@@ -36,8 +39,9 @@ so each call solves, in one batch, the sets it expects to meet: every
 single input, and each size k >= 2 that samples·z^(1−k)·(1−1/z)^(|X|−k)
 >= 1 expects in at least one block, up to max(4096, |X|) sets.  Empty
 blocks have a closed form.
-Monte-Carlo covering builds each type's operator as exact covering
-does.  A chunk's codebooks are those ``Generator.choice`` draws from the
+Both covering modes form a type n of m codewords one way, as
+Σ_x (n_x/m)·ρ_x − ρ_B with one ``_contract`` per chunk.  A Monte-Carlo
+chunk's codebooks are those ``Generator.choice`` draws from the
 chunk's generator: ``_codebook_types`` reads the same uniforms in row
 blocks and counts each codebook into its type under choice's inverse-CDF
 rule, and ``_type_distances`` solves each distinct type of the chunk
@@ -204,20 +208,28 @@ def _jacobi_half_norms(stack: np.ndarray) -> np.ndarray:
     raise NumericalError(f"Jacobi sweeps did not converge in {_JACOBI_SWEEPS} sweeps")
 
 
-def _contract(rows: np.ndarray, blocks: np.ndarray, out=None) -> np.ndarray:
+def _contract(rows: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Σ_x r_x blocks[x] for each real coefficient row r, as a (batch, d, d)
-    stack, written to the contiguous complex ``out`` if one is given.
+    stack, in one product.
 
     The rows are contracted against a real (|X|, 2·d·d) view of the
     blocks' interleaved real and imaginary parts, so they are never
-    copied to complex.
+    copied to complex.  Both covering modes form a type n of m codewords
+    as ``_contract(n / m, state.rhos)`` − ρ_B.
     """
     x_size, d, _ = blocks.shape
     flat = np.ascontiguousarray(blocks).view(float).reshape(x_size, 2 * d * d)
-    if out is None:
-        return (rows @ flat).view(complex).reshape(-1, d, d)
-    np.matmul(rows, flat, out=out.view(float).reshape(len(rows), 2 * d * d))
-    return out
+    return (rows @ flat).view(complex).reshape(-1, d, d)
+
+
+def _within_cap(count: int, what: str) -> None:
+    """Refuse an exact curve, before any table, draw or eigensolve, when
+    the ``count`` ``what`` it is about to build exceed the enumeration cap."""
+    if count > ENUMERATION_CAP:
+        raise DomainError(
+            f"{count} {what} exceed the enumeration cap {ENUMERATION_CAP}; use "
+            "method='mc' for one size, or lower the cap of a search, which "
+            "refuses monte-carlo estimates for certification")
 
 
 def _block_sums(weights: np.ndarray, preimages: np.ndarray, first: np.ndarray,
@@ -371,17 +383,19 @@ def _extraction_curve(state: CQState, sizes: range) -> list[float]:
 
     The rows of ``_exact_curve`` are the pairs (z, S) in order, S running
     over all 2^|X| subsets at each z, and a chunk holds ``_CHUNK``
-    consecutive rows.  The target ρ_B/z and the weight of each subset
-    size are tabled once per chunk for the sizes it spans.  The subset
-    sums Σ_{x∈S} p_x ρ_x do not depend on z.  When one chunk holds every
-    subset they are built once for the whole curve, and a chunk is cut
-    from their differences with the tabled targets; larger alphabets
-    build each chunk's own sums, so memory stays one chunk.
+    consecutive rows; a curve of more than ``ENUMERATION_CAP`` rows is
+    refused before any is built.  The target ρ_B/z and the weight of
+    each subset size are tabled once per chunk for the sizes it spans.
+    The subset sums Σ_{x∈S} p_x ρ_x do not depend on z.  When one chunk
+    holds every subset they are built once for the whole curve, and a
+    chunk is cut from their differences with the tabled targets; larger
+    alphabets build each chunk's own sums, so memory stays one chunk.
     """
     x_size = state.alphabet_size
+    subsets = 1 << x_size
+    _within_cap(len(sizes) * subsets, "preimage subsets")
     blocks = state.p[:, None, None] * state.rhos
     rho_b = state.marginal()
-    subsets = 1 << x_size
     ks = np.arange(x_size + 1, dtype=float)
 
     def subset_sums(subset):
@@ -428,12 +442,18 @@ def _covering_curve(state: CQState, sizes: range) -> list[float]:
     compositions of m.  The stream stops after the last type of the
     first size, and the values are reversed into increasing m.  So a
     single size is the slack-0 prefix, whose leading zero
-    ``_compositions`` skips.  Each run of equal m is contracted against
-    ρ_x/m.  A chunk has fewer than ``_CHUNK`` rows when |X| > 64, so that
-    its memory does not grow with the alphabet.
+    ``_compositions`` skips.  A curve streams C(m_cap+|X|, |X|) −
+    C(m_min−1+|X|, |X|) types and builds m_cap + 1 type-table columns;
+    either count beyond ``ENUMERATION_CAP`` is refused before the tables.
+    A chunk divides its types by their m and is contracted against ρ_x in
+    one product.  It has fewer than ``_CHUNK`` rows when |X| > 64, so
+    that its memory does not grow with the alphabet.
     """
     x_size = state.alphabet_size
     m_cap = sizes[-1]
+    _within_cap(math.comb(m_cap + x_size, x_size) - math.comb(sizes[0] - 1 + x_size, x_size),
+                "codebook types")
+    _within_cap(m_cap + 1, "type-table columns")
     rho_b = state.marginal()
     counts, log_fact = _type_tables(m_cap, x_size + 1)
     # counts[x_size - 1, m] is the number of types of size m
@@ -444,14 +464,9 @@ def _covering_curve(state: CQState, sizes: range) -> list[float]:
 
     def chunks():
         for chunk in _compositions(m_cap, counts, rows, sum(lengths)):
-            slack = chunk[:, 0]
-            m, types = m_cap - slack, np.ascontiguousarray(chunk[:, 1:])
-            cuts = np.searchsorted(slack, np.arange(slack[0], slack[-1] + 2)).tolist()
+            m, types = m_cap - chunk[:, 0], chunk[:, 1:]
             log_mult, log_like = _type_log_terms(types, m, log_fact, log_p)
-            rows_f = types.astype(float)  # an int64 product would bypass BLAS
-            stack = np.empty((len(types), *rho_b.shape), dtype=complex)
-            for lo, hi in zip(cuts, cuts[1:]):
-                _contract(rows_f[lo:hi], state.rhos / int(m[lo]), out=stack[lo:hi])
+            stack = _contract(types / m[:, None], state.rhos)
             stack -= rho_b
             # a type using a zero-probability symbol gets weight 0
             yield stack, np.exp(log_mult + log_like)
@@ -525,10 +540,12 @@ def _codebook_types(rng: np.random.Generator, cdf: np.ndarray, rows: int,
     return types
 
 
-def _type_distances(types: np.ndarray, m: int, blocks: np.ndarray,
+def _type_distances(types: np.ndarray, m: int, rhos: np.ndarray,
                     reference: np.ndarray) -> np.ndarray:
-    """½‖Σ_x n_x·blocks[x] − reference‖₁ for each type row n of m
-    codewords (``blocks`` being ρ_x/m), solving each distinct type once.
+    """½‖Σ_x (n_x/m)·rhos[x] − reference‖₁ for each float64 type row n of
+    m codewords, solving each distinct type once.  The distinct rows are
+    divided by m in place (``types`` is the caller's scratch) and
+    contracted in one ``_contract``, as exact mode forms a type.
 
     A type is keyed exactly by the float64 dot product Σ_x n_x·(m+1)^x
     while (m+1)^|X| <= 2^53, since every partial sum is then an integer
@@ -551,7 +568,8 @@ def _type_distances(types: np.ndarray, m: int, blocks: np.ndarray,
         keys = types @ np.array([float((m + 1) ** x) for x in range(x_size)])
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         types = types[first]
-    stack = _contract(types, blocks) - reference
+    types /= m
+    stack = _contract(types, rhos) - reference
     if 3 <= stack.shape[-1] <= 4 and len(stack) >= _JACOBI_BATCH:
         return _jacobi_half_norms(stack)[inverse]
     return _half_norms(stack)[inverse]
@@ -565,9 +583,10 @@ def simulate_pa(state: CQState, z_size: int, method: str = "exact",
     Exact mode averages over all z_size**alphabet function tables as z
     times a weighted sum over the 2**alphabet preimages of one output
     block, a subset S having weight z^-|S| (1-1/z)^(|X|-|S|); it is
-    rejected when the subsets exceed the enumeration cap.  Monte-Carlo
-    mode draws tables uniformly and reports an unbiased mean with its
-    confidence half-width; it takes at most ``MC_SAMPLE_CAP`` samples.
+    refused, before any work, when the subsets exceed the enumeration
+    cap.  Monte-Carlo mode draws tables uniformly and reports an unbiased
+    mean with its confidence half-width; it takes at most
+    ``MC_SAMPLE_CAP`` samples.
     The seed must lie in [0, 2**64).  ``workers`` must be at least 1 and
     changes neither the value nor the work in either mode.
     """
@@ -576,11 +595,6 @@ def simulate_pa(state: CQState, z_size: int, method: str = "exact",
     x_size = state.alphabet_size
 
     if method == "exact":
-        if 2 ** x_size > ENUMERATION_CAP:
-            raise DomainError(
-                f"{2 ** x_size} subsets exceed the enumeration cap "
-                f"{ENUMERATION_CAP}; use method='mc'"
-            )
         [value] = _extraction_curve(state, range(z_size, z_size + 1))
         return SimulationEstimate(value, "exact", z_size ** x_size, seed, 0.0)
 
@@ -603,9 +617,9 @@ def simulate_covering(state: CQState, m: int, method: str = "exact",
     Exact mode computes the p^(x)m-weighted average over all alphabet**m
     codebooks.  The average depends on a codebook only through its
     symbol histogram, so it is a multinomially weighted sum over the
-    C(m+alphabet-1, alphabet-1) types; it is rejected when the types, or
-    the m + 1 columns of the type tables, exceed the enumeration cap.
-    The reported sample count remains the full codebook count.
+    C(m+alphabet-1, alphabet-1) types; it is refused, before any work,
+    when the types or the m + 1 type-table columns exceed the enumeration
+    cap.  The reported sample count remains the full codebook count.
     Monte-Carlo mode draws codebooks i.i.d. from p, those of
     ``Generator.choice`` on each chunk's generator, counts each into its
     type, and evaluates each distinct type of a chunk once with the same
@@ -618,12 +632,6 @@ def simulate_covering(state: CQState, m: int, method: str = "exact",
     x_size = state.alphabet_size
 
     if method == "exact":
-        work = max(math.comb(m + x_size - 1, x_size - 1), m + 1)
-        if work > ENUMERATION_CAP:
-            raise DomainError(
-                f"{work} codebook types or type-table columns exceed the "
-                f"enumeration cap {ENUMERATION_CAP}; use method='mc'"
-            )
         [value] = _covering_curve(state, range(m, m + 1))
         return SimulationEstimate(value, "exact", x_size ** m, seed, 0.0)
     if m > MC_SAMPLE_CAP:
@@ -631,13 +639,12 @@ def simulate_covering(state: CQState, m: int, method: str = "exact",
                           f"m must be at most {MC_SAMPLE_CAP}, got {m}")
 
     rho_b = state.marginal()
-    blocks = state.rhos / m
     # normalised as Generator.choice normalises it
     cdf = state.p.cumsum()
     cdf /= cdf[-1]
 
     def chunk(rng, rows):
-        return _type_distances(_codebook_types(rng, cdf, rows, m), m, blocks, rho_b)
+        return _type_distances(_codebook_types(rng, cdf, rows, m), m, state.rhos, rho_b)
 
     return _monte_carlo(samples, seed, chunk)
 
@@ -667,19 +674,11 @@ def search_max_extractable(state: CQState, eps: float, z_cap: int) -> SearchResu
     """Largest output size up to z_cap whose extraction distance stays <= eps.
 
     Runs in exact mode only: a Monte-Carlo curve cannot certify the
-    answer.  The curve costs z_cap * 2**alphabet subset evaluations, and
-    a search whose total exceeds the enumeration cap is rejected up
-    front.
+    answer.  The curve streams z_cap * 2**alphabet subsets; a total
+    beyond the enumeration cap is refused before any work.
     """
     _check_eps(eps)
     z_cap = _whole("z_cap", z_cap, 1)
-    work = z_cap * 2 ** state.alphabet_size
-    if work > ENUMERATION_CAP:
-        raise DomainError(
-            f"exact enumeration infeasible up to z={z_cap} "
-            f"({work} subsets); lower the cap — the "
-            "search refuses monte-carlo estimates for certification"
-        )
     values = _extraction_curve(state, range(1, z_cap + 1))
     curve = [(z, SimulationEstimate(value, "exact", z ** state.alphabet_size, 0, 0.0))
              for z, value in enumerate(values, 1)]
@@ -695,20 +694,13 @@ def search_max_extractable(state: CQState, eps: float, z_cap: int) -> SearchResu
 def search_min_codebook(state: CQState, eps: float, m_cap: int) -> SearchResult:
     """Smallest codebook size up to m_cap whose covering distance is <= eps.
 
-    Runs in exact mode only.  The curve costs sum_{m<=m_cap}
-    C(m+alphabet-1, alphabet-1) = C(m_cap+alphabet, alphabet) type
-    evaluations, and a search whose total exceeds the enumeration cap is
-    rejected up front.
+    Runs in exact mode only.  The curve streams sum_{1<=m<=m_cap}
+    C(m+alphabet-1, alphabet-1) = C(m_cap+alphabet, alphabet) − 1 types
+    and builds m_cap + 1 type-table columns; either count beyond the
+    enumeration cap is refused before any work.
     """
     _check_eps(eps)
     m_cap = _whole("m_cap", m_cap, 1)
-    work = math.comb(m_cap + state.alphabet_size, state.alphabet_size)
-    if work > ENUMERATION_CAP:
-        raise DomainError(
-            f"exact enumeration infeasible up to m={m_cap} "
-            f"({work} codebook types); lower the cap — the "
-            "search refuses monte-carlo estimates for certification"
-        )
     values = _covering_curve(state, range(1, m_cap + 1))
     curve = [(m, SimulationEstimate(value, "exact", state.alphabet_size ** m, 0, 0.0))
              for m, value in enumerate(values, 1)]

@@ -340,6 +340,19 @@ def test_bounds_and_rates_solve_each_state_operator_once(capsys, tmp_path, monke
                                              emb.one_x_tensor_rho_b)] == [1, 1, 1, 1]
 
 
+def test_rates_refuses_a_bad_level_before_any_solve(capsys, tmp_path, monkeypatch,
+                                                    cold_state_memo):
+    [path, _] = _two_state_files(tmp_path, 35)
+    for task in ("pa", "covering"):
+        for eps in ("1.5", "0"):
+            with counting_eigensolves(monkeypatch) as matrices_per_call:
+                code = run(["rates", "--task", task, "--state", path, "--eps", eps,
+                            "--n", "100"])
+            captured = capsys.readouterr()
+            assert (code, captured.out, matrices_per_call) == (2, "", []), (task, eps)
+            assert "eps" in captured.err
+
+
 def test_only_ds_forms_the_commutator(capsys, tmp_path, monkeypatch, cold_state_memo):
     # the commutation flag is computed on first read, and only D_s reads it
     a, b = _two_state_files(tmp_path, 34)

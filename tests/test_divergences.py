@@ -923,6 +923,18 @@ def test_collision_joint_convexity():
             assert 2.0 ** mixed <= split + 1e-9
 
 
+def _ds_scalar(p, q, eps):
+    """D_s of diagonal p against q in bits: log2 of the first ratio p/q, in
+    increasing order over q's support, at which the running p-mass
+    exceeds eps."""
+    cum = 0.0
+    for ratio, mass in sorted((a / b, a) for a, b in zip(p, q) if b > 0):
+        cum += mass
+        if cum > eps:
+            return math.log2(ratio)
+    return math.inf
+
+
 def test_commuting_path_matches_scalar_closed_forms():
     rng = np.random.default_rng(47)
     for _ in range(10):
@@ -933,14 +945,7 @@ def test_commuting_path_matches_scalar_closed_forms():
         pair = classical_pair(p, q)
         eps = 0.35
         # scalar closed forms
-        ds_scalar = -math.inf
-        ratios = sorted(zip(p / q, p))
-        cum = 0.0
-        for ratio, mass in ratios:
-            cum += mass
-            if cum > eps:
-                ds_scalar = math.log2(ratio)
-                break
+        ds_scalar = _ds_scalar(p, q, eps)
         assert info_spectrum_divergence(pair, eps) == pytest.approx(ds_scalar, abs=1e-9)
         assert hypothesis_test_divergence(pair, eps) == pytest.approx(
             -math.log2(scalar_test_oracle(p, q, eps)), abs=1e-9
@@ -953,6 +958,14 @@ def test_commuting_path_matches_scalar_closed_forms():
         v_scalar = float(np.sum(p * llr ** 2)) - d_scalar ** 2
         assert relative_entropy(pair) == pytest.approx(d_scalar, abs=1e-9)
         assert relative_entropy_variance(pair) == pytest.approx(v_scalar, abs=1e-9)
+    # tied ratios (2, 2 and 1, 1), a zero-mass ratio 0 and a sigma kernel
+    # entry, at levels whose crossing falls on either member of a tie group
+    for p, q in [([0.2, 0.2, 0.3, 0.3, 0.0], [0.1, 0.1, 0.3, 0.3, 0.2]),
+                 ([0.25, 0.25, 0.5, 0.0, 0.0], [0.125, 0.125, 0.5, 0.25, 0.0])]:
+        pair = classical_pair(p, q)
+        for eps in (0.05, 0.2, 0.35, 0.45, 0.65, 0.9):
+            assert info_spectrum_divergence(pair, eps) == pytest.approx(
+                _ds_scalar(p, q, eps), abs=1e-12), (p, eps)
 
 
 # ---------------------------------------------------------------------------

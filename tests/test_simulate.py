@@ -797,6 +797,90 @@ def test_covering_refusals_precede_any_type_table_or_draw(monkeypatch):
         simulate_covering(binary_antipodal(), simulate.MC_SAMPLE_CAP + 1, "mc", samples=2)
 
 
+def _streamed_rows(monkeypatch):
+    """Patch ``simulate._exact_curve`` to count the rows its chunks
+    stream; returns the list that each call appends its count to."""
+    rows = []
+    exact_curve = simulate._exact_curve
+
+    def counting(lengths, chunks):
+        rows.append(0)
+
+        def counted():
+            for stack, weights in chunks:
+                rows[-1] += len(stack)
+                yield stack, weights
+
+        return exact_curve(lengths, counted())
+
+    monkeypatch.setattr(simulate, "_exact_curve", counting)
+    return rows
+
+
+def test_each_curve_runs_at_the_cap_and_refuses_one_row_more(monkeypatch):
+    # (call, rows streamed, what bounds the work, its count): every
+    # exact call and search counts the rows its own curve streams, and a
+    # covering curve also its m_cap + 1 type-table columns; a covering
+    # search streams C(m_cap+|X|, |X|) - 1 types, the m = 0 type never
+    three, one = _oracle_state(91, 3, 2, False), CQState([1.0], [np.eye(2) / 2])
+    cases = [
+        (lambda: simulate_pa(three, 4, "exact"), 8, "preimage subsets", 8),
+        (lambda: search_max_extractable(three, 0.3, 5), 40, "preimage subsets", 40),
+        (lambda: simulate_covering(three, 4, "exact"), 15, "codebook types", 15),
+        (lambda: search_min_codebook(three, 0.3, 4), math.comb(7, 3) - 1, "codebook types",
+         math.comb(7, 3) - 1),
+        (lambda: simulate_covering(one, 6, "exact"), 1, "type-table columns", 7),
+        (lambda: search_min_codebook(one, 0.3, 6), 6, "type-table columns", 7),
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the refusal")
+
+    for call, rows, what, count in cases:
+        with monkeypatch.context() as patch:
+            streamed = _streamed_rows(patch)
+            patch.setattr(simulate, "ENUMERATION_CAP", count)
+            call()
+        assert streamed == [rows], what
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "ENUMERATION_CAP", count - 1)
+            for name in ("_type_tables", "_codebook_types", "_contract", "_half_norms"):
+                patch.setattr(simulate, name, refuse)
+            patch.setattr(np.linalg, "eigvalsh", refuse)
+            patch.setattr(np.linalg, "eigh", refuse)
+            with pytest.raises(DomainError) as refusal:
+                call()
+        # one message: the count, what was counted, the cap, both remedies
+        message = str(refusal.value)
+        assert f"{count} {what} exceed the enumeration cap {count - 1}" in message
+        assert "method='mc'" in message and "lower the cap" in message
+        assert "certific" in message
+    # the Monte-Carlo remedy of a refused single size runs
+    monkeypatch.setattr(simulate, "ENUMERATION_CAP", 0)
+    assert simulate_pa(three, 4, "mc", samples=64).method == "monte-carlo"
+    assert simulate_covering(three, 4, "mc", samples=64).method == "monte-carlo"
+
+
+def test_exact_covering_contracts_each_chunk_once(monkeypatch):
+    # a one-symbol curve 1..5000 holds one type per size: 5000 rows in two
+    # chunks of at most _CHUNK, each one product whatever its sizes
+    calls = []
+    contract = simulate._contract
+
+    def counting(rows, blocks):
+        calls.append(len(rows))
+        return contract(rows, blocks)
+
+    monkeypatch.setattr(simulate, "_contract", counting)
+    one = _oracle_state(92, 1, 2, False)
+    curve = search_min_codebook(one, 0.3, 5000).curve
+    assert calls == [simulate._CHUNK, 5000 - simulate._CHUNK]
+    assert [m for m, _ in curve] == list(range(1, 5001))
+    calls.clear()
+    search_min_codebook(_oracle_state(86, 4, 2, False), 0.25, 8)
+    assert calls == [494]
+
+
 def test_near_cap_search_memory_is_one_batch():
     # 1953 * 2^10 = 1,999,872 subset evaluations, just under the cap
     state = _oracle_state(87, 10, 1, False)
