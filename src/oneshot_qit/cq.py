@@ -410,23 +410,31 @@ def _compositions(n: int, counts: np.ndarray, rows: int, ranks: int | None = Non
 
 
 def _type_log_terms(types: np.ndarray, n, log_fact: np.ndarray,
-                    log_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two terms of each type row's multinomial log p-mass.
+                    *log_ps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The terms of each int type row's multinomial log masses.
 
     For a row t summing to n these are its log multiplicity
-    log n! - Σ_x log t_x!, read from ``log_fact`` (log j! for j <= n),
-    and its log-likelihood Σ_x t_x log p_x, with 0·log 0 = 0; a row that
-    uses a symbol of log-probability -inf gets -inf.  The log p-mass of
-    the class is their sum.  ``n`` is one int for all rows, or an int
-    array with each row's own length, whose log n! is read per row; a
-    row's terms do not depend on the rows beside it.
+    log n! - Σ_x log t_x!, read from ``log_fact`` (log j! for j <= n)
+    and summed over x in order, and, for each vector of ``log_ps``, its
+    log-likelihood Σ_x t_x log p_x, with 0·log 0 = 0; a row that uses a
+    symbol of log-probability -inf gets -inf.  The rows are cast to
+    float64 once, for all the products.  The log mass of the class under
+    p is the multiplicity plus p's log-likelihood.  ``n`` is one int for
+    all rows, or an int array with each row's own length, whose log n!
+    is read per row; a row's terms do not depend on the rows beside it.
     """
-    log_mult = log_fact[n] - log_fact[types].sum(axis=1)
-    zero = np.isneginf(log_p)
-    log_like = types @ np.where(zero, 0.0, log_p)
-    if zero.any():
-        log_like[(types[:, zero] > 0).any(axis=1)] = -np.inf
-    return log_mult, log_like
+    log_facts = log_fact[types[:, 0]]
+    for x in range(1, types.shape[1]):
+        log_facts += log_fact[types[:, x]]
+    counts = types.astype(float)
+    terms = [log_fact[n] - log_facts]
+    for log_p in log_ps:
+        zero = np.isneginf(log_p)
+        log_like = counts @ np.where(zero, 0.0, log_p)
+        if zero.any():
+            log_like[(types[:, zero] > 0).any(axis=1)] = -np.inf
+        terms.append(log_like)
+    return tuple(terms)
 
 
 def _whole(name: str, value, least: int | None = None) -> int:
@@ -493,8 +501,8 @@ def iid_type_spectrum(p, q, n: int) -> TypeClassSpectrum:
 
     with np.errstate(divide="ignore"):
         log_p = np.log(p)
-    log_mult, p_contrib = _type_log_terms(types, n, log_fact, log_p)
-    q_contrib = types @ np.log(q)  # q > 0, so no 0·log 0 terms
+    # q > 0, so its terms have no 0·log 0
+    log_mult, p_contrib, q_contrib = _type_log_terms(types, n, log_fact, log_p, np.log(q))
 
     return TypeClassSpectrum(
         log_p_mass=log_mult + p_contrib,

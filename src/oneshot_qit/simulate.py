@@ -44,11 +44,12 @@ Both covering modes form a type n of m codewords one way, as
 chunk's codebooks are those ``Generator.choice`` draws from the
 chunk's generator: ``_codebook_types`` reads the same uniforms in row
 blocks and counts each codebook into its type under choice's inverse-CDF
-rule, and ``_type_distances`` solves each distinct type of the chunk
-once.  A chunk holds a (4096, |X|) float64 count array and one row block
-of draws.  Where a chunk takes the Jacobi kernel, its distances match
-exact mode's ``eigvalsh`` to about 1e-15 relative rather than to the
-bit.
+rule, from each uniform's cell, and ``_type_distances`` finds the
+chunk's distinct types with one sort of their exact keys and solves each
+once.  A chunk holds a (4096, |X|) float64 count array and one row
+block of draws.  Where a chunk takes the Jacobi kernel, its
+distances match exact mode's ``eigvalsh`` to about 1e-15 relative rather
+than to the bit.
 
 Determinism: ``_monte_carlo`` runs the chunks one after another.  Its
 draws come from a counter-based generator keyed by (seed, chunk index)
@@ -159,23 +160,37 @@ def _jacobi_half_norms(stack: np.ndarray) -> np.ndarray:
     its off-diagonal mass is at most (1e-15)²·‖A‖_F²/2, which puts the
     diagonal within √d·1e-15·‖A‖_F of the spectrum (Hoffman–Wielandt),
     as accurate as ``eigvalsh``; ‖A‖_F <= ‖A‖₁ makes that relative.
+
+    The rotation plan, each pair (p, q) with the entries it rotates, is
+    built once per call.  Every zeroed a_qp is a view of one read-only
+    zero array, since no entry is written in place, and each sweep's
+    off-diagonal mass is computed once, the first one also giving the
+    stopping bound.
     """
     d = stack.shape[-1]
-    pairs = [(p, q) for p in range(d) for q in range(p + 1, d)]
+    # the rotation plan: each pair (p, q), and for each other index r the
+    # keys of a_rp and a_rq in the lower triangle and where r falls:
+    # 0 below p, 1 between p and q, 2 above q
+    plan = [(p, q, [((max(r, p), min(r, p)), (max(r, q), min(r, q)), (r > p) + (r > q))
+                    for r in range(d) if r not in (p, q)])
+            for p in range(d) for q in range(p + 1, d)]
     diag = [stack[:, i, i].real for i in range(d)]
-    low = {(q, p): stack[:, q, p] for p, q in pairs}
+    low = {(q, p): stack[:, q, p] for p, q, _ in plan}
     exponent = np.frexp(np.max([np.abs(a) for a in (*diag, *low.values())], axis=0))[1]
     scale = np.ldexp(1.0, -exponent)
     diag = [a * scale for a in diag]
     low = {key: a * scale for key, a in low.items()}
+    zero = np.zeros(len(stack), dtype=complex)
+    zero.flags.writeable = False
 
     def off_mass():
         return 2.0 * sum((a * a.conj()).real for a in low.values())
 
-    bound = 0.5e-30 * (sum(a * a for a in diag) + off_mass())
+    off = off_mass()
+    bound = 0.5e-30 * (sum(a * a for a in diag) + off)
     norms, left = np.empty(len(stack)), np.arange(len(stack))
     for _ in range(_JACOBI_SWEEPS):
-        done = off_mass() <= bound
+        done = off <= bound
         if done.any():
             norms[left[done]] = np.ldexp(0.5 * sum(np.abs(a[done]) for a in diag),
                                          exponent[done])
@@ -185,7 +200,8 @@ def _jacobi_half_norms(stack: np.ndarray) -> np.ndarray:
             left, bound, exponent = left[keep], bound[keep], exponent[keep]
             diag = [a[keep] for a in diag]
             low = {key: a[keep] for key, a in low.items()}
-        for p, q in pairs:
+            zero = zero[:len(left)]
+        for p, q, others in plan:
             h, a_qp = diag[q] - diag[p], low[q, p]
             r2 = (a_qp * a_qp.conj()).real
             k = np.copysign(2.0, h) / (np.abs(h) + np.sqrt(h * h + 4.0 * r2) + _TINY)
@@ -195,16 +211,16 @@ def _jacobi_half_norms(stack: np.ndarray) -> np.ndarray:
             s_bar, c, shift = s.conj(), c + 0j, k * r2  # complex c: no cast per product
             diag[p] -= shift
             diag[q] += shift
-            low[q, p] = np.zeros_like(a_qp)
-            for r in (r for r in range(d) if r not in (p, q)):
-                rp, rq = (max(r, p), min(r, p)), (max(r, q), min(r, q))
+            low[q, p] = zero
+            for rp, rq, case in others:
                 x, y = low[rp], low[rq]  # a_rp, a_rq, or their conjugates above the diagonal
-                if r < p:
+                if case == 0:
                     low[rp], low[rq] = c * x - s_bar * y, c * y + s * x
-                elif r > q:
+                elif case == 2:
                     low[rp], low[rq] = c * x - s * y, c * y + s_bar * x
                 else:
                     low[rp], low[rq] = c * x - s * y.conj(), c * y + s * x.conj()
+        off = off_mass()
     raise NumericalError(f"Jacobi sweeps did not converge in {_JACOBI_SWEEPS} sweeps")
 
 
@@ -464,7 +480,8 @@ def _covering_curve(state: CQState, sizes: range) -> list[float]:
 
     def chunks():
         for chunk in _compositions(m_cap, counts, rows, sum(lengths)):
-            m, types = m_cap - chunk[:, 0], chunk[:, 1:]
+            # one contiguous copy: both readers below are slower on the view
+            m, types = m_cap - chunk[:, 0], chunk[:, 1:].copy()
             log_mult, log_like = _type_log_terms(types, m, log_fact, log_p)
             stack = _contract(types / m[:, None], state.rhos)
             stack -= rho_b
@@ -505,38 +522,30 @@ def _codebook_types(rng: np.random.Generator, cdf: np.ndarray, rows: int,
     (one row when a row alone is larger); consecutive draws read the
     stream in the same order as one call, so the types do not depend on
     the blocking.  A uniform u is codeword #{edges of cdf <= u}, choice's
-    rule.  When |X| <= m/2 each row's uniforms below each edge are
-    counted, with no per-codeword index; otherwise each codeword is
-    looked up with ``searchsorted`` and counted by a float ``bincount``.
-    That rule reads (|X|, m) only; it picks the faster of the two on
-    every point of a 4096-row grid, |X| in {2, …, 64} by m in {4, …, 256}.
-    Memory is the count array, plus one block's draws and their counts.
+    rule.  That count, the uniform's cell, is found by one pass per edge
+    that adds u >= edge into a uint8 array while |X| <= 256, so that the
+    uint8 holds it, and by ``searchsorted`` beyond; the cells, offset by
+    row, are counted by one ``bincount``.  A block also holds at most
+    ``_DRAW_BYTES`` of counts, so memory is the count array plus one
+    block's draws, cells and counts.
     """
     x_size = len(cdf)
-
-    def count(draws):
-        if x_size <= m // 2:
-            types = np.empty((len(draws), x_size))
-            below = 0  # codewords of each row below the previous edge
-            for x, edge in enumerate(cdf[:-1]):  # cdf[-1] is 1 > u
-                now = np.count_nonzero(draws < edge, axis=1)
-                types[:, x] = now - below
-                below = now
-            types[:, -1] = m - below
-            return types
-        cells = cdf.searchsorted(draws, side="right")
-        cells += x_size * np.arange(len(draws))[:, None]
-        # float weights count straight into float64: an int64 count cast
-        # afterwards would hold two count arrays at once
-        return np.bincount(cells.ravel(), weights=np.ones(cells.size),
-                           minlength=len(draws) * x_size).reshape(-1, x_size)
-
-    step = max(1, _DRAW_BYTES // (8 * m))
-    if step >= rows:
-        return count(rng.random((rows, m)))
     types = np.empty((rows, x_size))
+
+    def count(draws, out):
+        if x_size <= 256:
+            cells = np.zeros(draws.shape, dtype=np.uint8)
+            for edge in cdf[:-1]:  # cdf[-1] is 1 > u
+                cells += draws >= edge
+        else:
+            cells = cdf.searchsorted(draws, side="right")
+        # the draws are read: their buffer takes the row-offset cells
+        cells = np.add(cells, x_size * np.arange(len(draws))[:, None], out=draws.view(np.int64))
+        out[...] = np.bincount(cells.ravel(), minlength=out.size).reshape(out.shape)
+
+    step = max(1, _DRAW_BYTES // (8 * max(m, x_size)))
     for lo in range(0, rows, step):
-        types[lo:lo + step] = count(rng.random((min(step, rows - lo), m)))
+        count(rng.random((min(step, rows - lo), m)), types[lo:lo + step])
     return types
 
 
@@ -549,25 +558,29 @@ def _type_distances(types: np.ndarray, m: int, rhos: np.ndarray,
 
     A type is keyed exactly by the float64 dot product Σ_x n_x·(m+1)^x
     while (m+1)^|X| <= 2^53, since every partial sum is then an integer
-    below 2^53; past that bound every row is solved.  A type's distance
+    below 2^53; past that bound every row is solved.  Equal keys are
+    equal type rows, so one ``argsort`` of the keys finds them: one row
+    of each run of equal sorted keys is solved, and a running count of
+    the runs' heads maps every row to its run.  A type's distance
     depends on the type alone, so the values are those of solving every
     row.
 
     At d = 3 and 4, a chunk that solves at least ``_JACOBI_BATCH``
     operators takes ``_jacobi_half_norms``, and a smaller one
-    ``_half_norms``.  The rule reads (d, operator count) alone.  Timed
-    with one BLAS thread on the distinct types of covering chunks at
-    |X| = 8, m = 64, stacked ``eigvalsh`` is the faster below about 500
-    operators at d = 3 and 1000 at d = 4; at about 4080 operators Jacobi
-    takes 3.3 ms against 9.6 ms at d = 3, and 8.6 ms against 14.9 ms at
-    d = 4.
+    ``_half_norms``.  The rule reads (d, operator count) alone: on the
+    distinct types of covering chunks, stacked ``eigvalsh`` is the faster
+    below about 500 operators at d = 3 and 1000 at d = 4 (README has the
+    timings).
     """
     x_size = types.shape[1]
     inverse = slice(None)
     if (m + 1) ** x_size <= 2 ** 53:
         keys = types @ np.array([float((m + 1) ** x) for x in range(x_size)])
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        types = types[first]
+        order = keys.argsort()
+        head = np.diff(keys[order], prepend=-1.0) != 0  # keys are >= 0
+        inverse = np.empty_like(order)
+        inverse[order] = head.cumsum() - 1
+        types = types[order[head]]
     types /= m
     stack = _contract(types, rhos) - reference
     if 3 <= stack.shape[-1] <= 4 and len(stack) >= _JACOBI_BATCH:

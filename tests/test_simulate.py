@@ -438,6 +438,35 @@ def test_covering_monte_carlo_matches_dense_codebook_oracle():
         assert est.half_width == pytest.approx(half, abs=1e-12)
 
 
+def test_codebook_types_count_the_codewords_choice_draws():
+    # (|X|, m, rows, zero entries in p): the uint8 cell pass up to
+    # |X| = 256 and searchsorted beyond, small and large m on each side;
+    # zero entries repeat a CDF edge, first, inside or last; m = 2|X| at
+    # |X| = 255 to 300 spans several row blocks of draws, and |X| = 1200
+    # at m = 2 several row blocks of counts
+    rng = np.random.default_rng(90)
+    for x_size, m, rows, zeros in [
+        (1, 1, 5, ()), (1, 5, 5, ()),
+        (2, 5, 300, ()), (2, 6, 300, (0,)), (3, 8, 300, (1,)), (3, 9, 300, (2,)),
+        (6, 17, 300, (0, 3)), (6, 18, 300, (5,)), (7, 21, 300, (6,)),
+        (8, 16, 4096, ()), (8, 64, 4096, (2, 3)),
+        (64, 3, 300, (0, 63)), (64, 200, 300, (10,)), (65, 3, 300, (64,)),
+        (255, 510, 600, (0, 254)), (256, 2, 300, (0,)), (256, 512, 600, (255,)),
+        (257, 2, 300, (256,)), (257, 514, 600, (3,)), (300, 600, 600, (7, 8, 9)),
+        (1200, 2, 1000, (0, 1199)),
+    ]:
+        p = rng.dirichlet(np.ones(x_size))
+        p[list(zeros)] = 0.0
+        p /= p.sum()
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        types = simulate._codebook_types(simulate._chunk_rng(9, 1), cdf, rows, m)
+        books = simulate._chunk_rng(9, 1).choice(x_size, size=(rows, m), p=p)
+        expected = np.array([np.bincount(book, minlength=x_size) for book in books])
+        assert types.dtype == np.float64
+        assert np.array_equal(types, expected), (x_size, m)
+
+
 def test_covering_monte_carlo_memory_is_one_count_array_per_chunk():
     state = random_cq_state(np.random.default_rng(81), 1200, 2)
     tracemalloc.start()
@@ -659,6 +688,30 @@ def test_jacobi_half_norms_match_eigvalsh(monkeypatch):
     monkeypatch.setattr(simulate, "_JACOBI_SWEEPS", 1)
     with pytest.raises(NumericalError, match="did not converge"):
         simulate._jacobi_half_norms(herm)
+
+
+def test_jacobi_operators_give_their_own_bits_in_a_mixed_batch():
+    rng = np.random.default_rng(91)
+    for dim in (3, 4):
+        h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        generic = h + h.conj().T
+        diagonal = np.diag(rng.normal(size=dim)).astype(complex)
+        zero = np.zeros((dim, dim), dtype=complex)
+        # the first rotation, of (0, 1), has h = a_11 - a_00 and a_10 of
+        # 1e-170, whose squares underflow to 0 while tan θ = 1: it must
+        # stay unitary as it mixes a_20 = 1 into a_21
+        underflow = np.zeros((dim, dim), dtype=complex)
+        underflow[1, 1] = 1e-170
+        underflow[1, 0] = underflow[0, 1] = 1e-170
+        underflow[2, 0] = underflow[0, 2] = 1.0
+        underflow[-1, -1] += 0.25
+        batch = np.stack([diagonal, zero, generic, underflow])
+        together = simulate._jacobi_half_norms(batch)
+        for i, operator in enumerate(batch):
+            alone = simulate._jacobi_half_norms(operator[None])
+            assert np.array_equal(alone, together[i:i + 1]), (dim, i)
+        expected = 0.5 * np.abs(np.linalg.eigvalsh(batch)).sum(axis=1)
+        np.testing.assert_allclose(together, expected, rtol=1e-14, atol=0.0)
 
 
 # (|X|, d, zero entry in p); every curve below is a single batch that
