@@ -5,12 +5,13 @@ Extraction distance: average over uniformly random function tables
 h: X -> Z of half the trace distance between the hashed state and the
 uniform target.  Covering distance: average over i.i.d. p-distributed
 codebooks of half the trace distance between the codebook average and
-the marginal.  Trace norms of block-diagonal operators are taken block
-by block through ``_half_norms``: a closed form for blocks of dimension 1
-and 2, a stacked ``eigvalsh`` for larger ones.  The one exception is a
-Monte-Carlo covering chunk at d = 3 or 4 that solves at least
-``_JACOBI_BATCH`` types, which ``_jacobi_half_norms`` solves by cyclic
-Jacobi across the whole stack.
+the marginal.  Every batch of trace norms, exact or Monte-Carlo, goes
+through ``_half_norms``, whose one rule reads the block dimension d and
+the batch size alone: a closed form for d <= 2, cyclic Jacobi across the
+whole stack (``_jacobi_half_norms``) for d = 3 or 4 in a batch of at
+least ``_JACOBI_BATCH`` operators, and a stacked ``eigvalsh`` otherwise.
+So two batches agree to the bit on an operator when they take the same
+kernel, and to about 1e-15 relative when they do not.
 
 Exact mode never enumerates tables or codebooks.  A uniformly random
 function sends each x to a given output block independently with
@@ -47,9 +48,7 @@ blocks and counts each codebook into its type under choice's inverse-CDF
 rule, from each uniform's cell, and ``_type_distances`` finds the
 chunk's distinct types with one sort of their exact keys and solves each
 once.  A chunk holds a (4096, |X|) float64 count array and one row
-block of draws.  Where a chunk takes the Jacobi kernel, its
-distances match exact mode's ``eigvalsh`` to about 1e-15 relative rather
-than to the bit.
+block of draws.
 
 Determinism: ``_monte_carlo`` runs the chunks one after another.  Its
 draws come from a counter-based generator keyed by (seed, chunk index)
@@ -80,7 +79,7 @@ from .cq import (
 from .errors import DomainError, NumericalError, _check_eps
 
 _CHUNK = 4096
-_JACOBI_BATCH = 1024  # fewest operators a covering chunk solves by Jacobi; see _type_distances
+_JACOBI_BATCH = 1024  # see _half_norms
 _JACOBI_SWEEPS = 30
 _TINY = np.finfo(float).tiny
 _DRAW_BYTES = 1 << 21  # one row block of Monte-Carlo covering draws
@@ -125,15 +124,21 @@ def _check_run(method: str, samples, seed, workers) -> tuple[int, int]:
 
 
 def _half_norms(stack: np.ndarray) -> np.ndarray:
-    """½‖stack[i]‖₁ for each Hermitian (d, d) operator of a (batch, d, d) stack.
+    """½‖stack[i]‖₁ for each Hermitian (d, d) operator of a (batch, d, d)
+    stack, by the simulators' one kernel rule, which reads (d, batch) alone.
 
-    Like ``eigvalsh``, it reads only the real diagonal and the lower
-    triangle.  Blocks with d <= 2 take a closed form, which avoids the
-    per-matrix LAPACK dispatch that dominates at that size.  For d = 1
+    Like ``eigvalsh``, every kernel reads only the real diagonal and the
+    lower triangle.  Blocks with d <= 2 take a closed form, which avoids
+    the per-matrix LAPACK dispatch that dominates at that size.  For d = 1
     the value is ½|a₁₁|.  For d = 2 the eigenvalues are (t ± r)/2 with
     t = a₁₁ + a₂₂ and r = hypot(a₁₁ − a₂₂, 2|a₂₁|), so the trace norm is
     |t| when they share a sign and r when they do not: max(|t|, r).
-    Larger blocks go to the stacked ``eigvalsh``.
+    Blocks with d = 3 or 4 in a batch of at least ``_JACOBI_BATCH`` take
+    ``_jacobi_half_norms``, whose fixed cost per rotation a large stack
+    spreads; a smaller batch or a larger d is faster in the stacked
+    ``eigvalsh``, which takes the rest (README has the timings).  An
+    operator's value depends on it and its kernel only: two batches that
+    take different kernels agree on it to about 1e-15 relative.
     """
     d = stack.shape[-1]
     if d == 1:
@@ -142,6 +147,8 @@ def _half_norms(stack: np.ndarray) -> np.ndarray:
         a, c = stack[:, 0, 0].real, stack[:, 1, 1].real
         spread = np.hypot(a - c, 2.0 * np.abs(stack[:, 1, 0]))
         return 0.5 * np.maximum(np.abs(a + c), spread)
+    if d <= 4 and len(stack) >= _JACOBI_BATCH:
+        return _jacobi_half_norms(stack)
     return 0.5 * np.abs(np.linalg.eigvalsh(stack)).sum(axis=1)
 
 
@@ -287,7 +294,9 @@ def _set_table(weights: np.ndarray, target: np.ndarray, z_size: int, samples: in
     at x; binom[x, j] = C(x, j), clipped at the table size so that it
     fits int64, which no listed rank reaches.  The sets are summed by
     ``_block_sums``, as ``_hash_values`` assembles a block, so a listed
-    distance has the bits of a solved one.
+    distance has the bits of a solved one when the table and the chunk's
+    batch of solved blocks take the same ``_half_norms`` kernel, and
+    agrees with it to about 1e-15 relative when they do not.
     """
     x_size = len(weights)
     z = float(z_size)
@@ -553,24 +562,16 @@ def _type_distances(types: np.ndarray, m: int, rhos: np.ndarray,
                     reference: np.ndarray) -> np.ndarray:
     """½‖Σ_x (n_x/m)·rhos[x] − reference‖₁ for each float64 type row n of
     m codewords, solving each distinct type once.  The distinct rows are
-    divided by m in place (``types`` is the caller's scratch) and
-    contracted in one ``_contract``, as exact mode forms a type.
+    divided by m in place (``types`` is the caller's scratch), contracted
+    in one ``_contract``, as exact mode forms a type, and solved in one
+    ``_half_norms`` batch.
 
     A type is keyed exactly by the float64 dot product Σ_x n_x·(m+1)^x
     while (m+1)^|X| <= 2^53, since every partial sum is then an integer
     below 2^53; past that bound every row is solved.  Equal keys are
     equal type rows, so one ``argsort`` of the keys finds them: one row
     of each run of equal sorted keys is solved, and a running count of
-    the runs' heads maps every row to its run.  A type's distance
-    depends on the type alone, so the values are those of solving every
-    row.
-
-    At d = 3 and 4, a chunk that solves at least ``_JACOBI_BATCH``
-    operators takes ``_jacobi_half_norms``, and a smaller one
-    ``_half_norms``.  The rule reads (d, operator count) alone: on the
-    distinct types of covering chunks, stacked ``eigvalsh`` is the faster
-    below about 500 operators at d = 3 and 1000 at d = 4 (README has the
-    timings).
+    the runs' heads maps every row to its run's value.
     """
     x_size = types.shape[1]
     inverse = slice(None)
@@ -582,10 +583,7 @@ def _type_distances(types: np.ndarray, m: int, rhos: np.ndarray,
         inverse[order] = head.cumsum() - 1
         types = types[order[head]]
     types /= m
-    stack = _contract(types, rhos) - reference
-    if 3 <= stack.shape[-1] <= 4 and len(stack) >= _JACOBI_BATCH:
-        return _jacobi_half_norms(stack)[inverse]
-    return _half_norms(stack)[inverse]
+    return _half_norms(_contract(types, rhos) - reference)[inverse]
 
 
 def simulate_pa(state: CQState, z_size: int, method: str = "exact",
@@ -635,8 +633,8 @@ def simulate_covering(state: CQState, m: int, method: str = "exact",
     cap.  The reported sample count remains the full codebook count.
     Monte-Carlo mode draws codebooks i.i.d. from p, those of
     ``Generator.choice`` on each chunk's generator, counts each into its
-    type, and evaluates each distinct type of a chunk once with the same
-    kernel; both the samples and m are at most ``MC_SAMPLE_CAP``.
+    type, and evaluates each distinct type of a chunk once by the same
+    kernel rule; both the samples and m are at most ``MC_SAMPLE_CAP``.
     The seed must lie in [0, 2**64).  ``workers`` must be at least 1 and
     changes neither the value nor the work in either mode.
     """

@@ -294,10 +294,11 @@ def cold_state_memo():
 def counting_half_norm_batches(monkeypatch):
     """Patch ``simulate._half_norms``, the one trace-norm helper of the
     simulators, to record, per batch, the number of operators it
-    receives; yields the list of those counts.  It sees the exact
-    curves' batches, Monte-Carlo extraction's set table (one batch per
-    call) and the blocks each chunk solves, but not a covering chunk
-    that takes ``simulate._jacobi_half_norms``.
+    receives; yields the list of those counts.  It sees every simulator
+    batch: the exact curves' chunks, Monte-Carlo extraction's set table
+    (one batch per call) and the blocks each chunk solves, and each
+    Monte-Carlo covering chunk's distinct types, whichever kernel
+    ``_half_norms`` then picks, Jacobi included.
 
     It counts batches whatever the block dimension, whereas
     ``counting_eigensolves`` sees only the blocks that reach LAPACK."""

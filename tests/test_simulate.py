@@ -647,12 +647,21 @@ def test_small_block_half_norms_match_eigvalsh(monkeypatch):
             np.testing.assert_allclose(half, expected, rtol=1e-14, atol=0.0)
     # the upper triangle is not read, as by eigvalsh
     assert np.array_equal(simulate._half_norms(np.tril(herm)), simulate._half_norms(herm))
-    # larger blocks still go to the stacked eigensolver
+    # larger blocks go to the stacked eigensolver in a small batch, and to
+    # Jacobi in a batch of _JACOBI_BATCH at d = 3
     stack = np.stack([random_cq_state(rng, 1, 3).rhos[0] - np.eye(3) / 3 for _ in range(5)])
     with counting_eigensolves(monkeypatch) as matrices_per_call:
         half = simulate._half_norms(stack)
     assert matrices_per_call == [5]
     assert half == pytest.approx([0.5 * svd_trace_norm(a) for a in stack], rel=1e-14)
+    h = rng.normal(size=(simulate._JACOBI_BATCH, 3, 3)) + 1j * rng.normal(
+        size=(simulate._JACOBI_BATCH, 3, 3))
+    stack = h + h.conj().swapaxes(1, 2)
+    with counting_eigensolves(monkeypatch) as matrices_per_call:
+        half = simulate._half_norms(stack)
+    assert matrices_per_call == []
+    expected = 0.5 * np.abs(np.linalg.eigvalsh(stack)).sum(axis=1)
+    np.testing.assert_allclose(half, expected, rtol=1e-14, atol=0.0)
 
 
 def test_jacobi_half_norms_match_eigvalsh(monkeypatch):
@@ -772,6 +781,65 @@ def test_exact_curve_splits_sizes_across_batches(monkeypatch):
         for (z, whole), (z_split, split) in zip(whole_pa + whole_cov, split_pa + split_cov):
             assert z == z_split
             assert split.value == pytest.approx(whole.value, abs=1e-14)
+
+
+# (search, |X|, d, cap, trace-norm batches): curves whose chunks reach
+# _JACOBI_BATCH at d = 3 and 4; the covering search streams
+# C(43, 3) - 1 = 12,340 types, three full chunks and a 52-type tail,
+# the extraction search 3 * 2^10 subsets in one chunk
+_JACOBI_CURVES = [
+    (search_min_codebook, 3, 3, 40, [4096] * 3 + [52]),
+    (search_min_codebook, 3, 4, 40, [4096] * 3 + [52]),
+    (search_max_extractable, 10, 3, 3, [3072]),
+]
+
+
+def test_exact_curves_take_jacobi_in_large_batches_at_d_3_and_4(monkeypatch):
+    for search, alphabet, dim, cap, batches in _JACOBI_CURVES:
+        state = _oracle_state(93, alphabet, dim, False)
+        with counting_half_norm_batches(monkeypatch) as matrices_per_batch:
+            with counting_eigensolves(monkeypatch) as matrices_per_call:
+                curve = search(state, 0.3, cap).curve
+        # only the covering search's tail chunk reaches LAPACK
+        assert matrices_per_batch == batches
+        assert matrices_per_call == [b for b in batches if b < simulate._JACOBI_BATCH]
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "_JACOBI_BATCH", simulate._CHUNK + 1)
+            with counting_eigensolves(monkeypatch) as matrices_per_call:
+                lapack = search(state, 0.3, cap).curve
+        assert matrices_per_call == batches
+        np.testing.assert_allclose([est.value for _, est in curve],
+                                   [est.value for _, est in lapack], rtol=1e-14, atol=0.0)
+
+
+def test_a_curve_row_and_its_one_size_call_agree_across_kernels(monkeypatch):
+    # every covering size of the |X| = 3 curves holds fewer than
+    # _JACOBI_BATCH types, so its one-size call takes LAPACK, while its
+    # curve row sits in a Jacobi chunk (m >= 6), straddles the Jacobi and
+    # LAPACK chunks (m = 5) or sits in the LAPACK tail (m <= 4): the rows
+    # agree to about 1e-15 relative, the declared relaxation of
+    # bit-identity across kernels
+    for search, alphabet, dim, cap, _ in _JACOBI_CURVES[:2]:
+        state = _oracle_state(93, alphabet, dim, False)
+        curve = search(state, 0.3, cap).curve
+        for m, est in curve:
+            with counting_eigensolves(monkeypatch) as matrices_per_call:
+                single = simulate_covering(state, m, "exact").value
+            assert matrices_per_call == [math.comb(m + alphabet - 1, alphabet - 1)]
+            np.testing.assert_allclose(est.value, single, rtol=1e-14, atol=0.0)
+        assert curve[5][1].value == pytest.approx(brute_force_covering(state, 6), abs=1e-12)
+    # each extraction size's 1024 subsets are a Jacobi batch of their own:
+    # the same kernel, the same bits, and the brute-force value over all
+    # 2^10 tables at z = 2
+    search, alphabet, dim, cap, _ = _JACOBI_CURVES[2]
+    state = _oracle_state(93, alphabet, dim, False)
+    for z, est in search(state, 0.3, cap).curve:
+        with counting_eigensolves(monkeypatch) as matrices_per_call:
+            single = simulate_pa(state, z, "exact").value
+        assert matrices_per_call == []
+        assert est.value == single
+    assert simulate_pa(state, 2, "exact").value == pytest.approx(brute_force_pa(state, 2),
+                                                                 abs=1e-12)
 
 
 def test_search_eigensolve_budget(monkeypatch):
