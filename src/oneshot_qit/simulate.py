@@ -26,10 +26,11 @@ log-mass helper.  Each protocol has one curve function,
 sizes in one streamed pass of ``_exact_curve``: a single exact call is
 the curve of one size, a search the curve over 1..cap.  The rows come in
 stacked chunks of at most ``_CHUNK`` operators, each one trace-norm
-batch, and each size's terms are summed by one exactly rounded
-``math.fsum`` as soon as the size is complete, so memory stays one
-chunk.  Each curve function counts the subsets or types it is about to
-stream, and covering its type-table columns, and ``_within_cap``
+batch, whose terms join one lazy stream; each size is the next run of
+its row count, read by ``islice`` into one exactly rounded
+``math.fsum``, so memory stays one chunk.  Each curve function counts
+the subsets or types it is about to stream, and covering its type-table
+columns, and ``_within_cap``
 refuses a count beyond ``ENUMERATION_CAP`` before any table, draw or
 eigensolve, so every exact call and search refuses with one message.
 
@@ -376,29 +377,16 @@ def _exact_curve(lengths, chunks) -> list[float]:
     ``chunks`` yields (stack, weights): a (k, d, d) stack of operators
     A_i and their k weights, worth w_i·½‖A_i‖₁ each.  The rows run through
     the sizes in order, ``lengths`` giving each size's row count, so a
-    size is one contiguous run of rows, which may straddle chunks.  Each
-    chunk is one ``_half_norms`` batch, sliced at the size boundaries into
-    one ``tolist`` per slice.  A size's terms stream into one exactly
-    rounded ``math.fsum``, which pulls the next chunk only when it needs
-    it and returns as soon as the size is complete: nothing but one
+    size is one contiguous run of rows, which may straddle chunks.  The
+    terms form one lazy stream, each chunk one ``_half_norms`` batch and
+    one ``tolist``, and each size is the next run of its row count in
+    it, read by ``islice`` into one exactly rounded ``math.fsum``.  A
+    chunk is solved only when a size reaches it, so nothing but one
     chunk's terms and each size's value is held.
     """
-    def pieces():
-        sizes = enumerate(lengths)
-        size, left = next(sizes)
-        for stack, weights in chunks:
-            terms = weights * _half_norms(stack)
-            lo = 0
-            while len(terms) - lo >= left:  # the size ends in this chunk
-                yield size, terms[lo:lo + left].tolist()
-                lo += left
-                size, left = next(sizes, (None, math.inf))
-            if lo < len(terms):
-                yield size, terms[lo:].tolist()
-                left -= len(terms) - lo
-
-    return [math.fsum(itertools.chain.from_iterable(terms for _, terms in run))
-            for _, run in itertools.groupby(pieces(), key=lambda piece: piece[0])]
+    terms = itertools.chain.from_iterable(
+        (weights * _half_norms(stack)).tolist() for stack, weights in chunks)
+    return [math.fsum(itertools.islice(terms, n)) for n in lengths]
 
 
 def _extraction_curve(state: CQState, sizes: range) -> list[float]:
@@ -418,7 +406,8 @@ def _extraction_curve(state: CQState, sizes: range) -> list[float]:
     """
     x_size = state.alphabet_size
     subsets = 1 << x_size
-    _within_cap(len(sizes) * subsets, "preimage subsets")
+    # from the endpoints: len() of a range longer than 2**63 - 1 overflows
+    _within_cap((sizes.stop - sizes.start) * subsets, "preimage subsets")
     blocks = state.p[:, None, None] * state.rhos
     rho_b = state.marginal()
     ks = np.arange(x_size + 1, dtype=float)
@@ -597,11 +586,13 @@ def simulate_pa(state: CQState, z_size: int, method: str = "exact",
     refused, before any work, when the subsets exceed the enumeration
     cap.  Monte-Carlo mode draws tables uniformly and reports an unbiased
     mean with its confidence half-width; it takes at most
-    ``MC_SAMPLE_CAP`` samples.
+    ``MC_SAMPLE_CAP`` samples.  Both modes refuse z_size > 2**63 - 1.
     The seed must lie in [0, 2**64).  ``workers`` must be at least 1 and
     changes neither the value nor the work in either mode.
     """
     z_size = _whole("z_size", z_size, 1)
+    if z_size >= 1 << 63:  # Monte-Carlo tables are drawn as int64
+        raise DomainError(f"z_size must be at most 2**63 - 1, got {z_size}")
     samples, seed = _check_run(method, samples, seed, workers)
     x_size = state.alphabet_size
 

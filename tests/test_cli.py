@@ -199,6 +199,22 @@ def test_simulate_refuses_covering_sizes_that_do_not_bound_the_work(capsys, monk
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("size", [2 ** 63 - 1, 2 ** 63, 2 ** 64, 10 ** 30])
+def test_output_sizes_beyond_int64_exit_2_not_a_traceback(capsys, bitpair_file, size):
+    # the largest int64 size simulates; larger ones, and every search to
+    # these caps, are refused with exit code 2
+    calls = [(["simulate", "--task", "pa", "--size", str(size), "--method", method,
+               "--samples", "64"], size < 2 ** 63) for method in ("exact", "mc")]
+    calls += [(["search", "--task", task, "--eps", "0.3", "--cap", str(size)], False)
+              for task in ("pa", "covering")]
+    for argv, runs in calls:
+        code = run([*argv, "--state", bitpair_file])
+        captured = capsys.readouterr()
+        assert code == (0 if runs else 2), (argv, captured.err)
+        assert (captured.out == "") != runs
+        assert runs or "error:" in captured.err
+
+
 def test_bounds_domain_error_exit_code(capsys, antipodal_file):
     code = run([
         "bounds", "--task", "covering", "--state", antipodal_file,

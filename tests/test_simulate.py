@@ -5,6 +5,7 @@ import math
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -760,6 +761,35 @@ def test_exact_curves_match_brute_force_and_single_size_calls(monkeypatch):
             assert cov_est.samples == single.samples
 
 
+def test_exact_curve_reads_each_size_from_one_term_stream(monkeypatch):
+    # sizes of 3, 1, 9, 4 and 7 rows over chunks of 4, 6, 3, 4 and 7:
+    # a one-row size, a 9-row size longer than the chunk it starts in,
+    # and sizes ending at chunk ends (rows 4, 13, 17, 24) and inside one
+    rng = np.random.default_rng(95)
+    lengths, rows = [3, 1, 9, 4, 7], [4, 6, 3, 4, 7]
+    chunks = []
+    for k in rows:
+        a = rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
+        # weights over 40 orders of magnitude, so a naive sum rounds otherwise
+        chunks.append((a + a.conj().transpose(0, 2, 1), 10.0 ** rng.uniform(-20, 20, k)))
+    terms = np.concatenate([w * simulate._half_norms(s) for s, w in chunks]).tolist()
+    ends = list(itertools.accumulate(lengths))
+    expected = [math.fsum(terms[end - n:end]) for n, end in zip(lengths, ends)]
+    # the exact rational sum, rounded once, is an independent oracle
+    assert expected == [float(sum(map(Fraction, terms[end - n:end])))
+                        for n, end in zip(lengths, ends)]
+    assert expected != [sum(terms[end - n:end]) for n, end in zip(lengths, ends)]
+
+    def stream():
+        yield from chunks
+        raise AssertionError("a chunk past the last size was pulled")
+
+    with counting_half_norm_batches(monkeypatch) as matrices_per_batch:
+        values = simulate._exact_curve(lengths, stream())
+    assert values == expected
+    assert matrices_per_batch == rows
+
+
 def test_exact_curve_splits_sizes_across_batches(monkeypatch):
     # batches of 7 operators: sizes straddle batch boundaries and a
     # batch can hold the tail of one size, whole sizes and the head of
@@ -916,6 +946,30 @@ def test_covering_refusals_precede_any_type_table_or_draw(monkeypatch):
     # a Monte-Carlo codebook's m uniforms are drawn at once
     with pytest.raises(DomainError, match="m must be at most"):
         simulate_covering(binary_antipodal(), simulate.MC_SAMPLE_CAP + 1, "mc", samples=2)
+
+
+def test_extraction_refuses_output_sizes_beyond_int64_before_any_work(monkeypatch):
+    state = bit_pair_trivial_side()
+    # the largest size runs in both modes: every table is all but surely
+    # injective, so the distance is 1 to within 2^-62
+    top = 2 ** 63 - 1
+    for method in ("exact", "mc"):
+        assert simulate_pa(state, top, method, samples=64).value == pytest.approx(1.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the refusal")
+
+    for name in ("_extraction_curve", "_set_table", "_chunk_rng", "_half_norms"):
+        monkeypatch.setattr(simulate, name, refuse)
+    for z in (2 ** 63, 2 ** 64, 10 ** 30):
+        for method in ("exact", "mc"):
+            with pytest.raises(DomainError, match=r"at most 2\*\*63 - 1"):
+                simulate_pa(state, z, method, samples=64)
+    monkeypatch.undo()
+    # a search counts its rows from the cap itself, not len() of the range
+    monkeypatch.setattr(simulate, "_half_norms", refuse)
+    with pytest.raises(DomainError, match=f"{2 ** 65} preimage subsets exceed the enumeration"):
+        search_max_extractable(state, 0.3, 2 ** 63)
 
 
 def _streamed_rows(monkeypatch):
