@@ -7,11 +7,12 @@ uniform target.  Covering distance: average over i.i.d. p-distributed
 codebooks of half the trace distance between the codebook average and
 the marginal.  Every batch of trace norms, exact or Monte-Carlo, goes
 through ``_half_norms``, whose one rule reads the block dimension d and
-the batch size alone: a closed form for d <= 2, cyclic Jacobi across the
-whole stack (``_jacobi_half_norms``) for d = 3 or 4 in a batch of at
-least ``_JACOBI_BATCH`` operators, and a stacked ``eigvalsh`` otherwise.
-So two batches agree to the bit on an operator when they take the same
-kernel, and to about 1e-15 relative when they do not.
+the batch size alone: a closed form for d <= 2, the guarded
+characteristic-polynomial closed form (``_charpoly_half_norms``) across
+the whole stack for d = 3 or 4 in a batch of at least ``_CHARPOLY_BATCH``
+operators, and a stacked ``eigvalsh`` otherwise and for what the guard
+flags.  So two batches agree to the bit on an operator when they take
+the same kernel, and to about 1e-15 relative when they do not.
 
 Exact mode never enumerates tables or codebooks.  A uniformly random
 function sends each x to a given output block independently with
@@ -77,11 +78,12 @@ from .cq import (
     _type_tables,
     _whole,
 )
-from .errors import DomainError, NumericalError, _check_eps
+from .errors import DomainError, _check_eps
 
 _CHUNK = 4096
-_JACOBI_BATCH = 1024  # see _half_norms
-_JACOBI_SWEEPS = 30
+_CHARPOLY_BATCH = 256  # see _half_norms
+_CHARPOLY_K_EPS = 4.0 * np.finfo(float).eps  # the guard of _charpoly_half_norms
+_CHARPOLY_BOUND = 3e-14
 _TINY = np.finfo(float).tiny
 _DRAW_BYTES = 1 << 21  # one row block of Monte-Carlo covering draws
 
@@ -134,12 +136,12 @@ def _half_norms(stack: np.ndarray) -> np.ndarray:
     the value is ½|a₁₁|.  For d = 2 the eigenvalues are (t ± r)/2 with
     t = a₁₁ + a₂₂ and r = hypot(a₁₁ − a₂₂, 2|a₂₁|), so the trace norm is
     |t| when they share a sign and r when they do not: max(|t|, r).
-    Blocks with d = 3 or 4 in a batch of at least ``_JACOBI_BATCH`` take
-    ``_jacobi_half_norms``, whose fixed cost per rotation a large stack
-    spreads; a smaller batch or a larger d is faster in the stacked
-    ``eigvalsh``, which takes the rest (README has the timings).  An
-    operator's value depends on it and its kernel only: two batches that
-    take different kernels agree on it to about 1e-15 relative.
+    Blocks with d = 3 or 4 in a batch of at least ``_CHARPOLY_BATCH`` take
+    ``_charpoly_half_norms``, and those its guard flags a stacked
+    ``eigvalsh``, which takes a smaller batch or a larger d whole (README
+    has the timings).  An operator's value depends on it and its kernel
+    only: two batches that take different kernels agree on it to about
+    1e-15 relative.
     """
     d = stack.shape[-1]
     if d == 1:
@@ -148,88 +150,86 @@ def _half_norms(stack: np.ndarray) -> np.ndarray:
         a, c = stack[:, 0, 0].real, stack[:, 1, 1].real
         spread = np.hypot(a - c, 2.0 * np.abs(stack[:, 1, 0]))
         return 0.5 * np.maximum(np.abs(a + c), spread)
-    if d <= 4 and len(stack) >= _JACOBI_BATCH:
-        return _jacobi_half_norms(stack)
-    return 0.5 * np.abs(np.linalg.eigvalsh(stack)).sum(axis=1)
+    if d > 4 or len(stack) < _CHARPOLY_BATCH:
+        return 0.5 * np.abs(np.linalg.eigvalsh(stack)).sum(axis=1)
+    norms, flagged = _charpoly_half_norms(stack)
+    if flagged.any():
+        norms[flagged] = 0.5 * np.abs(np.linalg.eigvalsh(stack[flagged])).sum(axis=1)
+    return norms
 
 
-def _jacobi_half_norms(stack: np.ndarray) -> np.ndarray:
-    """½‖stack[i]‖₁ for each Hermitian (d, d) operator of a (batch, d, d)
-    stack, by cyclic complex Jacobi run on the whole stack at once.
+def _charpoly_half_norms(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """½‖A‖₁ for each Hermitian A of a (batch, d, d) stack, d = 3 or 4,
+    in closed form, and a flag per operator where the guard below does not
+    trust that value.
 
-    An operator is held as one length-batch array per real diagonal entry
-    and per lower-triangle entry, so, like ``eigvalsh``, only the diagonal
-    and the lower triangle are read.  Each operator is scaled by the power
-    of two of its largest |entry|, undone exactly at the end, so squares
-    stay in range.  The rotation zeroing a_qp has tan θ = |τ| for
-    τ = 2·sign(h)·a_qp / (|h| + √(h² + 4|a_qp|²)), h = a_qq − a_pp, and
-    cos θ = 1/√(1 + |τ|²): no division by |a_qp|, and a unitary rotation
-    even where a square underflows.  An operator leaves the sweeps once
-    its off-diagonal mass is at most (1e-15)²·‖A‖_F²/2, which puts the
-    diagonal within √d·1e-15·‖A‖_F of the spectrum (Hoffman–Wielandt),
-    as accurate as ``eigvalsh``; ‖A‖_F <= ‖A‖₁ makes that relative.
+    Only the real diagonal and the lower triangle are read.  A is scaled
+    by the power of two of its largest |entry|, undone exactly at the end.
+    With B = A − tI, t = Tr A/d, the power sums p_k = Tr B^k, k = 2, 3, 4,
+    come from B², formed once from the lower triangle.  At d = 3 the
+    eigenvalues of B solve λ³ − (p₂/2)λ − p₃/3 by the trigonometric cubic
+    (Smith 1961).  At d = 4 the roots of the Ferrari resolvent s³ − p₂s² +
+    (p₄ − p₂²/4)s − p₃²/9 are the squared pair sums (λ_i + λ_j)²: the
+    largest, s₁, by the same formula, s₂ by Vieta from s₂ + s₃ = p₂ − s₁
+    and s₂s₃ = (p₃/3)²/s₁, and √s₃ = (p₃/3)/√(s₁s₂) with its sign, so a
+    small root keeps its relative accuracy.  The eigenvalues are
+    (±√s₁ ± √s₂ ± √s₃)/2 with an even number of minus signs.
 
-    The rotation plan, each pair (p, q) with the entries it rotates, is
-    built once per call.  Every zeroed a_qp is a view of one read-only
-    zero array, since no entry is written in place, and each sweep's
-    off-diagonal mass is computed once, the first one also giving the
-    stopping bound.
+    The guard is a first-order a-posteriori bound, as Kopp (2008) checks
+    the analytic 3×3 method: under the rounding of the power sums a root
+    λ_i moves by at most K·ε·‖A‖_F^d / |Π_j (λ_i − λ_j)|, K = 4.  The trace
+    norm sums each sign's eigenvalues, and the sum of a close same-sign
+    cluster is well conditioned, so there a same-sign neighbour counts as
+    ‖A‖_F.  The sign of λ_i is settled when |λ_i| exceeds the product with
+    every gap floored at |λ_i| (a cluster at c moves its k members by at
+    most the k-th root of its perturbation, below |c| exactly when this
+    bound is below |λ_i|); an unsettled sign adds twice that bound.  An
+    operator is flagged when the sum exceeds ``_CHARPOLY_BOUND``·‖A‖_F.
     """
-    d = stack.shape[-1]
-    # the rotation plan: each pair (p, q), and for each other index r the
-    # keys of a_rp and a_rq in the lower triangle and where r falls:
-    # 0 below p, 1 between p and q, 2 above q
-    plan = [(p, q, [((max(r, p), min(r, p)), (max(r, q), min(r, q)), (r > p) + (r > q))
-                    for r in range(d) if r not in (p, q)])
-            for p in range(d) for q in range(p + 1, d)]
-    diag = [stack[:, i, i].real for i in range(d)]
-    low = {(q, p): stack[:, q, p] for p, q, _ in plan}
-    exponent = np.frexp(np.max([np.abs(a) for a in (*diag, *low.values())], axis=0))[1]
-    scale = np.ldexp(1.0, -exponent)
-    diag = [a * scale for a in diag]
-    low = {key: a * scale for key, a in low.items()}
-    zero = np.zeros(len(stack), dtype=complex)
-    zero.flags.writeable = False
-
-    def off_mass():
-        return 2.0 * sum((a * a.conj()).real for a in low.values())
-
-    off = off_mass()
-    bound = 0.5e-30 * (sum(a * a for a in diag) + off)
-    norms, left = np.empty(len(stack)), np.arange(len(stack))
-    for _ in range(_JACOBI_SWEEPS):
-        done = off <= bound
-        if done.any():
-            norms[left[done]] = np.ldexp(0.5 * sum(np.abs(a[done]) for a in diag),
-                                         exponent[done])
-            keep = ~done
-            if not keep.any():
-                return norms
-            left, bound, exponent = left[keep], bound[keep], exponent[keep]
-            diag = [a[keep] for a in diag]
-            low = {key: a[keep] for key, a in low.items()}
-            zero = zero[:len(left)]
-        for p, q, others in plan:
-            h, a_qp = diag[q] - diag[p], low[q, p]
-            r2 = (a_qp * a_qp.conj()).real
-            k = np.copysign(2.0, h) / (np.abs(h) + np.sqrt(h * h + 4.0 * r2) + _TINY)
-            tau = k * a_qp
-            c = 1.0 / np.sqrt(1.0 + (tau * tau.conj()).real)
-            s = c * tau
-            s_bar, c, shift = s.conj(), c + 0j, k * r2  # complex c: no cast per product
-            diag[p] -= shift
-            diag[q] += shift
-            low[q, p] = zero
-            for rp, rq, case in others:
-                x, y = low[rp], low[rq]  # a_rp, a_rq, or their conjugates above the diagonal
-                if case == 0:
-                    low[rp], low[rq] = c * x - s_bar * y, c * y + s * x
-                elif case == 2:
-                    low[rp], low[rq] = c * x - s * y, c * y + s_bar * x
-                else:
-                    low[rp], low[rq] = c * x - s * y.conj(), c * y + s * x.conj()
-        off = off_mass()
-    raise NumericalError(f"Jacobi sweeps did not converge in {_JACOBI_SWEEPS} sweeps")
+    n, d = stack.shape[:2]
+    rows, cols = np.tril_indices(d, -1)
+    diag, low = stack[:, range(d), range(d)].real.T, stack[:, rows, cols].T
+    exponent = np.frexp(np.maximum(np.abs(diag).max(axis=0), np.abs(low).max(axis=0)))[1]
+    diag, low = (np.multiply(x, np.ldexp(1.0, -exponent), order="C") for x in (diag, low))
+    t = diag.sum(axis=0) / d
+    b = diag - t
+    entry = {**dict(zip(zip(rows, cols), low)), **dict(zip(zip(cols, rows), low.conj()))}
+    square = b * b  # the diagonal of B², then its lower triangle into p₃ and p₄
+    for i, j, a in zip(rows, cols, low):
+        square[[i, j]] += (a * a.conj()).real
+    p2, p3, p4 = square.sum(axis=0), (b * square).sum(axis=0), (square * square).sum(axis=0)
+    for i, j, a in zip(rows, cols, low):
+        c = (b[i] + b[j]) * a + sum(entry[i, k] * entry[k, j] for k in range(d) if k not in (i, j))
+        p3 += 2.0 * (a.conj() * c).real
+        p4 += 2.0 * (c * c.conj()).real
+    if d == 3:
+        root = np.sqrt(p2 / 6.0)
+        phi = np.arccos(np.clip(p3 / (p2 * root + _TINY), -1.0, 1.0)) / 3.0
+        top, bottom = 2.0 * root * np.cos(phi), 2.0 * root * np.cos(phi + 2.0 * np.pi / 3.0)
+        lam = np.stack([top, -top - bottom, bottom]) + t
+    else:
+        # the resolvent, depressed by s = y + p₂/3: y³ − 3a·y + 2h
+        a = np.maximum(7.0 / 36.0 * p2 * p2 - p4 / 3.0, 0.0)
+        h = p2 * p4 / 6.0 - 17.0 / 216.0 * p2 ** 3 - p3 * p3 / 18.0
+        root = np.sqrt(a)
+        phi = np.arccos(np.clip(-h / (a * root + _TINY), -1.0, 1.0)) / 3.0
+        s1 = p2 / 3.0 + 2.0 * root * np.cos(phi)
+        e3, rest = p3 / 3.0, np.maximum(p2 - s1, 0.0)
+        s2 = 0.5 * (rest + np.sqrt(np.maximum(rest * rest - 4.0 * e3 * e3 / (s1 + _TINY), 0.0)))
+        u, v = np.sqrt(s1), np.sqrt(s2)
+        w = np.clip(e3 / (u * v + _TINY), -v, v)  # |√s₃| <= √s₂ also under rounding
+        lam = 0.5 * np.stack([u + v + w, u - v - w, v - u - w, w - u - v]) + t
+    norm_f, mag = np.sqrt(p2 + d * t * t), np.abs(lam)
+    group, own = np.ones((2, d, n))
+    floor = norm_f / (mag + _TINY)
+    with np.errstate(over="ignore"):  # an infinite bound flags
+        for i, j in itertools.combinations(range(d), 2):
+            ratio = norm_f / (np.abs(lam[i] - lam[j]) + _TINY)
+            group[[i, j]] *= np.where((lam[i] < 0) != (lam[j] < 0), ratio, 1.0)
+            own[[i, j]] *= np.minimum(ratio, floor[[i, j]])
+        group, own = _CHARPOLY_K_EPS * norm_f * group, _CHARPOLY_K_EPS * norm_f * own
+        bound = (group + 2.0 * own * (mag <= own)).sum(axis=0)
+    return np.ldexp(0.5 * mag.sum(axis=0), exponent), bound > _CHARPOLY_BOUND * norm_f
 
 
 def _contract(rows: np.ndarray, blocks: np.ndarray) -> np.ndarray:

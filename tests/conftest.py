@@ -298,7 +298,7 @@ def counting_half_norm_batches(monkeypatch):
     batch: the exact curves' chunks, Monte-Carlo extraction's set table
     (one batch per call) and the blocks each chunk solves, and each
     Monte-Carlo covering chunk's distinct types, whichever kernel
-    ``_half_norms`` then picks, Jacobi included.
+    ``_half_norms`` then picks, the closed form at d = 3, 4 included.
 
     It counts batches whatever the block dimension, whereas
     ``counting_eigensolves`` sees only the blocks that reach LAPACK."""

@@ -1,5 +1,6 @@
 """Protocol simulators and certified size searches."""
 
+import contextlib
 import itertools
 import math
 import threading
@@ -13,7 +14,6 @@ import pytest
 from oneshot_qit import (
     CQState,
     DomainError,
-    NumericalError,
     search_max_extractable,
     search_min_codebook,
     simulate,
@@ -379,7 +379,7 @@ def test_covering_monte_carlo_deterministic_across_workers():
     rng = np.random.default_rng(74)
     # (|X|, m, samples, zero last entry in p, d): types counted per edge;
     # looked up; per edge over several row blocks, the last chunk partial;
-    # at d = 4 the full chunks hold over _JACOBI_BATCH distinct types
+    # at d = 4 the full chunks hold over _CHARPOLY_BATCH distinct types
     for alphabet, m, samples, zero_p, dim in [(3, 8, 20_000, False, 2),
                                                (5, 4, 3 * 4096, True, 2),
                                                (2, 2000, 2 * 4096 + 50, False, 2),
@@ -414,7 +414,7 @@ def test_covering_monte_carlo_matches_dense_codebook_oracle():
     # (3, 9) on); m = 20000 draws in several row blocks; (40, 3) and
     # (20, 64) are past the exact type key, (m+1)^|X| > 2^53; the
     # 3-chunk cases end in a partial chunk, and at d = 3 and 4 their full
-    # chunks hold over _JACOBI_BATCH distinct types
+    # chunks hold over _CHARPOLY_BATCH distinct types
     for alphabet, m, dim, zero_p, samples in [
         (4, 1, 2, False, 64),
         (5, 3, 2, False, 64),
@@ -504,15 +504,48 @@ def test_covering_monte_carlo_solves_each_distinct_type_once(monkeypatch):
     assert est.value == pytest.approx(np.mean(dense), abs=1e-12)
 
 
+@contextlib.contextmanager
+def _counting_flags(monkeypatch):
+    """Record, per ``_charpoly_half_norms`` call, (operators, flagged)."""
+    calls, kernel = [], simulate._charpoly_half_norms
+
+    def wrapped(stack):
+        norms, flagged = kernel(stack)
+        calls.append((len(stack), int(flagged.sum())))
+        return norms, flagged
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "_charpoly_half_norms", wrapped)
+        yield calls
+
+
 def test_covering_monte_carlo_large_chunks_skip_lapack_at_d_3_and_4(monkeypatch):
     for dim in (3, 4):
         state = _oracle_state(84, 8, dim, False)
-        with counting_eigensolves(monkeypatch) as matrices_per_call:
+        with _counting_flags(monkeypatch) as calls, \
+                counting_eigensolves(monkeypatch) as matrices_per_call:
             simulate_covering(state, 16, "mc", samples=2 * 4096 + 100, seed=18, workers=2)
-        # each full chunk holds about 4000 distinct types and takes Jacobi;
-        # the last one, 100 codebooks, stays on eigvalsh
-        assert len(matrices_per_call) == 1
-        assert 1 <= matrices_per_call[0] <= 100 < simulate._JACOBI_BATCH
+        # each full chunk holds over _CHARPOLY_BATCH distinct types and
+        # takes the closed form, whose flagged operators alone reach LAPACK;
+        # the last chunk, 100 codebooks, stays on eigvalsh
+        assert len(calls) == 2 and all(size >= simulate._CHARPOLY_BATCH for size, _ in calls)
+        assert matrices_per_call[:-1] == [flagged for _, flagged in calls if flagged]
+        assert 1 <= matrices_per_call[-1] <= 100 < simulate._CHARPOLY_BATCH
+
+
+def test_covering_monte_carlo_fallback_budget(monkeypatch):
+    # the benchmark's Monte-Carlo covering shape: |X| = 8, d = 4, m = 16
+    # and 64, two full chunks per run; a guard that quietly sends its
+    # operators to LAPACK fails here
+    for seed, m in itertools.product((7, 8, 9), (16, 64)):
+        state = random_cq_state(np.random.default_rng(seed), 8, 4)
+        with _counting_flags(monkeypatch) as calls, \
+                counting_eigensolves(monkeypatch) as matrices_per_call:
+            simulate_covering(state, m, "mc", samples=2 * 4096, seed=seed)
+        distinct = sum(size for size, _ in calls)
+        assert len(calls) == 2 and distinct > 2 * simulate._CHARPOLY_BATCH
+        assert sum(matrices_per_call) == sum(flagged for _, flagged in calls)
+        assert sum(matrices_per_call) < 0.01 * distinct, (seed, m, matrices_per_call)
 
 
 def test_covering_monotone_curve_flagged_not_asserted(corpus):
@@ -649,14 +682,14 @@ def test_small_block_half_norms_match_eigvalsh(monkeypatch):
     # the upper triangle is not read, as by eigvalsh
     assert np.array_equal(simulate._half_norms(np.tril(herm)), simulate._half_norms(herm))
     # larger blocks go to the stacked eigensolver in a small batch, and to
-    # Jacobi in a batch of _JACOBI_BATCH at d = 3
+    # the closed form in a batch of _CHARPOLY_BATCH at d = 3
     stack = np.stack([random_cq_state(rng, 1, 3).rhos[0] - np.eye(3) / 3 for _ in range(5)])
     with counting_eigensolves(monkeypatch) as matrices_per_call:
         half = simulate._half_norms(stack)
     assert matrices_per_call == [5]
     assert half == pytest.approx([0.5 * svd_trace_norm(a) for a in stack], rel=1e-14)
-    h = rng.normal(size=(simulate._JACOBI_BATCH, 3, 3)) + 1j * rng.normal(
-        size=(simulate._JACOBI_BATCH, 3, 3))
+    h = rng.normal(size=(simulate._CHARPOLY_BATCH, 3, 3)) + 1j * rng.normal(
+        size=(simulate._CHARPOLY_BATCH, 3, 3))
     stack = h + h.conj().swapaxes(1, 2)
     with counting_eigensolves(monkeypatch) as matrices_per_call:
         half = simulate._half_norms(stack)
@@ -665,8 +698,14 @@ def test_small_block_half_norms_match_eigvalsh(monkeypatch):
     np.testing.assert_allclose(half, expected, rtol=1e-14, atol=0.0)
 
 
-def test_jacobi_half_norms_match_eigvalsh(monkeypatch):
+def _lapack_half_norms(stack):
+    return 0.5 * np.abs(np.linalg.eigvalsh(stack)).sum(axis=1)
+
+
+def test_charpoly_half_norms_match_eigvalsh(monkeypatch):
     rng = np.random.default_rng(89)
+    # every batch takes the closed form, and its flagged operators LAPACK
+    monkeypatch.setattr(simulate, "_CHARPOLY_BATCH", 1)
     for dim in (3, 4):
         h = rng.normal(size=(64, dim, dim)) + 1j * rng.normal(size=(64, dim, dim))
         v = rng.normal(size=(64, dim)) + 1j * rng.normal(size=(64, dim))
@@ -684,44 +723,89 @@ def test_jacobi_half_norms_match_eigvalsh(monkeypatch):
         for stack, scale in itertools.product(stacks, (1e-150, 1e-8, 1.0, 1e8, 1e150)):
             stack = scale * stack
             with counting_eigensolves(monkeypatch) as matrices_per_call:
-                half = simulate._jacobi_half_norms(stack)
+                closed, flagged = simulate._charpoly_half_norms(stack)
             assert matrices_per_call == []
-            expected = 0.5 * np.abs(np.linalg.eigvalsh(stack)).sum(axis=1)
+            expected = _lapack_half_norms(stack)
+            # the closed form meets the tolerance wherever the guard trusts it
+            np.testing.assert_allclose(closed[~flagged], expected[~flagged], rtol=1e-14, atol=0.0)
+            with counting_eigensolves(monkeypatch) as matrices_per_call:
+                half = simulate._half_norms(stack)
+            assert matrices_per_call == ([int(flagged.sum())] if flagged.any() else [])
             np.testing.assert_allclose(half, expected, rtol=1e-14, atol=0.0)
         # neither the upper triangle nor the diagonal's imaginary part is read
         poisoned = herm.copy()
         rows, cols = np.triu_indices(dim, 1)
         poisoned[:, rows, cols] = np.nan
         poisoned.imag[:, range(dim), range(dim)] = np.nan
-        assert np.array_equal(simulate._jacobi_half_norms(poisoned),
-                              simulate._jacobi_half_norms(herm))
-    monkeypatch.setattr(simulate, "_JACOBI_SWEEPS", 1)
-    with pytest.raises(NumericalError, match="did not converge"):
-        simulate._jacobi_half_norms(herm)
+        for got, want in zip(simulate._charpoly_half_norms(poisoned),
+                             simulate._charpoly_half_norms(herm)):
+            assert np.array_equal(got, want)
 
 
-def test_jacobi_operators_give_their_own_bits_in_a_mixed_batch():
+def test_charpoly_operators_give_their_own_bits_in_a_mixed_batch(monkeypatch):
     rng = np.random.default_rng(91)
+    monkeypatch.setattr(simulate, "_CHARPOLY_BATCH", 1)
     for dim in (3, 4):
         h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         generic = h + h.conj().T
         diagonal = np.diag(rng.normal(size=dim)).astype(complex)
         zero = np.zeros((dim, dim), dtype=complex)
-        # the first rotation, of (0, 1), has h = a_11 - a_00 and a_10 of
-        # 1e-170, whose squares underflow to 0 while tan θ = 1: it must
-        # stay unitary as it mixes a_20 = 1 into a_21
+        # entries of 1e-170, whose squares underflow, beside entries of 1
         underflow = np.zeros((dim, dim), dtype=complex)
         underflow[1, 1] = 1e-170
         underflow[1, 0] = underflow[0, 1] = 1e-170
         underflow[2, 0] = underflow[0, 2] = 1.0
         underflow[-1, -1] += 0.25
-        batch = np.stack([diagonal, zero, generic, underflow])
-        together = simulate._jacobi_half_norms(batch)
+        # a double zero eigenvalue: the guard sends it to LAPACK
+        v = h[0]
+        rank_one = np.outer(v, v.conj())
+        batch = np.stack([diagonal, zero, generic, underflow, rank_one])
+        flagged = simulate._charpoly_half_norms(batch)[1]
+        assert flagged[-1] and not flagged[:3].any(), dim
+        together = simulate._half_norms(batch)
         for i, operator in enumerate(batch):
-            alone = simulate._jacobi_half_norms(operator[None])
+            alone = simulate._half_norms(operator[None])
             assert np.array_equal(alone, together[i:i + 1]), (dim, i)
-        expected = 0.5 * np.abs(np.linalg.eigvalsh(batch)).sum(axis=1)
-        np.testing.assert_allclose(together, expected, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(together, _lapack_half_norms(batch), rtol=1e-14, atol=0.0)
+
+
+def _in_random_bases(rng, spectra):
+    """U diag(λ) U† for each row λ of ``spectra``, U Haar-random unitary."""
+    n, dim = spectra.shape
+    q, r = np.linalg.qr(rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim)))
+    u = q * (np.diagonal(r, axis1=1, axis2=2) / np.abs(np.diagonal(r, axis1=1, axis2=2)))[:, None]
+    return (u * spectra[:, None, :]) @ u.conj().swapaxes(1, 2)
+
+
+def test_charpoly_degenerate_spectra_match_svd(monkeypatch):
+    # spectra where the closed form's roots are ill conditioned: a double
+    # zero, a ±1e-4 pair straddling zero, a 3e-9/-1e-9 pair whose roots
+    # move by more than their gap, a triple eigenvalue, rank-2 PSD and one
+    # exact zero, each in random bases; the guard must send the operators
+    # whose values it cannot trust to LAPACK, and only those
+    rng = np.random.default_rng(95)
+    n = simulate._CHARPOLY_BATCH
+    for dim in (3, 4):
+        rest = rng.normal(size=(n, dim))
+        double_zero, straddle, close, triple, rank_two, one_zero = (
+            rest.copy() for _ in range(6))
+        double_zero[:, :2] = 0.0
+        straddle[:, :2] = 1e-4, -1e-4
+        close[:, :2] = 3e-9, -1e-9
+        triple[:, 1:] = triple[:, :1]
+        rank_two[:] = np.abs(rank_two)
+        rank_two[:, 2:] = 0.0
+        one_zero[:, 0] = 0.0
+        for spectra in (double_zero, straddle, close, triple, rank_two, one_zero):
+            stack = _in_random_bases(rng, spectra)
+            flagged = simulate._charpoly_half_norms(stack)[1]
+            solved = []
+            with counting_eigensolves(monkeypatch, solved) as matrices_per_call:
+                half = simulate._half_norms(stack)
+            assert matrices_per_call == ([int(flagged.sum())] if flagged.any() else [])
+            assert all(np.array_equal(a, stack[flagged]) for a in solved)
+            oracle = [0.5 * svd_trace_norm(a) for a in stack]
+            np.testing.assert_allclose(half, oracle, rtol=1e-14, atol=0.0)
 
 
 # (|X|, d, zero entry in p); every curve below is a single batch that
@@ -814,27 +898,28 @@ def test_exact_curve_splits_sizes_across_batches(monkeypatch):
 
 
 # (search, |X|, d, cap, trace-norm batches): curves whose chunks reach
-# _JACOBI_BATCH at d = 3 and 4; the covering search streams
+# _CHARPOLY_BATCH at d = 3 and 4; the covering search streams
 # C(43, 3) - 1 = 12,340 types, three full chunks and a 52-type tail,
 # the extraction search 3 * 2^10 subsets in one chunk
-_JACOBI_CURVES = [
+_CLOSED_FORM_CURVES = [
     (search_min_codebook, 3, 3, 40, [4096] * 3 + [52]),
     (search_min_codebook, 3, 4, 40, [4096] * 3 + [52]),
     (search_max_extractable, 10, 3, 3, [3072]),
 ]
 
 
-def test_exact_curves_take_jacobi_in_large_batches_at_d_3_and_4(monkeypatch):
-    for search, alphabet, dim, cap, batches in _JACOBI_CURVES:
+def test_exact_curves_take_the_closed_form_in_large_batches_at_d_3_and_4(monkeypatch):
+    for search, alphabet, dim, cap, batches in _CLOSED_FORM_CURVES:
         state = _oracle_state(93, alphabet, dim, False)
         with counting_half_norm_batches(monkeypatch) as matrices_per_batch:
             with counting_eigensolves(monkeypatch) as matrices_per_call:
                 curve = search(state, 0.3, cap).curve
-        # only the covering search's tail chunk reaches LAPACK
+        # the guard flags none of these operators: only the covering
+        # search's tail chunk reaches LAPACK
         assert matrices_per_batch == batches
-        assert matrices_per_call == [b for b in batches if b < simulate._JACOBI_BATCH]
+        assert matrices_per_call == [b for b in batches if b < simulate._CHARPOLY_BATCH]
         with monkeypatch.context() as patch:
-            patch.setattr(simulate, "_JACOBI_BATCH", simulate._CHUNK + 1)
+            patch.setattr(simulate, "_CHARPOLY_BATCH", simulate._CHUNK + 1)
             with counting_eigensolves(monkeypatch) as matrices_per_call:
                 lapack = search(state, 0.3, cap).curve
         assert matrices_per_call == batches
@@ -843,25 +928,27 @@ def test_exact_curves_take_jacobi_in_large_batches_at_d_3_and_4(monkeypatch):
 
 
 def test_a_curve_row_and_its_one_size_call_agree_across_kernels(monkeypatch):
-    # every covering size of the |X| = 3 curves holds fewer than
-    # _JACOBI_BATCH types, so its one-size call takes LAPACK, while its
-    # curve row sits in a Jacobi chunk (m >= 6), straddles the Jacobi and
-    # LAPACK chunks (m = 5) or sits in the LAPACK tail (m <= 4): the rows
-    # agree to about 1e-15 relative, the declared relaxation of
-    # bit-identity across kernels
-    for search, alphabet, dim, cap, _ in _JACOBI_CURVES[:2]:
+    # a covering size of the |X| = 3 curves holds C(m + 2, 2) types, fewer
+    # than _CHARPOLY_BATCH up to m = 21, so its one-size call takes LAPACK
+    # there and the closed form beyond, while its curve row sits in a
+    # closed-form chunk (m >= 6), straddles the closed-form and LAPACK
+    # chunks (m = 5) or sits in the LAPACK tail (m <= 4): the rows agree to
+    # about 1e-15 relative, the declared relaxation of bit-identity across
+    # kernels
+    for search, alphabet, dim, cap, _ in _CLOSED_FORM_CURVES[:2]:
         state = _oracle_state(93, alphabet, dim, False)
         curve = search(state, 0.3, cap).curve
         for m, est in curve:
             with counting_eigensolves(monkeypatch) as matrices_per_call:
                 single = simulate_covering(state, m, "exact").value
-            assert matrices_per_call == [math.comb(m + alphabet - 1, alphabet - 1)]
+            types = math.comb(m + alphabet - 1, alphabet - 1)
+            assert matrices_per_call == ([types] if types < simulate._CHARPOLY_BATCH else [])
             np.testing.assert_allclose(est.value, single, rtol=1e-14, atol=0.0)
         assert curve[5][1].value == pytest.approx(brute_force_covering(state, 6), abs=1e-12)
-    # each extraction size's 1024 subsets are a Jacobi batch of their own:
+    # each extraction size's 1024 subsets are a closed-form batch of their own:
     # the same kernel, the same bits, and the brute-force value over all
     # 2^10 tables at z = 2
-    search, alphabet, dim, cap, _ = _JACOBI_CURVES[2]
+    search, alphabet, dim, cap, _ = _CLOSED_FORM_CURVES[2]
     state = _oracle_state(93, alphabet, dim, False)
     for z, est in search(state, 0.3, cap).curve:
         with counting_eigensolves(monkeypatch) as matrices_per_call:
