@@ -194,11 +194,9 @@ def _cmd_divergence(args) -> dict:
         }
     if kind == "dh":
         return {"value_bits": hypothesis_test_divergence(pair, args.eps)}
-    if kind == "d2":
-        return {"value_bits": collision_divergence(pair)}
-    if kind == "kl":
-        return {"value_bits": relative_entropy(pair)}
-    return {"value_bits": relative_entropy_variance(pair)}
+    kernel = {"d2": collision_divergence, "kl": relative_entropy,
+              "var": relative_entropy_variance}[kind]
+    return {"value_bits": kernel(pair)}
 
 
 def _cmd_rates(args) -> dict:

@@ -28,8 +28,8 @@ from .linalg import (
     DEFAULT_CLUSTER_TOL,
     _cluster_labels,
     _eigh_checked,
+    _on_support,
     _Operator,
-    _spectral_func,
     _threshold,
     as_hermitian,
 )
@@ -83,6 +83,18 @@ class DivergencePair:
         scale = float(np.max(np.abs(rho))) * float(np.max(np.abs(sigma)))
         return comm <= _COMMUTATOR_TOL * scale
 
+    @cached_property
+    def _frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """(mu, m): sigma's (k, d) eigenvalues and m = W^dagger rho W in its
+        eigenbasis W, read-only (k, d, d); the divergences read it through
+        the support check of ``_sigma_frame``, ``bounds`` without it."""
+        d = self.sigma.shape[-1]
+        mu, w = self._sigma.eig
+        mu, w = mu.reshape(-1, d), w.reshape(-1, d, d)
+        m = w.conj().swapaxes(-1, -2) @ self.rho.reshape(-1, d, d) @ w
+        m.setflags(write=False)
+        return mu, m
+
     @classmethod
     def of(cls, rho, sigma, normalized: bool = True) -> "DivergencePair":
         rho = _Operator(as_hermitian(rho))
@@ -114,23 +126,15 @@ def _trace(a: np.ndarray) -> float:
     return float(np.trace(a, axis1=-2, axis2=-1).real.sum())
 
 
-def _check_support(pair: DivergencePair) -> tuple[np.ndarray, np.ndarray]:
-    """Require the support of rho to sit inside the support of sigma.
-
-    Returns sigma's eigensystem (lam, v), which the pair solves once
-    (once per state for a state's operators), so that callers take their
-    functions of sigma without an eigensolve of their own.
-    """
-    lam, v = pair._sigma.eig
-    kernel = lam <= _threshold(lam)
-    weights = np.sum(v.conj() * (pair.rho @ v), axis=-2).real
-    leak = float(np.sum(weights[kernel]))
+def _sigma_frame(pair: DivergencePair) -> tuple[np.ndarray, np.ndarray]:
+    """The pair's ``_frame`` (mu, m) once rho's mass on sigma's kernel,
+    sum m_jj over mu_j <= ``_threshold(mu)``, is at most ``_SUPPORT_TOL``."""
+    mu, m = pair._frame
+    leak = float(np.sum(m.diagonal(0, -2, -1).real[mu <= _threshold(mu)]))
     if leak > _SUPPORT_TOL:
-        raise DomainError(
-            f"support violation: rho carries mass {leak:.3e} outside the "
-            "support of sigma"
-        )
-    return lam, v
+        raise DomainError(f"support violation: rho carries mass {leak:.3e} "
+                          "outside the support of sigma")
+    return mu, m
 
 
 def _dual_point(
@@ -300,17 +304,15 @@ def _commuting_pairs(pair: DivergencePair) -> tuple[np.ndarray, np.ndarray]:
     """Joint spectrum (r_i, s_i) of a commuting pair in a common eigenbasis.
 
     Block by block, rho is diagonalized within each eigenvalue cluster of
-    sigma, from the pair's eigensystem of sigma; for a non-commuting pair
+    sigma, in the pair's ``_frame``; for a non-commuting pair
     this pinches rho to those clusters.
     Clusters are contiguous runs of sigma's ascending eigenvalues, and
     the output lists them block by block in that order.  A singleton
     cluster contributes its diagonal entry (what a 1x1 ``eigvalsh``
     returns), so only clusters of two or more entries are solved.
     """
-    d = pair.sigma.shape[-1]
-    lam, v = pair._sigma.eig
-    lam, v = lam.reshape(-1, d), v.reshape(-1, d, d)
-    m = v.conj().swapaxes(-1, -2) @ pair.rho.reshape(-1, d, d) @ v
+    lam, m = pair._frame
+    d = lam.shape[-1]
     labels = _cluster_labels(lam)
     r = np.diagonal(m, axis1=-2, axis2=-1).real.copy()
     s = lam.copy()
@@ -326,7 +328,7 @@ def _commuting_pairs(pair: DivergencePair) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ds_exact_bits(pair: DivergencePair, eps: float) -> float:
-    """Exact D_s of a commuting pair whose support ``_check_support`` passed:
+    """Exact D_s of a commuting pair whose support ``_sigma_frame`` passed:
     the sorted ratios r/s over the joint spectrum where s is non-zero."""
     r, s = _commuting_pairs(pair)
     keep = s > _threshold(s)
@@ -361,7 +363,7 @@ def info_spectrum_divergence_bracket(
     all three values are +inf.
     """
     _check_eps(eps)
-    _check_support(pair)
+    _sigma_frame(pair)
     if pair.commuting:
         value = _ds_exact_bits(pair, eps)
         return value, value, value
@@ -458,43 +460,45 @@ def dual_test_objective(pair: DivergencePair, eps: float, mu: float) -> float:
 # ---------------------------------------------------------------------------
 
 def collision_divergence(pair: DivergencePair) -> float:
-    """log2 of the collision overlap Tr[(sigma^{-1/4} rho sigma^{-1/4})^2].
+    """log2 of the collision overlap Tr[(sigma^{-1/4} rho sigma^{-1/4})^2]
+    = sum_jk |m_jk|^2 / sqrt(mu_j mu_k) in sigma's frame, over its support.
 
     Homogeneous of degree 2 in rho, so unnormalized PSD numerators are
     meaningful; requires sigma positive definite on the support of rho.
     """
-    sigma_eig = _check_support(pair)
-    quarter = _spectral_func(*sigma_eig, lambda x: x ** -0.25)
-    w = quarter @ pair.rho @ quarter
-    value = _trace(w @ w)
-    if value <= 0.0:
-        return -math.inf
-    return math.log2(value)
+    mu, m = _sigma_frame(pair)
+    root = _on_support(mu, lambda x: x ** -0.5)
+    value = float(np.sum((m * m.conj()).real * root[:, :, None] * root[:, None, :]))
+    return math.log2(value) if value > 0.0 else -math.inf
 
 
-def _log_likelihood(pair: DivergencePair) -> tuple[np.ndarray, np.ndarray]:
-    """(rho delta, delta) for the log-likelihood operator delta = log rho -
-    log sigma (support-restricted), from the pair's eigensystem of each
-    operator."""
-    sigma_eig = _check_support(pair)
-    log_rho = _spectral_func(*pair._rho.eig, np.log)
-    log_sigma = _spectral_func(*sigma_eig, np.log)
-    delta = log_rho - log_sigma
-    return pair.rho @ delta, delta
+def _log_ratio_moments(weights, a, b) -> tuple[float, float]:
+    """Mean and variance (bits, bits^2) of the natural log-ratio a - b under
+    ``weights``, broadcast together, for D and V here and in ``rates``; the
+    variance is second moment less squared mean, also for unnormalized rho."""
+    llr = a - b
+    mean = float(np.sum(weights * llr))
+    second = float(np.sum(weights * llr * llr))
+    return mean / LN2, max(second - mean * mean, 0.0) / (LN2 * LN2)
 
 
 def _relative_entropy_with_variance(pair: DivergencePair) -> tuple[float, float]:
     """(relative entropy, relative entropy variance), in bits and bits^2:
-    the mean and central second moment of the log-likelihood operator
-    under rho."""
-    rho_delta, delta = _log_likelihood(pair)
-    mean, second = _trace(rho_delta), _trace(rho_delta @ delta)
-    return mean / LN2, max(second - mean * mean, 0.0) / (LN2 * LN2)
+    the moments of log lam_i - log mu_j, logs 0 on each kernel, under the
+    Nussbaum-Szkola weights lam_i |<v_i|w_j>|^2 of the pair's eigensystems
+    rho = sum lam_i |v_i><v_i| and sigma = sum mu_j |w_j><w_j|, block by
+    block.  They equal those of delta = log rho - log sigma under rho."""
+    _sigma_frame(pair)
+    (lam, v), (mu, w) = pair._rho.eig, pair._sigma.eig
+    overlap = v.conj().swapaxes(-1, -2) @ w
+    weights = lam[..., :, None] * (overlap * overlap.conj()).real
+    return _log_ratio_moments(weights, _on_support(lam, np.log)[..., :, None],
+                              _on_support(mu, np.log)[..., None, :])
 
 
 def relative_entropy(pair: DivergencePair) -> float:
     """Tr[rho (log rho - log sigma)] in bits, support-restricted logs."""
-    return _trace(_log_likelihood(pair)[0]) / LN2
+    return _relative_entropy_with_variance(pair)[0]
 
 
 def relative_entropy_variance(pair: DivergencePair) -> float:

@@ -119,19 +119,14 @@ class _Operator:
         return lam, v
 
 
-def _spectral_func(
-    lam: np.ndarray, v: np.ndarray, f: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """f of the operator whose eigensystem (lam, v) ``_eigh_checked``
-    computed, restricted to its support: f, an elementwise numpy function,
-    maps the eigenvalues above ``_threshold(lam)`` in one call and the
-    kernel maps to 0 (Moore-Penrose style), so inverses, logarithms and
-    negative powers of PSD operators are defined.  A (..., n, n) stack is
-    mapped block by block, with the threshold relative to the whole stack."""
+def _on_support(lam: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """The elementwise f of the eigenvalues above ``_threshold(lam)``, of the
+    whole stack, and 0 on the kernel (Moore-Penrose style), so that logs and
+    negative powers of PSD spectra are defined."""
     out = np.zeros(lam.shape, dtype=float)
     mask = lam > _threshold(lam)
     out[mask] = f(lam[mask])
-    return (v * out[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return out
 
 
 def positive_part_trace(a) -> float:
@@ -182,7 +177,7 @@ def quotient(k, l) -> np.ndarray:
             f"denominator is singular (min eigenvalue {l_lam[0]:.3e}); "
             "regularize it, e.g. mix with eps * identity, before dividing"
         )
-    inv_sqrt = _spectral_func(l_lam, l_v, lambda x: x ** -0.5)
+    inv_sqrt = (l_v * l_lam ** -0.5) @ l_v.conj().T
     return as_hermitian(inv_sqrt @ k @ inv_sqrt)
 
 

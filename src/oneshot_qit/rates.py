@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cq import _check_blocklength, _check_pair, iid_type_spectrum
-from .divergences import LN2
+from .divergences import LN2, _log_ratio_moments
 from .entropic import moderate_rate, second_order_value
 from .errors import DomainError, _check_eps
 
@@ -48,9 +48,7 @@ def classical_relative_entropy_variance(p, q) -> float:
 def _llr_moments(p: np.ndarray, q: np.ndarray) -> tuple[float, float]:
     """Mean and variance of log2(p/q) under p, for a checked pair."""
     mask = p > 0
-    weights, llr = p[mask], np.log2(p[mask] / q[mask])
-    mean = float(np.sum(weights * llr))
-    return mean, max(float(np.sum(weights * llr ** 2)) - mean * mean, 0.0)
+    return _log_ratio_moments(p[mask], np.log(p[mask]), np.log(q[mask]))
 
 
 def _sorted_tests(p, q, n: int):

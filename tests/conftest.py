@@ -3,6 +3,7 @@
 Oracles here deliberately avoid the library's computation paths: the
 scalar test oracle is a greedy ratio fill, the operator test oracle is a
 primal grid search, the D_s crossing oracle is a dense threshold scan,
+the D, V and D2 oracle forms the dense log and sigma^{-1/4} operators,
 the protocol oracles enumerate every function table or codebook, and
 trace norms are cross-checked through singular values.
 """
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from oneshot_qit import CQState, cq, divergences, simulate
-from oneshot_qit.linalg import projector_leq
+from oneshot_qit.linalg import DEFAULT_CLUSTER_TOL, projector_leq
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +248,33 @@ def ds_crossing_oracle(rho, sigma, grid=2048):
         return math.log2(c_hi)
 
     return mass, crossing
+
+
+def dense_divergence_oracle(rho, sigma):
+    """(D2, D, V) in bits and bits^2 from the dense operator formulas:
+    log2 Tr[(sigma^{-1/4} rho sigma^{-1/4})^2], and Tr[rho delta] and
+    Tr[rho delta^2] - Tr[rho delta]^2 for delta = log rho - log sigma.
+    Each function of an operator maps its eigenvalues above
+    DEFAULT_CLUSTER_TOL times its radius and sends the rest to 0; (k, d, d)
+    stacks are made dense first, so the radius is the whole stack's."""
+    if np.ndim(rho) == 3:
+        rho, sigma = block_diagonal(rho), block_diagonal(sigma)
+
+    def func(a, f):
+        lam, v = np.linalg.eigh(a)
+        keep = lam > DEFAULT_CLUSTER_TOL * np.abs(lam).max()
+        mapped = np.zeros(lam.shape)
+        mapped[keep] = f(lam[keep])
+        return (v * mapped) @ v.conj().T
+
+    quarter = func(sigma, lambda x: x ** -0.25)
+    w = quarter @ rho @ quarter
+    delta = func(rho, np.log) - func(sigma, np.log)
+    mean = np.trace(rho @ delta).real
+    second = np.trace(rho @ delta @ delta).real
+    ln2 = math.log(2.0)
+    return (math.log2(np.trace(w @ w).real), mean / ln2,
+            max(second - mean * mean, 0.0) / (ln2 * ln2))
 
 
 @contextlib.contextmanager

@@ -31,12 +31,17 @@ from oneshot_qit.divergences import (
     dual_test_objective,
 )
 from oneshot_qit.entropic import _joint_pair
-from oneshot_qit.linalg import _eigh_checked, _spectral_func, projector_leq
+from oneshot_qit.linalg import projector_leq
+from oneshot_qit.rates import (
+    classical_relative_entropy,
+    classical_relative_entropy_variance,
+)
 
 from conftest import (
     block_diagonal,
     counting_eigensolves,
     counting_dual_points,
+    dense_divergence_oracle,
     ds_bisection_oracle,
     ds_crossing_oracle,
     operator_test_oracle,
@@ -47,8 +52,6 @@ from conftest import (
     random_unitary,
     scalar_test_oracle,
 )
-
-LN2 = math.log(2.0)
 
 
 def classical_pair(p, q):
@@ -790,40 +793,81 @@ def test_variance_scalar_oracle():
         == pytest.approx(0.0, abs=1e-12)
 
 
-def _trace(a):
-    return float(np.trace(a, axis1=-2, axis2=-1).real.sum())
+def _close(got, want, tol=1e-12):
+    return abs(got - want) <= tol * (1.0 + abs(want))
 
 
 def test_divergence_kernels_solve_each_operator_once(corpus, monkeypatch):
-    # sigma's eigensystem from the support check also gives its functions:
-    # the values of the two-solve path, to the bit, with one solve of sigma.
-    # DivergencePair.of checks PSD from the eigensystems the pair keeps, so
-    # building a pair and running a kernel solve each operator once, and a
-    # warm pair solves nothing
+    # D2, D and V read sigma's frame and the two eigensystems that the
+    # support check and DivergencePair.of's PSD check already solved, and
+    # match the dense operator formulas to 1e-12; building a pair and
+    # running a kernel solve each operator once, and a warm pair solves
+    # nothing
     for state in corpus:
         emb = joint_embed(state)
         for reference in (emb.rho_x_tensor_rho_b, emb.one_x_tensor_rho_b):
             pair = DivergencePair.of(emb.rho_xb, reference)
             rho, sigma = pair.rho, pair.sigma
-            quarter = _spectral_func(*_eigh_checked(sigma), lambda x: x ** -0.25)
-            w = quarter @ rho @ quarter
-            delta = (_spectral_func(*_eigh_checked(rho), np.log)
-                     - _spectral_func(*_eigh_checked(sigma), np.log))
-            mean, second = _trace(rho @ delta), _trace(rho @ delta @ delta)
-            for fn, want in (
-                (collision_divergence, math.log2(_trace(w @ w))),
-                (relative_entropy, mean / LN2),
-                (relative_entropy_variance, max(second - mean * mean, 0.0) / (LN2 * LN2)),
-            ):
+            wants = dense_divergence_oracle(rho, sigma)
+            for fn, want in zip(
+                    (collision_divergence, relative_entropy, relative_entropy_variance), wants):
                 inputs = []
                 with counting_eigensolves(monkeypatch, inputs) as calls:
                     pair = DivergencePair.of(rho, sigma)
-                    assert fn(pair) == want, fn.__name__
+                    assert _close(fn(pair), want), fn.__name__
                 assert len(calls) == 2, fn.__name__
                 assert all(map(np.array_equal, inputs, (rho, sigma))), fn.__name__
                 with counting_eigensolves(monkeypatch) as calls:
-                    assert fn(pair) == want, fn.__name__
+                    assert _close(fn(pair), want), fn.__name__
                 assert calls == [], fn.__name__
+
+
+def test_d_v_d2_match_the_dense_operator_oracle():
+    rng = np.random.default_rng(48)
+    cases = []
+    for d in (2, 3, 4):
+        u = random_unitary(rng, d)
+        sigma = random_psd(rng, d) + 0.05 * np.eye(d)
+        # rank-deficient rho
+        low = rng.normal(size=(d, d - 1)) + 1j * rng.normal(size=(d, d - 1))
+        rank_deficient = low @ low.conj().T
+        cases.append((rank_deficient / np.trace(rank_deficient).real, sigma, True))
+        # sigma with a kernel, rho leaking 1e-10 < _SUPPORT_TOL into it
+        mu = rng.dirichlet(np.ones(d))
+        mu[0] = 0.0
+        inside = u[:, 1:] @ np.diag(rng.dirichlet(np.ones(d - 1))) @ u[:, 1:].conj().T
+        leak = 1e-10 * np.outer(u[:, 0], u[:, 0].conj())
+        cases.append(((1 - 1e-10) * inside + leak, (u * mu) @ u.conj().T, True))
+        # unnormalized rho
+        cases.append((2.5 * random_density(rng, d), sigma, False))
+    # cq stacks: the joint pairs of random states and pairs of their blocks
+    for alphabet, dim in ((3, 4), (5, 2)):
+        state = random_cq_state(rng, alphabet, dim)
+        cases += [(pair.rho, pair.sigma, True)
+                  for pair in (_joint_pair(state, weighted) for weighted in (False, True))]
+        other = random_cq_state(rng, alphabet, dim)
+        cases.append((state.rhos, 0.5 * other.rhos + 0.1 * state.rhos, False))
+    for rho, sigma, normalized in cases:
+        pair = DivergencePair.of(rho, sigma, normalized=normalized)
+        got = (collision_divergence(pair), relative_entropy(pair),
+               relative_entropy_variance(pair))
+        for value, want in zip(got, dense_divergence_oracle(rho, sigma), strict=True):
+            assert _close(value, want), (value, want)
+
+
+def test_diagonal_pair_d_and_v_are_the_classical_moments():
+    rng = np.random.default_rng(49)
+    for d in (1, 2, 3, 5, 8):
+        p, q = rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d))
+        if d > 1:
+            p[0] = 0.0  # an outcome off the support of rho
+            p /= p.sum()
+        pair = classical_pair(p, q)
+        # one moment kernel, the same terms: equal up to summation order
+        assert relative_entropy(pair) == pytest.approx(
+            classical_relative_entropy(p, q), rel=1e-14, abs=1e-15)
+        assert relative_entropy_variance(pair) == pytest.approx(
+            classical_relative_entropy_variance(p, q), rel=1e-14, abs=1e-15)
 
 
 def test_lazy_commutation_flag_matches_the_eager_one(corpus):

@@ -19,12 +19,12 @@ from oneshot_qit import (
 from oneshot_qit.divergences import (
     collision_divergence,
     DivergencePair,
-    _check_support,
     _commuting_pairs,
+    _sigma_frame,
     info_spectrum_divergence,
     info_spectrum_divergence_bracket,
 )
-from oneshot_qit.linalg import DEFAULT_CLUSTER_TOL, _eigh_checked, _spectral_func
+from oneshot_qit.linalg import DEFAULT_CLUSTER_TOL, _eigh_checked, _on_support
 
 from conftest import (
     counting_eigensolves,
@@ -36,8 +36,10 @@ from conftest import (
 
 
 def spectral_func(a, f):
-    """f of a Hermitian operator on its support, through the library kernel."""
-    return _spectral_func(*_eigh_checked(as_hermitian(a)), f)
+    """f of a Hermitian operator on its support, through the library's
+    support map of its eigenvalues."""
+    lam, v = _eigh_checked(as_hermitian(a))
+    return (v * _on_support(lam, f)) @ v.conj().T
 
 
 def test_as_hermitian_symmetrizes_and_rejects():
@@ -312,10 +314,10 @@ def test_threshold_rule_is_shared_at_its_boundary(scale):
         assert inverse[1, 1].real == pytest.approx(1.0 / small if kept else 0.0)
         pair = DivergencePair.of(rho, sigma)
         if kept:
-            _check_support(pair)
+            _sigma_frame(pair)
             assert info_spectrum_divergence(pair, 0.3) == pytest.approx(
                 math.log2(0.5 / scale), abs=1e-12)
         else:
-            for fn in (_check_support, lambda p: info_spectrum_divergence(p, 0.3)):
+            for fn in (_sigma_frame, lambda p: info_spectrum_divergence(p, 0.3)):
                 with pytest.raises(DomainError, match="support"):
                     fn(pair)

@@ -742,6 +742,27 @@ def test_charpoly_half_norms_match_eigvalsh(monkeypatch):
             assert np.array_equal(got, want)
 
 
+def test_charpoly_half_norms_of_subnormal_operators(monkeypatch):
+    # a largest |entry| below 2^-1022 must not overflow the power-of-two
+    # scale; the values are subnormal, so they agree with eigvalsh of the
+    # stack scaled up by 2^1100 to 1e-14 relative plus a few spacings
+    rng = np.random.default_rng(97)
+    monkeypatch.setattr(simulate, "_CHARPOLY_BATCH", 1)
+    for dim, scale in itertools.product((3, 4), (1e-310, 5e-324)):
+        h = rng.normal(size=(64, dim, dim)) + 1j * rng.normal(size=(64, dim, dim))
+        stack = scale * (h + h.conj().swapaxes(1, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            closed, flagged = simulate._charpoly_half_norms(stack)
+            half = simulate._half_norms(stack)
+        scaled_up = np.ldexp(stack.real, 1100) + 1j * np.ldexp(stack.imag, 1100)
+        expected = np.ldexp(_lapack_half_norms(scaled_up), -1100)
+        assert np.isfinite(closed).all() and expected.min() > 0.0
+        np.testing.assert_allclose(half, expected, rtol=1e-14, atol=4 * 2.0 ** -1074)
+        np.testing.assert_allclose(closed[~flagged], expected[~flagged],
+                                   rtol=1e-14, atol=4 * 2.0 ** -1074)
+
+
 def test_charpoly_operators_give_their_own_bits_in_a_mixed_batch(monkeypatch):
     rng = np.random.default_rng(91)
     monkeypatch.setattr(simulate, "_CHARPOLY_BATCH", 1)
