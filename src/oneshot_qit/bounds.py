@@ -79,7 +79,7 @@ def _pinched_exceedance_mass(
 def _marginal_spec_count(state: CQState) -> int:
     """nu, the number of distinct eigenvalue clusters of the marginal, as
     ``spec_count`` counts them, from its eigensystem solved once per state."""
-    lam, _ = state._operators["rho_b"].eig
+    lam, _ = state._eigensystems["rho_b"]
     return int(_cluster_labels(lam)[-1]) + 1
 
 

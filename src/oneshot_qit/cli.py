@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .bounds import covering_size_bounds, pa_size_bounds, validate_sandwich_params
-from .cq import ENUMERATION_CAP, load_state
+from .cq import ENUMERATION_CAP, joint_embed, load_state
 from .divergences import (
     DivergencePair,
     collision_divergence,
@@ -179,8 +179,9 @@ def _parse(argv) -> argparse.Namespace:
 def _cmd_divergence(args) -> dict:
     state_a = load_state(args.state_a)
     state_b = load_state(args.state_b)
-    pair = DivergencePair._trusted(state_a._operators["rho_xb"],
-                                   state_b._operators["rho_xb"])
+    pair = DivergencePair._trusted(
+        joint_embed(state_a).rho_xb, joint_embed(state_b).rho_xb,
+        state_a._eigensystems["rho_xb"], state_b._eigensystems["rho_xb"])
     kind = args.kind
     if kind in ("ds", "dh") and args.eps is None:
         raise DomainError(f"--eps is required for kind {kind}")

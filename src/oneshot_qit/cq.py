@@ -27,14 +27,14 @@ import json
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError
-from .linalg import _PSD_TOL, _Operator, as_hermitian
+from .linalg import _PSD_TOL, _eigh_checked, _read_only, as_hermitian
 
 _PROB_SUM_TOL = 1e-9
 
@@ -49,19 +49,15 @@ TYPE_CLASS_CAP = 5_000_000
 _STATE_MEMO_BYTES = 64 * 2**20
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class CQState:
     """Distribution ``p`` over an alphabet plus one density operator per symbol.
 
     ``rhos`` has shape (alphabet_size, dim_b, dim_b).  Instances are
     validated and frozen at construction, and every array they hold or
-    hand out is read-only.  The marginal, the joint embedding and the
-    eigensystem of each of the embedding's four operators are derived
+    hand out is read-only.  Validation solves the rho_x stack and keeps
+    its eigensystem; the marginal, its eigensystem, the joint embedding
+    and the eigensystems of the embedding's four operators are derived
     once per instance, each on first use.
     """
 
@@ -88,7 +84,8 @@ class CQState:
                 f"rhos must have shape (alphabet, d, d); got {rhos.shape}"
             )
         blocks = as_hermitian(rhos)
-        lam_min = np.linalg.eigvalsh(blocks)[:, 0]
+        lam, v = _eigh_checked(blocks)
+        lam_min = lam[:, 0]
         traces = np.trace(blocks, axis1=1, axis2=2).real
         bad = np.flatnonzero((lam_min < -_PSD_TOL) | (np.abs(traces - 1.0) > _PSD_TOL))
         if bad.size:
@@ -103,6 +100,7 @@ class CQState:
         blocks.setflags(write=False)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "rhos", blocks)
+        object.__setattr__(self, "_rhos_eig", (_read_only(lam), _read_only(v)))
 
     @property
     def alphabet_size(self) -> int:
@@ -139,12 +137,22 @@ class CQState:
         )
 
     @cached_property
-    def _operators(self) -> dict[str, _Operator]:
-        """The joint embedding's four operators, keyed by their field
-        names, each with its eigensystem solved once, on first use: the
-        operators that the pairs and bounds of this state read."""
-        emb = self._joint_embedding
-        return {f.name: _Operator(getattr(emb, f.name)) for f in fields(emb)}
+    def _eigensystems(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """The read-only eigensystems of the joint embedding's four
+        operators, by field name, from two solves: of rho_x = V diag(lam)
+        V^dagger, kept by validation, and of the marginal W diag(mu)
+        W^dagger.  rho_xb is (p·lam, V), rho_x_tensor_rho_b (p·mu, W),
+        one_x_tensor_rho_b (mu, W), both broadcast, and rho_b (mu, W)."""
+        lam, v = self._rhos_eig
+        mu, w = map(_read_only, _eigh_checked(self._marginal))
+        weights = self.p[:, None]
+        blocks_w = np.broadcast_to(w, v.shape)
+        return {
+            "rho_xb": (_read_only(weights * lam), v),
+            "rho_x_tensor_rho_b": (_read_only(weights * mu), blocks_w),
+            "one_x_tensor_rho_b": (np.broadcast_to(mu, lam.shape), blocks_w),
+            "rho_b": (mu, w),
+        }
 
 
 @dataclass(frozen=True)
@@ -168,8 +176,9 @@ def joint_embed(state: CQState) -> JointEmbedding:
 
     Built once per state: every call returns the same embedding, whose
     arrays are read-only and share ``rho_b`` with ``state.marginal()``.
-    The eigensystems of these operators are likewise solved once per
-    state, when a pair or bound of the state first reads them.
+    The eigensystems of these operators come from the two that a state
+    solves, of its rho_x stack and of its marginal, when a pair or bound
+    of the state first reads them.
     """
     return state._joint_embedding
 
@@ -239,15 +248,13 @@ def state_to_document(state: CQState) -> dict:
 
 
 def _held_bytes(state: CQState) -> int:
-    """Bytes of a state's arrays once everything it derives is derived:
-    p, rhos, the marginal, two embedding stacks the size of rhos (the
-    third is a view), and the eigensystems of the three stacks and the
-    marginal, each an eigenvector array the size of its operator and
-    one real eigenvalue per column."""
+    """Bytes of a state's arrays once everything it derives is derived,
+    each distinct array once: p; rhos, its eigenvectors and two embedding
+    stacks; its eigenvalues, those times p and the marginal's times p; the
+    marginal, its eigenvectors and eigenvalues.  Broadcast views hold none."""
     stack, block = state.rhos.nbytes, state.rhos[0].nbytes
     stack_values, block_values = state.rhos[..., 0].real.nbytes, state.rhos[0, 0].real.nbytes
-    return (state.p.nbytes + 3 * stack + block
-            + 3 * (stack + stack_values) + block + block_values)
+    return state.p.nbytes + 4 * stack + 3 * stack_values + 2 * block + block_values
 
 
 class _StateMemo:

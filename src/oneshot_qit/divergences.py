@@ -10,8 +10,10 @@ it by a positive factor shifts the first four quantities by -log2 of the
 factor and leaves the variance unchanged.
 
 A pair may also be two (k, d, d) stacks of diagonal blocks (cq joint
-operators); kernels work block by block with tolerances relative to the
-whole stack, so a stack gives the values of the dense block-diagonal pair.
+operators); kernels work block by block and tell eigenvalues zero or
+equal relative to each block (the dual's D_s split and the commutation
+flag, to the whole stack), so a stack gives the values of the dense
+block-diagonal pair except for eigenvalues only the per-block rule resolves.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .linalg import (
     _cluster_labels,
     _eigh_checked,
     _on_support,
-    _Operator,
+    _read_only,
     _threshold,
     as_hermitian,
 )
@@ -46,31 +48,24 @@ _DS_WIDTH = -math.expm1(-_DS_WIDTH_BITS * LN2)  # 1 - 2^-1e-12, relative
 _DS_EVENT_TOL = DEFAULT_CLUSTER_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DivergencePair:
-    """A validated (rho, sigma) pair, with each operator's eigensystem
-    and the commutation flag derived on first use.
+    """A validated (rho, sigma) pair with the read-only eigensystems
+    (eigenvalues, eigenvectors) of both, set at construction; the
+    commutation flag is derived on first use.
 
     ``rho`` is a density operator (unit trace unless constructed with
     ``normalized=False``, which only relaxes the trace check); ``sigma``
     is PSD and may be unnormalized.  Both are (d, d), or both are
-    (k, d, d) stacks of diagonal blocks.  The two fields are
-    ``linalg._Operator``s, whose ``eig`` is the one accessor of their
-    eigensystems: a pair of a state's joint operators shares the state's
-    (``CQState._operators``), so each is solved once per state, and any
-    other pair solves each of its own once.
+    (k, d, d) stacks of diagonal blocks.  ``of`` keeps the eigensystems
+    its PSD check solves; a pair of a state's joint operators takes the
+    state's (``CQState._eigensystems``).
     """
 
-    _rho: _Operator
-    _sigma: _Operator
-
-    @property
-    def rho(self) -> np.ndarray:
-        return self._rho.array
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return self._sigma.array
+    rho: np.ndarray
+    sigma: np.ndarray
+    rho_eig: tuple[np.ndarray, np.ndarray]
+    sigma_eig: tuple[np.ndarray, np.ndarray]
 
     @cached_property
     def commuting(self) -> bool:
@@ -89,7 +84,7 @@ class DivergencePair:
         eigenbasis W, read-only (k, d, d); the divergences read it through
         the support check of ``_sigma_frame``, ``bounds`` without it."""
         d = self.sigma.shape[-1]
-        mu, w = self._sigma.eig
+        mu, w = self.sigma_eig
         mu, w = mu.reshape(-1, d), w.reshape(-1, d, d)
         m = w.conj().swapaxes(-1, -2) @ self.rho.reshape(-1, d, d) @ w
         m.setflags(write=False)
@@ -97,28 +92,28 @@ class DivergencePair:
 
     @classmethod
     def of(cls, rho, sigma, normalized: bool = True) -> "DivergencePair":
-        rho = _Operator(as_hermitian(rho))
-        sigma = _Operator(as_hermitian(sigma))
-        # the PSD check reads the eigensystem the pair keeps for its kernels
-        for name, op in (("rho", rho), ("sigma", sigma)):
-            lam_min = float(op.eig[0].min())
-            if lam_min < -_PSD_TOL:
-                raise DomainError(f"{name} is not PSD: eigenvalue {lam_min:.3e}")
+        rho, sigma = as_hermitian(rho), as_hermitian(sigma)
+        # the PSD check reads the eigensystems the pair keeps for its kernels
+        eigs = [tuple(map(_read_only, _eigh_checked(op))) for op in (rho, sigma)]
+        for name, (lam, _) in zip(("rho", "sigma"), eigs):
+            if lam.min() < -_PSD_TOL:
+                raise DomainError(f"{name} is not PSD: eigenvalue {lam.min():.3e}")
         if normalized:
-            tr = _trace(rho.array)
+            tr = _trace(rho)
             if abs(tr - 1.0) > _PSD_TOL:
                 raise DomainError(f"rho has trace {tr}, expected 1")
-        return cls._trusted(rho, sigma)
+        return cls._trusted(rho, sigma, *eigs)
 
     @classmethod
-    def _trusted(cls, rho: _Operator, sigma: _Operator) -> "DivergencePair":
-        """A pair of Hermitian PSD operators, rho of unit trace, such as the
-        joint operators of validated ``CQState``s: only the shapes are
-        checked, as two states may differ in d or |X|."""
-        if rho.array.shape != sigma.array.shape:
-            raise DomainError(
-                f"dimension mismatch: {rho.array.shape} vs {sigma.array.shape}")
-        return cls(rho, sigma)
+    def _trusted(cls, rho: np.ndarray, sigma: np.ndarray, rho_eig: tuple,
+                 sigma_eig: tuple) -> "DivergencePair":
+        """A pair of Hermitian PSD operators, rho of unit trace, and their
+        read-only eigensystems, such as the joint operators of validated
+        ``CQState``s: only the shapes are checked, as two states may
+        differ in d or |X|."""
+        if rho.shape != sigma.shape:
+            raise DomainError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
+        return cls(rho, sigma, rho_eig, sigma_eig)
 
 
 def _trace(a: np.ndarray) -> float:
@@ -128,7 +123,8 @@ def _trace(a: np.ndarray) -> float:
 
 def _sigma_frame(pair: DivergencePair) -> tuple[np.ndarray, np.ndarray]:
     """The pair's ``_frame`` (mu, m) once rho's mass on sigma's kernel,
-    sum m_jj over mu_j <= ``_threshold(mu)``, is at most ``_SUPPORT_TOL``."""
+    sum m_jj over mu_j <= ``_threshold(mu)`` of mu_j's block, is at most
+    ``_SUPPORT_TOL``."""
     mu, m = pair._frame
     leak = float(np.sum(m.diagonal(0, -2, -1).real[mu <= _threshold(mu)]))
     if leak > _SUPPORT_TOL:
@@ -329,9 +325,11 @@ def _commuting_pairs(pair: DivergencePair) -> tuple[np.ndarray, np.ndarray]:
 
 def _ds_exact_bits(pair: DivergencePair, eps: float) -> float:
     """Exact D_s of a commuting pair whose support ``_sigma_frame`` passed:
-    the sorted ratios r/s over the joint spectrum where s is non-zero."""
+    the sorted ratios r/s over the joint spectrum where s is non-zero to
+    its block's threshold."""
     r, s = _commuting_pairs(pair)
-    keep = s > _threshold(s)
+    blocks = s.reshape(-1, pair.sigma.shape[-1])
+    keep = (blocks > _threshold(blocks)).ravel()
     r = np.clip(r[keep], 0.0, None)
     s = s[keep]
     ratios = r / s
@@ -489,7 +487,7 @@ def _relative_entropy_with_variance(pair: DivergencePair) -> tuple[float, float]
     rho = sum lam_i |v_i><v_i| and sigma = sum mu_j |w_j><w_j|, block by
     block.  They equal those of delta = log rho - log sigma under rho."""
     _sigma_frame(pair)
-    (lam, v), (mu, w) = pair._rho.eig, pair._sigma.eig
+    (lam, v), (mu, w) = pair.rho_eig, pair.sigma_eig
     overlap = v.conj().swapaxes(-1, -2) @ w
     weights = lam[..., :, None] * (overlap * overlap.conj()).real
     return _log_ratio_moments(weights, _on_support(lam, np.log)[..., :, None],

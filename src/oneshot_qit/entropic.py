@@ -13,7 +13,7 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from .cq import CQState, _whole
+from .cq import CQState, _whole, joint_embed
 from .divergences import (
     DivergencePair,
     _hypothesis_test_divergences,
@@ -25,10 +25,11 @@ from .errors import DomainError, _check_eps
 def _joint_pair(state: CQState, weighted: bool) -> DivergencePair:
     """The joint state against the p(x)-weighted marginals when
     ``weighted``, else against the marginal in every block; the pair
-    shares the state's operators and with them their eigensystems."""
-    operators = state._operators
+    shares the state's operators and their eigensystems."""
+    emb, eigs = joint_embed(state), state._eigensystems
     reference = "rho_x_tensor_rho_b" if weighted else "one_x_tensor_rho_b"
-    return DivergencePair._trusted(operators["rho_xb"], operators[reference])
+    return DivergencePair._trusted(emb.rho_xb, getattr(emb, reference),
+                                   eigs["rho_xb"], eigs[reference])
 
 
 def _test_divergences(state: CQState, weighted: bool, levels) -> list[float]:

@@ -6,20 +6,20 @@ not finite or not (numerically) Hermitian; the private kernels (leading
 underscore) take arrays that a caller has already validated.  Only
 ``as_hermitian`` takes (..., n, n) stacks of diagonal blocks; the
 single-operator routines refuse them.  All functions are pure, hold no
-state, and are safe to call concurrently; an ``_Operator`` keeps the
-eigensystem of one trusted array once it is solved.
+state, and are safe to call concurrently.
 
 One threshold rule serves every module: an eigenvalue counts as zero, and
 the gap between two adjacent eigenvalues as none, when it is at most
 ``DEFAULT_CLUSTER_TOL`` times the largest |eigenvalue| of the spectra
-compared (``_threshold``).  The rule is relative, so every divergence
-keeps its shift identity D(rho||t sigma) = D(rho||sigma) - log2 t.  Input
-checks for PSD operators of unit trace use the absolute ``_PSD_TOL``.
+compared, row by row for the spectra of a stack (``_threshold``).  The
+rule is relative, so every divergence keeps its shift identity
+D(rho||t sigma) = D(rho||sigma) - log2 t, and a block of small weight
+keeps its own support.  PSD and unit-trace input checks use the absolute
+``_PSD_TOL``.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -64,19 +64,25 @@ def _as_operators(*entries) -> list[np.ndarray]:
     return ops
 
 
-def _threshold(*spectra: np.ndarray) -> float:
-    """``DEFAULT_CLUSTER_TOL`` times the largest |eigenvalue| in ``spectra``:
-    the zero and equality threshold of every eigenvalue comparison."""
-    return DEFAULT_CLUSTER_TOL * max(float(np.max(np.abs(lam))) for lam in spectra)
+def _threshold(*spectra: np.ndarray) -> np.ndarray:
+    """``DEFAULT_CLUSTER_TOL`` times the largest |eigenvalue| of each row
+    (block) of ``spectra``, on a trailing axis of length 1: the zero and
+    equality threshold of every eigenvalue comparison."""
+    return DEFAULT_CLUSTER_TOL * np.max([np.abs(lam).max(-1, keepdims=True) for lam in spectra], 0)
 
 
 def _cluster_labels(eigenvalues: np.ndarray) -> np.ndarray:
     """Label ascending eigenvalues (each row of a stack), merging gaps at or
-    below the threshold of the whole stack."""
+    below the threshold of their row."""
     lam = np.asarray(eigenvalues, dtype=float)
     steps = np.diff(lam, axis=-1) > _threshold(lam)
     head = np.zeros(lam.shape[:-1] + (1,), dtype=int)
     return np.concatenate([head, np.cumsum(steps, axis=-1)], axis=-1)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _eigh_checked(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,28 +106,9 @@ def _eigh_checked(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, v
 
 
-class _Operator:
-    """A trusted Hermitian (..., n, n) array and its ``_eigh_checked``
-    eigensystem, solved on first use and kept as read-only arrays.
-
-    Holders of one operator share one instance, so the operator is solved
-    once for all of them; two threads may both solve it, to the same bits.
-    """
-
-    def __init__(self, array: np.ndarray):
-        self.array = array
-
-    @cached_property
-    def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        lam, v = _eigh_checked(self.array)
-        lam.setflags(write=False)
-        v.setflags(write=False)
-        return lam, v
-
-
 def _on_support(lam: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """The elementwise f of the eigenvalues above ``_threshold(lam)``, of the
-    whole stack, and 0 on the kernel (Moore-Penrose style), so that logs and
+    """The elementwise f of the eigenvalues above ``_threshold(lam)``, of
+    their row, and 0 on the kernel (Moore-Penrose style), so that logs and
     negative powers of PSD spectra are defined."""
     out = np.zeros(lam.shape, dtype=float)
     mask = lam > _threshold(lam)
@@ -169,7 +156,7 @@ def quotient(k, l) -> np.ndarray:
     """
     k, l = _as_operators(k, l)
     k_lam = np.linalg.eigvalsh(k)
-    if k_lam[0] < -max(_PSD_TOL, _threshold(k_lam)):
+    if k_lam[0] < -max(_PSD_TOL, *_threshold(k_lam)):
         raise DomainError(f"numerator not PSD: min eigenvalue {k_lam[0]:.3e}")
     l_lam, l_v = _eigh_checked(l)
     if l_lam[0] <= _threshold(l_lam):

@@ -320,8 +320,9 @@ def _two_state_files(tmp_path, seed):
 
 def test_divergences_solve_each_state_operator_once(capsys, tmp_path, monkeypatch,
                                                     cold_state_memo):
-    # ds at two eps, d2, kl and var on one pair of loaded states: the
-    # states' joint operators are solved once each, not once per command
+    # ds at two eps, d2, kl and var on one pair of loaded states: each
+    # state's rho_x stack is solved once, by its validation, and its
+    # marginal once; the joint operators are never solved
     a, b = _two_state_files(tmp_path, 32)
     argvs = [["divergence", "--kind", "ds", "--state-a", a, "--state-b", b, "--eps", eps]
              for eps in ("0.1", "0.3")]
@@ -332,15 +333,19 @@ def test_divergences_solve_each_state_operator_once(capsys, tmp_path, monkeypatc
         for argv in argvs:
             assert run(argv) == 0, capsys.readouterr().err
     capsys.readouterr()
-    rho, sigma = joint_embed(load_state(a)).rho_xb, joint_embed(load_state(b)).rho_xb
+    states = [load_state(a), load_state(b)]
+    rho, sigma = (joint_embed(state).rho_xb for state in states)
     assert not DivergencePair.of(rho, sigma).commuting
-    assert (solves_of(solved, rho), solves_of(solved, sigma)) == (1, 1)
+    assert [solves_of(solved, op) for state in states
+            for op in (state.rhos, state.marginal(), joint_embed(state).rho_xb)] == [1, 1, 0] * 2
 
 
 def test_bounds_and_rates_solve_each_state_operator_once(capsys, tmp_path, monkeypatch,
                                                          cold_state_memo):
     # both tasks of bounds and rates on one loaded state read the marginal
-    # (nu), the joint operator and its two references, each solved once
+    # (nu), the joint operator and its two references: the rho_x stack is
+    # solved once, by validation, the marginal once, and the joint
+    # operator and its references never
     [path, _] = _two_state_files(tmp_path, 33)
     argvs = [["bounds", "--task", task, "--state", path, "--eps", "0.3", "--delta", "0.09",
               "--c", "0.04"] for task in ("pa", "covering")]
@@ -351,9 +356,11 @@ def test_bounds_and_rates_solve_each_state_operator_once(capsys, tmp_path, monke
         for argv in argvs:
             assert run(argv) == 0, capsys.readouterr().err
     capsys.readouterr()
-    emb = joint_embed(load_state(path))
-    assert [solves_of(solved, op) for op in (emb.rho_b, emb.rho_xb, emb.rho_x_tensor_rho_b,
-                                             emb.one_x_tensor_rho_b)] == [1, 1, 1, 1]
+    state = load_state(path)
+    emb = joint_embed(state)
+    assert [solves_of(solved, op) for op in (state.rhos, emb.rho_b, emb.rho_xb,
+                                             emb.rho_x_tensor_rho_b,
+                                             emb.one_x_tensor_rho_b)] == [1, 1, 0, 0, 0]
 
 
 def test_rates_refuses_a_bad_level_before_any_solve(capsys, tmp_path, monkeypatch,

@@ -1,5 +1,6 @@
 """Classical-quantum state construction, I/O, and type spectra."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -194,19 +195,32 @@ def test_marginal_and_joint_embedding_are_derived_once_read_only():
 
 def test_held_bytes_count_every_derived_array():
     # what a memoised state holds once its pairs and bounds have derived
-    # everything: the operator eigensystems count toward the memo's bound
+    # everything, each distinct array once: the eigensystems of the four
+    # joint operators come from the rho_x stack's and the marginal's, and
+    # count toward the memo's bound; broadcast views hold nothing of their own
     state = random_cq_state(np.random.default_rng(29), 3, 2)
     emb = joint_embed(state)
-    eigensystems = [array for op in state._operators.values() for array in op.eig]
-    assert len(eigensystems) == 8
-    for array in eigensystems:
-        assert not array.flags.writeable
-    for name, op in state._operators.items():
-        assert op.array is getattr(emb, name) and op.eig is op.eig
+    eigensystems = state._eigensystems
+    assert list(eigensystems) == [f.name for f in dataclasses.fields(emb)]
+    for name, (lam, v) in eigensystems.items():
+        op = getattr(emb, name)
+        assert lam.shape == op.shape[:-1] and v.shape == op.shape
+        assert np.max(np.abs((v * lam[..., None, :]) @ v.conj().swapaxes(-1, -2) - op)) <= 1e-15
+    assert eigensystems["rho_xb"][1] is state._rhos_eig[1]
+    assert eigensystems["one_x_tensor_rho_b"][1] is eigensystems["rho_x_tensor_rho_b"][1]
     # the third embedding stack is a view of the marginal
     assert np.shares_memory(emb.one_x_tensor_rho_b, state.marginal())
-    held = [state.p, state.rhos, state.marginal(), emb.rho_xb, emb.rho_x_tensor_rho_b]
-    assert cq._held_bytes(state) == sum(a.nbytes for a in held + eigensystems)
+    # owners before the views of them
+    arrays = [state.p, state.rhos, *state._rhos_eig, state.marginal(), *eigensystems["rho_b"],
+              *(getattr(emb, f.name) for f in dataclasses.fields(emb)),
+              *(array for eig in eigensystems.values() for array in eig)]
+    distinct = []
+    for array in arrays:
+        assert not array.flags.writeable
+        if not any(np.shares_memory(array, seen) for seen in distinct):
+            distinct.append(array)
+    assert len(distinct) == 11
+    assert cq._held_bytes(state) == sum(a.nbytes for a in distinct)
 
 
 def _state_file(path, state):
@@ -267,10 +281,11 @@ def test_state_memo_bound_evicts_least_recently_loaded(tmp_path, monkeypatch,
     rng = np.random.default_rng(27)
     small = [random_cq_state(rng, 2, 2) for _ in range(3)]
     size = cq._held_bytes(small[0])
-    # p, rhos, marginal, two embedding stacks, and the eigenvectors and
-    # eigenvalues of the three stacks and the marginal
-    assert size == (2 * 8 + 3 * 2 * 4 * 16 + 4 * 16
-                    + 3 * (2 * 4 * 16 + 2 * 2 * 8) + 4 * 16 + 2 * 8)
+    # p; rhos, its eigenvectors and two embedding stacks; the eigenvalues
+    # of rhos, rho_xb and rho_x_tensor_rho_b; the marginal and its
+    # eigenvectors; and the marginal's eigenvalues
+    assert size == (2 * 8 + 4 * (2 * 4 * 16) + 3 * (2 * 2 * 8)
+                    + 2 * (4 * 16) + 2 * 8)
     monkeypatch.setattr(cold_state_memo, "limit", 2 * size + size // 2)
     a, b, c = (_state_file(tmp_path / f"{name}.json", s)
                for name, s in zip("abc", small))

@@ -88,6 +88,19 @@ def test_ds_classical_threshold_value():
     assert expected > best
 
 
+def test_ds_exact_keeps_a_small_block_of_the_reference():
+    # the covering pair of p = (1 - q, q) with orthogonal outputs commutes;
+    # block 1 of rho_X (x) rho_B has eigenvalues q (1 - q) and q^2 = 1e-10,
+    # and the second carries rho's mass q at ratio 1/q: above every level
+    # 1 - q + q/2 it is the ratio that crosses, on the support of its block
+    q = 1e-5
+    state = CQState([1 - q, q], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    pair = _joint_pair(state, True)
+    assert pair.commuting
+    value, lower, upper = info_spectrum_divergence_bracket(pair, 1.0 - q / 2)
+    assert lower == value == upper == pytest.approx(math.log2(1.0 / q), rel=1e-14)
+
+
 def test_ds_scaling_identity_commuting():
     rng = np.random.default_rng(32)
     for lam in (0.5, 2.0, 3.0):

@@ -12,11 +12,13 @@ from oneshot_qit import (
     DivergencePair,
     DomainError,
     RateExpansion,
+    collision_divergence,
     conditional_entropy_with_variance,
     conditional_test_entropy,
     gaussian_cdf,
     hypothesis_test_divergence,
     hypothesis_test_information,
+    info_spectrum_divergence_bracket,
     joint_embed,
     moderate_rate,
     mutual_information_with_variance,
@@ -25,11 +27,13 @@ from oneshot_qit import (
     relative_entropy_variance,
     second_order_value,
 )
+from oneshot_qit.entropic import _joint_pair
 
 from conftest import (
     binary_antipodal,
     bit_pair_trivial_side,
     counting_eigensolves,
+    dense_divergence_oracle,
     random_cq_state,
     random_density,
     scalar_test_oracle,
@@ -199,9 +203,11 @@ def test_entropy_identity_regression(corpus):
 
 def test_cq_pairs_are_validated_once(corpus, monkeypatch):
     # pairs built from validated states skip DivergencePair.of's two
-    # validation eigensolves and give its values to the bit; the relative
-    # entropy and its variance come from one eigensolve of each operator of
-    # a fresh state, and from none once the state has solved them
+    # validation eigensolves: D_h, from the same dual points, gives its
+    # values to the bit, at the cost of one d x d solve of the marginal on
+    # a fresh state; the relative entropy and its variance then solve
+    # nothing, as the state's two eigensystems give the pair's, and match
+    # the public pair's to rounding
     for corpus_state in corpus:
         for weighted, info, spectral, sign in (
             (True, hypothesis_test_information, mutual_information_with_variance, 1.0),
@@ -213,14 +219,65 @@ def test_cq_pairs_are_validated_once(corpus, monkeypatch):
             with counting_eigensolves(monkeypatch) as public_calls:
                 public = DivergencePair.of(emb.rho_xb, reference)
                 want = sign * hypothesis_test_divergence(public, 0.3)
-            with counting_eigensolves(monkeypatch) as calls:
+            inputs = []
+            with counting_eigensolves(monkeypatch, inputs) as calls:
                 assert info(state, 0.3) == want
-            assert len(calls) == len(public_calls) - 2
+            assert len(calls) == len(public_calls) - 1
+            assert np.array_equal(inputs[0], state.marginal())
             want = (sign * relative_entropy(public), relative_entropy_variance(public))
-            for solves in (2, 0):
+            for _ in range(2):
                 with counting_eigensolves(monkeypatch) as calls:
-                    assert spectral(state) == want
-                assert len(calls) == solves
+                    got = spectral(state)
+                assert calls == []
+                assert got == pytest.approx(want, rel=1e-14, abs=1e-14)
+
+
+def _states_with_degenerate_references(rng):
+    """A state whose marginal has a kernel (every rho_x on one plane of
+    C^3), and one with a symbol of probability 0."""
+    u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0][:, :2]
+    planar = CQState(rng.dirichlet(np.ones(3)),
+                     [u @ random_density(rng, 2) @ u.conj().T for _ in range(3)])
+    p = rng.dirichlet(np.ones(4))
+    p[1] = 0.0
+    unused = CQState(p / p.sum(), random_cq_state(rng, 4, 2).rhos)
+    return [planar, unused]
+
+
+def test_state_pairs_match_public_pairs_and_the_dense_oracle(corpus):
+    # a joint pair reads eigensystems scaled and broadcast from the state's
+    # two solves; D2, D and V match a pair that solves the same arrays
+    # itself, and the dense block-diagonal formulas, and D_s matches the
+    # public pair's
+    states = [*corpus, *_states_with_degenerate_references(np.random.default_rng(57))]
+    assert np.linalg.matrix_rank(states[-2].marginal(), tol=1e-9) == 2
+    for state in states:
+        for weighted in (True, False):
+            pair = _joint_pair(state, weighted)
+            public = DivergencePair.of(pair.rho, pair.sigma)
+            kernels = (collision_divergence, relative_entropy, relative_entropy_variance)
+            for fn, dense in zip(kernels, dense_divergence_oracle(pair.rho, pair.sigma),
+                                 strict=True):
+                got, want = fn(pair), fn(public)
+                assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), fn.__name__
+                assert abs(got - dense) <= 1e-12 * (1.0 + abs(dense)), fn.__name__
+            for eps in (0.1, 0.3):
+                got = info_spectrum_divergence_bracket(pair, eps)
+                want = info_spectrum_divergence_bracket(public, eps)
+                assert all(a == b or abs(a - b) <= 1e-12 * (1.0 + abs(b))
+                           for a, b in zip(got, want, strict=True)), (got, want)
+
+
+def test_small_probability_symbol_keeps_its_support():
+    # block x of rho_X (x) rho_B is p(x) rho_B: its kernel is decided
+    # against its own largest eigenvalue, not the whole stack's, so a
+    # symbol of probability 1e-5 is no support violation; I = h(q) and
+    # V = q (1 - q) log2^2((1 - q) / q) for orthogonal outputs
+    q = 1e-5
+    state = CQState([1 - q, q], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    info, variance = mutual_information_with_variance(state)
+    assert info == pytest.approx(-q * math.log2(q) - (1 - q) * math.log2(1 - q), rel=1e-14)
+    assert variance == pytest.approx(q * (1 - q) * math.log2((1 - q) / q) ** 2, rel=1e-14)
 
 
 def test_state_eigensystems_under_concurrent_reads():

@@ -24,7 +24,7 @@ from oneshot_qit.divergences import (
     info_spectrum_divergence,
     info_spectrum_divergence_bracket,
 )
-from oneshot_qit.linalg import DEFAULT_CLUSTER_TOL, _eigh_checked, _on_support
+from oneshot_qit.linalg import DEFAULT_CLUSTER_TOL, _cluster_labels, _eigh_checked, _on_support
 
 from conftest import (
     counting_eigensolves,
@@ -321,3 +321,15 @@ def test_threshold_rule_is_shared_at_its_boundary(scale):
             for fn in (_sigma_frame, lambda p: info_spectrum_divergence(p, 0.3)):
                 with pytest.raises(DomainError, match="support"):
                     fn(pair)
+
+
+def test_threshold_rule_is_per_block_in_a_stack():
+    # each row of a stack's spectra is compared against its own largest
+    # |eigenvalue|: a block scaled by 1e-7 keeps the zeros and gaps it has
+    # alone, where the whole stack's radius would erase them
+    block = np.array([0.0, 1e-6, 1.0])
+    stack = np.array([block, 1e-7 * block])
+    assert _cluster_labels(stack).tolist() == [[0, 1, 2]] * 2
+    support = _on_support(stack, np.log)
+    assert support[1].tolist() == [0.0, *np.log(1e-7 * block[1:])]
+    assert (support[0] == _on_support(block, np.log)).all()
