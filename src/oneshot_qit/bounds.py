@@ -69,9 +69,10 @@ def _pinched_exceedance_mass(
     the marginal, so the comparison is exact in their joint spectrum,
     which the state's own pair (``entropic._joint_pair``) solves once.
     Exceeding means by more than the cluster tolerance, relative to the
-    larger of the two operators, so exact ties never count.
+    larger of the two operators in each block, so exact ties never count.
     """
-    masses, reference = _commuting_pairs(_joint_pair(state, weight_threshold))
+    pair = _joint_pair(state, weight_threshold)
+    masses, reference = (a.reshape(-1, state.dim_b) for a in _commuting_pairs(pair))
     thresholds = c * reference
     return float(np.sum(masses[masses - thresholds > _threshold(masses, thresholds)]))
 

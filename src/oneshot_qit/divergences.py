@@ -11,9 +11,9 @@ factor and leaves the variance unchanged.
 
 A pair may also be two (k, d, d) stacks of diagonal blocks (cq joint
 operators); kernels work block by block and tell eigenvalues zero or
-equal relative to each block (the dual's D_s split and the commutation
-flag, to the whole stack), so a stack gives the values of the dense
-block-diagonal pair except for eigenvalues only the per-block rule resolves.
+equal relative to each block (the dual's D_s split, to the whole stack),
+so a stack gives the values of the dense block-diagonal pair except for
+eigenvalues only the per-block rule resolves.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .linalg import (
 
 LN2 = math.log(2.0)
 
-_COMMUTATOR_TOL = 1e-10
 _SUPPORT_TOL = 1e-8
 _DUAL_FLOOR = 64 * np.finfo(float).eps
 _DS_WIDTH_BITS = 1e-12
@@ -69,14 +68,18 @@ class DivergencePair:
 
     @cached_property
     def commuting(self) -> bool:
-        """Whether max|[rho, sigma]| <= ``_COMMUTATOR_TOL``·max|rho|·max|sigma|,
-        maxima over the whole stack, so that scaling either operator does
-        not change it.  Computed on first read: only D_s, and the CLI's
-        ``exact`` field beside it, read it."""
-        rho, sigma = self.rho, self.sigma
-        comm = float(np.max(np.abs(rho @ sigma - sigma @ rho)))
-        scale = float(np.max(np.abs(rho))) * float(np.max(np.abs(sigma)))
-        return comm <= _COMMUTATOR_TOL * scale
+        """Whether, in every block, each entry of the ``_frame``'s m that
+        joins two different eigenvalue clusters of sigma is at most the
+        ``_threshold`` of that block's rho eigenvalues: then pinching rho
+        to sigma's clusters (``_commuting_pairs``) changes it by no more,
+        and exact D_s holds.  Both sides are relative, so scaling either
+        operator does not change it.  Computed on first read: only D_s,
+        and the CLI's ``exact`` field beside it, read it."""
+        mu, m = self._frame
+        labels = _cluster_labels(mu)
+        across = labels[:, :, None] != labels[:, None, :]
+        bound = _threshold(self.rho_eig[0].reshape(mu.shape))[:, :, None]
+        return not (across & (np.abs(m) > bound)).any()
 
     @cached_property
     def _frame(self) -> tuple[np.ndarray, np.ndarray]:

@@ -12,9 +12,12 @@ One threshold rule serves every module: an eigenvalue counts as zero, and
 the gap between two adjacent eigenvalues as none, when it is at most
 ``DEFAULT_CLUSTER_TOL`` times the largest |eigenvalue| of the spectra
 compared, row by row for the spectra of a stack (``_threshold``).  The
-rule is relative, so every divergence keeps its shift identity
-D(rho||t sigma) = D(rho||sigma) - log2 t, and a block of small weight
-keeps its own support.  PSD and unit-trace input checks use the absolute
+commutation flag of a divergence pair and the direct bounds' exceedance
+test compare with it too, block by block.  The rule is relative, so
+every divergence keeps its shift identity D(rho||t sigma) =
+D(rho||sigma) - log2 t, and a block of small weight keeps its own
+support.  The one exception is the D_s split of the dual search, relative
+to the whole stack.  PSD and unit-trace input checks use the absolute
 ``_PSD_TOL``.
 """
 

@@ -2,10 +2,11 @@
 
 Oracles here deliberately avoid the library's computation paths: the
 scalar test oracle is a greedy ratio fill, the operator test oracle is a
-primal grid search, the D_s crossing oracle is a dense threshold scan,
-the D, V and D2 oracle forms the dense log and sigma^{-1/4} operators,
-the protocol oracles enumerate every function table or codebook, and
-trace norms are cross-checked through singular values.
+primal grid search, the D_s oracles are a dense threshold scan and a
+bisection on the event mass, the D, V and D2 oracle forms the dense log
+and sigma^{-1/4} operators, the protocol oracles enumerate every function
+table or codebook, and trace norms are cross-checked through singular
+values.
 """
 
 from __future__ import annotations
@@ -189,19 +190,37 @@ def dense_event_mass(rho, sigma, c):
     return float(np.trace(rho @ projector_leq(rho, c * sigma)).real)
 
 
-def ds_bisection_oracle(rho, sigma, eps):
-    """D_s in bits by bisection in log c on ``dense_event_mass``.
+def exact_event_mass(rho, sigma, c):
+    """Tr[rho {rho <= c sigma}] block by block, keeping the eigenvalues of
+    c sigma - rho at or above 0: the event without a tolerance, as the
+    sorted ratios of a commuting pair read it."""
+    d = rho.shape[-1]
+    mass = 0.0
+    for r, s in zip(rho.reshape(-1, d, d), sigma.reshape(-1, d, d)):
+        lam, v = np.linalg.eigh(c * s - r)
+        cols = v[:, lam >= 0.0]
+        mass += float(np.trace(cols.conj().T @ r @ cols).real)
+    return mass
+
+
+def ds_bisection_oracle(rho, sigma, eps, exact=False):
+    """D_s in bits by bisection in log c on ``dense_event_mass``, or on
+    ``exact_event_mass`` if ``exact``.
 
     It starts from c = 2^-64, where the mass is near 0 whatever the rank
     of rho, and doubles from c = 1 to the first infeasible threshold; it
     assumes the mass is non-decreasing in c and returns log2 of the
     infeasible end once the bracket is at most 1e-12 bits wide.
     """
-    if np.ndim(rho) == 3:
-        rho, sigma = block_diagonal(rho), block_diagonal(sigma)
+    if exact:
+        mass = exact_event_mass
+    else:
+        mass = dense_event_mass
+        if np.ndim(rho) == 3:
+            rho, sigma = block_diagonal(rho), block_diagonal(sigma)
 
     def feasible(c):
-        return dense_event_mass(rho, sigma, c) <= eps + 1e-12
+        return mass(rho, sigma, c) <= eps + 1e-12
 
     c_lo, c_hi = 2.0 ** -64, 1.0
     assert feasible(c_lo)

@@ -138,6 +138,39 @@ def test_direct_bounds_match_dense_oracle():
                 dense_direct_bound(state, c, 3, covering=True), abs=1e-10)
 
 
+def per_block_exceedance(state, c, covering):
+    """The pinched exceedance mass block by block: block x of the joint
+    state pinched to the clusters of c times its reference, its mass
+    where it exceeds them by more than 1e-9 of the block's radius."""
+    rho_b = state.marginal()
+    eye = np.eye(state.dim_b)
+    tail = 0.0
+    for p_x, rho_x in zip(state.p, state.rhos):
+        reference = c * (p_x if covering else 1.0) * rho_b
+        pinched = pinch(reference, p_x * rho_x)
+        atol = 1e-9 * max(np.linalg.norm(pinched, 2), np.linalg.norm(reference, 2))
+        above = eye - projector_leq(pinched, reference + atol * eye)
+        tail += float(np.trace(pinched @ above).real)
+    return tail
+
+
+def test_exceedance_mass_counts_a_tiny_block():
+    # block 1 of weight 1e-12 exceeds 2 p(x) rho_B in its second entry by
+    # far more than its own radius, and far less than the whole stack's:
+    # a threshold over the whole stack dropped its mass 9.5e-13
+    state = CQState([1 - 1e-12, 1e-12], [np.diag([0.9, 0.1]), np.diag([0.05, 0.95])])
+    got = bounds._pinched_exceedance_mass(state, 2.0, True)
+    assert got == pytest.approx(9.5e-13, rel=1e-9, abs=0.0)
+    rng = np.random.default_rng(67)
+    tiny = random_cq_state(rng, 3, 2)
+    states = [state, CQState([0.6, 0.4 - 1e-12, 1e-12], tiny.rhos)]
+    for state in states:
+        for c in (0.3, 1.0, 2.0):
+            for covering in (False, True):
+                got = bounds._pinched_exceedance_mass(state, c, covering)
+                assert abs(got - per_block_exceedance(state, c, covering)) <= 1e-15
+
+
 def _commuting_pairs_loop(rho, sigma):
     """The joint spectrum with one ``eigvalsh`` per block and cluster."""
     d = sigma.shape[-1]

@@ -101,6 +101,54 @@ def test_ds_exact_keeps_a_small_block_of_the_reference():
     assert lower == value == upper == pytest.approx(math.log2(1.0 / q), rel=1e-14)
 
 
+def test_ds_of_a_small_non_commuting_block_matches_the_oracle():
+    # blocks 1 and 2 of 1_X (x) rho_B do not commute with |0><0| and |+><+|;
+    # a commutator rule over the whole stack missed them at weight 3e-6 and
+    # gave the pinched value -17.5751 bits as exact
+    q = 3e-6
+    state = CQState([1 - 2 * q, q, q], [np.eye(2) / 2, np.diag([1.0, 0.0]), np.full((2, 2), 0.5)])
+    pair = _joint_pair(state, False)
+    assert not pair.commuting
+    value, lower, upper = info_spectrum_divergence_bracket(pair, 1e-6)
+    want = ds_bisection_oracle(pair.rho, pair.sigma, 1e-6)
+    assert lower <= value <= upper and max(abs(value - want), abs(lower - want)) <= 1e-9
+
+
+def test_ds_of_sigma_clusters_a_hair_apart_matches_the_oracle():
+    # sigma's eigenvalues are 2e-9 apart, two clusters, so pinching drops
+    # rho's off-diagonal entry; the commutator, 2e-11, passed a 1e-10 rule
+    # and D_s read -2.9e-9 bits as exact
+    pair = DivergencePair.of([[0.5, 0.01], [0.01, 0.5]], np.diag([0.5 - 1e-9, 0.5 + 1e-9]))
+    assert not pair.commuting
+    value, lower, upper = info_spectrum_divergence_bracket(pair, 0.3)
+    want = ds_bisection_oracle(pair.rho, pair.sigma, 0.3)
+    assert lower <= value <= upper and max(abs(value - want), abs(lower - want)) <= 1e-9
+
+
+def test_classical_state_with_a_tiny_block_stays_commuting():
+    # the per-block rule reads each block against its own rho, so a
+    # diagonal block of weight 1e-12 keeps the exact path: D_s is the
+    # classical sorted-ratio crossing, bit for bit
+    q = 1e-12
+    a = np.array([[0.05, 0.1, 0.85], [0.5, 0.45, 0.05]])
+    state = CQState([1 - q, q], [np.diag(row) for row in a])
+    mu = np.linalg.eigvalsh(state.marginal())
+    for weighted in (False, True):
+        pair = _joint_pair(state, weighted)
+        assert pair.commuting
+        r = state.p[:, None] * a  # the marginal's diagonal is ascending
+        s = state.p[:, None] * mu if weighted else np.array([mu, mu])
+        ratios = sorted(zip((r / s).ravel(), r.ravel()))
+        for eps in (0.01, 0.3, 0.5, 0.99):
+            mass = 0.0
+            for ratio, weight in ratios:
+                mass += weight
+                if mass > eps + 1e-12:
+                    break
+            value, lower, upper = info_spectrum_divergence_bracket(pair, eps)
+            assert lower == value == upper == math.log2(ratio), (weighted, eps)
+
+
 def test_ds_scaling_identity_commuting():
     rng = np.random.default_rng(32)
     for lam in (0.5, 2.0, 3.0):
@@ -143,10 +191,17 @@ def test_ds_noncommuting_bracket_and_scaling():
 def test_commutation_flag_and_ds_bracket_do_not_change_with_the_scale_of_sigma():
     # the flag is relative to the operators' size: an absolute 1e-10 once
     # flagged this non-commuting pair commuting at sigma x 1e-12, and the
-    # commuting one non-commuting at sigma x 1e12
+    # commuting one non-commuting at sigma x 1e12; a relative rule over the
+    # whole stack flagged the cq stack, whose 1e-9-weight block does not
+    # commute, commuting at every scale
     rng = np.random.default_rng(35)
+    p = np.array([0.6, 0.4 - 1e-9, 1e-9])
+    blocks = [np.diag([0.7, 0.3]), np.diag([0.2, 0.8]), np.array([[0.5, 0.1], [0.1, 0.5]])]
+    stack = DivergencePair.of(p[:, None, None] * np.array(blocks),
+                              np.array([np.diag([0.6, 0.4]) / 3] * 3))
     pairs = [(False, random_noncommuting_pair(rng, 4)),
-             (True, DivergencePair.of(*random_commuting_pair(rng, 4)))]
+             (True, DivergencePair.of(*random_commuting_pair(rng, 4))),
+             (False, stack)]
     for commuting, base in pairs:
         want = info_spectrum_divergence_bracket(base, 0.2)
         for t in 10.0 ** np.arange(-12, 13, 3):
@@ -884,12 +939,16 @@ def test_diagonal_pair_d_and_v_are_the_classical_moments():
 
 
 def test_lazy_commutation_flag_matches_the_eager_one(corpus):
-    # the flag the pair computes on first read is the one it used to
-    # compute at construction, and it is formed once per pair
+    # the flag the pair computes on first read is the one a block-by-block
+    # pinch gives (each block of rho unchanged, to 1e-9 of its radius, by
+    # pinching it to its sigma block's clusters), and it is formed once
     def eager(rho, sigma):
-        comm = float(np.max(np.abs(rho @ sigma - sigma @ rho)))
-        scale = float(np.max(np.abs(rho))) * float(np.max(np.abs(sigma)))
-        return comm <= 1e-10 * scale
+        d = rho.shape[-1]
+        for r, s in zip(rho.reshape(-1, d, d), sigma.reshape(-1, d, d)):
+            radius = np.abs(np.linalg.eigvalsh(r)).max()
+            if np.abs(r - pinch(s, r)).max() > 1e-9 * radius:
+                return False
+        return True
 
     pairs = [_joint_pair(state, weighted) for state in corpus for weighted in (False, True)]
     pairs += [DivergencePair.of(a.rhos, b.rhos, normalized=False)
