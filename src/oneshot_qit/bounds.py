@@ -74,7 +74,8 @@ def _pinched_exceedance_mass(
     pair = _joint_pair(state, weight_threshold)
     masses, reference = (a.reshape(-1, state.dim_b) for a in _commuting_pairs(pair))
     thresholds = c * reference
-    return float(np.sum(masses[masses - thresholds > _threshold(masses, thresholds)]))
+    scale = np.maximum(np.abs(masses), np.abs(thresholds))
+    return float(np.sum(masses[masses - thresholds > _threshold(scale)]))
 
 
 def _marginal_spec_count(state: CQState) -> int:

@@ -179,7 +179,7 @@ def _parse(argv) -> argparse.Namespace:
 def _cmd_divergence(args) -> dict:
     state_a = load_state(args.state_a)
     state_b = load_state(args.state_b)
-    pair = DivergencePair._trusted(
+    pair = DivergencePair(
         joint_embed(state_a).rho_xb, joint_embed(state_b).rho_xb,
         state_a._eigensystems["rho_xb"], state_b._eigensystems["rho_xb"])
     kind = args.kind

@@ -11,9 +11,11 @@ factor and leaves the variance unchanged.
 
 A pair may also be two (k, d, d) stacks of diagonal blocks (cq joint
 operators); kernels work block by block and tell eigenvalues zero or
-equal relative to each block (the dual's D_s split, to the whole stack),
-so a stack gives the values of the dense block-diagonal pair except for
-eigenvalues only the per-block rule resolves.
+equal by ``linalg._threshold`` of each block, so a stack gives the
+values of the dense block-diagonal pair except for eigenvalues only the
+per-block rule resolves.  The one comparison made over the whole stack
+is the dual's D_s split, which asks the same rule for the threshold of
+all the stack's eigenvalues taken as one spectrum.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 from .errors import DomainError, NumericalError, _check_eps
 from .linalg import (
     _PSD_TOL,
-    DEFAULT_CLUSTER_TOL,
     _cluster_labels,
     _eigh_checked,
     _on_support,
@@ -42,9 +43,6 @@ _SUPPORT_TOL = 1e-8
 _DUAL_FLOOR = 64 * np.finfo(float).eps
 _DS_WIDTH_BITS = 1e-12
 _DS_WIDTH = -math.expm1(-_DS_WIDTH_BITS * LN2)  # 1 - 2^-1e-12, relative
-# {rho <= c sigma} keeps the eigenvalues of rho / c - sigma up to _DS_EVENT_TOL
-# times their radius: a jump's crossing lies 1e-9 to 2e-7 bits below its pencil.
-_DS_EVENT_TOL = DEFAULT_CLUSTER_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,15 +54,21 @@ class DivergencePair:
     ``rho`` is a density operator (unit trace unless constructed with
     ``normalized=False``, which only relaxes the trace check); ``sigma``
     is PSD and may be unnormalized.  Both are (d, d), or both are
-    (k, d, d) stacks of diagonal blocks.  ``of`` keeps the eigensystems
-    its PSD check solves; a pair of a state's joint operators takes the
-    state's (``CQState._eigensystems``).
+    (k, d, d) stacks of diagonal blocks.  ``of`` validates the operators
+    and keeps the eigensystems its PSD check solves; a pair of validated
+    states' joint operators is built directly from the states'
+    (``CQState._eigensystems``), and construction checks only that the
+    shapes agree, as two states may differ in d or |X|.
     """
 
     rho: np.ndarray
     sigma: np.ndarray
     rho_eig: tuple[np.ndarray, np.ndarray]
     sigma_eig: tuple[np.ndarray, np.ndarray]
+
+    def __post_init__(self):
+        if self.rho.shape != self.sigma.shape:
+            raise DomainError(f"dimension mismatch: {self.rho.shape} vs {self.sigma.shape}")
 
     @cached_property
     def commuting(self) -> bool:
@@ -105,18 +109,7 @@ class DivergencePair:
             tr = _trace(rho)
             if abs(tr - 1.0) > _PSD_TOL:
                 raise DomainError(f"rho has trace {tr}, expected 1")
-        return cls._trusted(rho, sigma, *eigs)
-
-    @classmethod
-    def _trusted(cls, rho: np.ndarray, sigma: np.ndarray, rho_eig: tuple,
-                 sigma_eig: tuple) -> "DivergencePair":
-        """A pair of Hermitian PSD operators, rho of unit trace, and their
-        read-only eigensystems, such as the joint operators of validated
-        ``CQState``s: only the shapes are checked, as two states may
-        differ in d or |X|."""
-        if rho.shape != sigma.shape:
-            raise DomainError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-        return cls(rho, sigma, rho_eig, sigma_eig)
+        return cls(rho, sigma, *eigs)
 
 
 def _trace(a: np.ndarray) -> float:
@@ -137,28 +130,31 @@ def _sigma_frame(pair: DivergencePair) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dual_point(
-    rho: np.ndarray, sigma: np.ndarray, target: float, mu: float, split_tol: float = 0.0
+    rho: np.ndarray, sigma: np.ndarray, target: float, mu: float, split: bool = False
 ) -> tuple[float, float, float, np.ndarray, np.ndarray]:
     """(g, slope, curvature, branches, branch slopes) at mu.
 
     From one eigensolve mu rho - sigma = V diag(lam) V^dagger, with r =
-    V^dagger rho V and P the eigenvalues above the split (``split_tol``
-    times their radius): g = mu target - sum_P lam_i, its slope target -
-    sum_P r_ii (Hellmann-Feynman; at a kink, either side is a
-    supergradient) and, while P holds, its curvature -2 sum_{i in P, j not
-    in P} |r_ij|^2 / (lam_i - lam_j).  The branches are the lam_i minus
-    the split, with their slopes w_i = r_ii >= 0, flat over the blocks:
-    branch i crosses the split near mu - (lam_i - split) / w_i, and the
-    slope of g falls by w_i where a branch crosses upwards.  Only g and
-    the slope depend on the target: the point re-targets to t exactly by
-    adding mu (t - target) to g and t - target to the slope.
+    V^dagger rho V and P the eigenvalues above the split: 0 for D_h, and
+    with ``split`` (D_s) the ``_threshold`` of all of lam as one spectrum,
+    relative to the whole stack, so that the event {rho <= c sigma} keeps
+    the eigenvalues that rule counts as zero.  Then g = mu target -
+    sum_P lam_i, its slope target - sum_P r_ii (Hellmann-Feynman; at a
+    kink, either side is a supergradient) and, while P holds, its
+    curvature -2 sum_{i in P, j not in P} |r_ij|^2 / (lam_i - lam_j).
+    The branches are the lam_i minus the split, with their slopes w_i =
+    r_ii >= 0, flat over the blocks: branch i crosses the split near mu -
+    (lam_i - split) / w_i, and the slope of g falls by w_i where a branch
+    crosses upwards.  Only g and the slope depend on the target: the
+    point re-targets to t exactly by adding mu (t - target) to g and
+    t - target to the slope.
     """
     lam, v = _eigh_checked(mu * rho - sigma)
     d = lam.shape[-1]
     r = (v.conj().swapaxes(-1, -2) @ rho @ v).reshape(-1, d, d)
     lam = lam.reshape(-1, d)
     w = r.diagonal(0, 1, 2).real.ravel()
-    split = split_tol * float(np.abs(lam).max()) if split_tol else 0.0
+    split = float(_threshold(lam.ravel())[0]) if split else 0.0
     above = lam > split
     cross = above[:, :, None] > above[:, None, :]  # i above, j not
     gap = np.where(cross, lam[:, :, None] - lam[:, None, :], np.inf)
@@ -200,18 +196,19 @@ def _model_step(mu: float, slope: float, curvature: float, branches: np.ndarray,
 
 
 class _DualMemo:
-    """The dual points taken on one pair at one split, each kept with the
-    target it was taken at.  f(mu) = Tr[(mu rho - sigma)_+] and its
-    branches do not depend on the target, so every point serves a search
-    at any target, re-targeted exactly (see ``_dual_point``)."""
+    """The dual points taken on one pair, with the D_s split (``split``) or
+    without it (D_h), each kept with the target it was taken at.  f(mu) =
+    Tr[(mu rho - sigma)_+] and its branches do not depend on the target,
+    so every point serves a search at any target, re-targeted exactly
+    (see ``_dual_point``)."""
 
-    def __init__(self, rho: np.ndarray, sigma: np.ndarray, split_tol: float = 0.0):
-        self.rho, self.sigma, self.split_tol = rho, sigma, split_tol
+    def __init__(self, rho: np.ndarray, sigma: np.ndarray, split: bool = False):
+        self.rho, self.sigma, self.split = rho, sigma, split
         self.points: list[tuple[float, tuple]] = []
 
     def point(self, target: float, mu: float) -> tuple:
         """(mu, *``_dual_point``(mu)) at target, kept for later searches."""
-        point = (mu, *_dual_point(self.rho, self.sigma, target, mu, self.split_tol))
+        point = (mu, *_dual_point(self.rho, self.sigma, target, mu, self.split))
         self.points.append((target, point))
         return point
 
@@ -356,12 +353,13 @@ def info_spectrum_divergence_bracket(
     eps; the supremum itself is a left limit and is not attained.  The
     mass is 1 - f'_-(2^-c) for the convex f(mu) = Tr[(mu rho - sigma)_+],
     so it is non-decreasing in c.  For non-commuting pairs it is the
-    slope of the D_h dual with target Tr rho - (eps + 1e-12), split at
-    ``_DS_EVENT_TOL``, at mu = 2^-c, and the search that maximizes that
-    dual, from the same doubling start, narrows the sign change of the
-    slope until b - a <= (1 - 2^-1e-12) b: a bracket at most 1e-12 bits
-    wide.  When Tr rho <= eps + 1e-12 every threshold is feasible and
-    all three values are +inf.
+    slope at mu = 2^-c of the D_h dual with target Tr rho - (eps + 1e-12),
+    split at the threshold of the whole stack's spectrum (``_dual_point``
+    with ``split``), and the search that maximizes that dual, from the
+    same doubling start, narrows the sign change of the slope until
+    b - a <= (1 - 2^-1e-12) b: a bracket at most 1e-12 bits wide.  When
+    Tr rho <= eps + 1e-12 every threshold is feasible and all three values
+    are +inf.
     """
     _check_eps(eps)
     _sigma_frame(pair)
@@ -375,7 +373,7 @@ def info_spectrum_divergence_bracket(
     def narrow(a, b, meet, best):
         return (a[0], b[0]) if b[0] - a[0] <= _DS_WIDTH * b[0] else None
 
-    memo = _DualMemo(pair.rho, pair.sigma, _DS_EVENT_TOL)
+    memo = _DualMemo(pair.rho, pair.sigma, split=True)
     mu_a, mu_b = _dual_search(memo, target, narrow)
     return -math.log2(mu_a), -math.log2(mu_b), -math.log2(mu_a)
 

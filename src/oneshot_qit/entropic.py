@@ -28,8 +28,8 @@ def _joint_pair(state: CQState, weighted: bool) -> DivergencePair:
     shares the state's operators and their eigensystems."""
     emb, eigs = joint_embed(state), state._eigensystems
     reference = "rho_x_tensor_rho_b" if weighted else "one_x_tensor_rho_b"
-    return DivergencePair._trusted(emb.rho_xb, getattr(emb, reference),
-                                   eigs["rho_xb"], eigs[reference])
+    return DivergencePair(emb.rho_xb, getattr(emb, reference),
+                          eigs["rho_xb"], eigs[reference])
 
 
 def _test_divergences(state: CQState, weighted: bool, levels) -> list[float]:

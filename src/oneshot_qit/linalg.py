@@ -8,16 +8,17 @@ underscore) take arrays that a caller has already validated.  Only
 single-operator routines refuse them.  All functions are pure, hold no
 state, and are safe to call concurrently.
 
-One threshold rule serves every module: an eigenvalue counts as zero, and
-the gap between two adjacent eigenvalues as none, when it is at most
-``DEFAULT_CLUSTER_TOL`` times the largest |eigenvalue| of the spectra
-compared, row by row for the spectra of a stack (``_threshold``).  The
-commutation flag of a divergence pair and the direct bounds' exceedance
-test compare with it too, block by block.  The rule is relative, so
-every divergence keeps its shift identity D(rho||t sigma) =
-D(rho||sigma) - log2 t, and a block of small weight keeps its own
-support.  The one exception is the D_s split of the dual search, relative
-to the whole stack.  PSD and unit-trace input checks use the absolute
+One threshold rule serves every module, and only ``_threshold`` reads its
+tolerance: an eigenvalue counts as zero, and the gap between two adjacent
+eigenvalues as none, when it is at most ``DEFAULT_CLUSTER_TOL`` times the
+largest |eigenvalue| of its spectrum, row by row for the spectra of a
+stack.  A caller that compares two spectra passes their elementwise
+larger magnitudes as one.  The commutation flag of a divergence pair and
+the direct bounds' exceedance test compare block by block; the D_s split
+of the dual search passes the whole stack's eigenvalues as one spectrum.
+The rule is relative, so every divergence keeps its shift identity
+D(rho||t sigma) = D(rho||sigma) - log2 t, and a block of small weight
+keeps its own support.  PSD and unit-trace input checks use the absolute
 ``_PSD_TOL``.
 """
 
@@ -67,11 +68,11 @@ def _as_operators(*entries) -> list[np.ndarray]:
     return ops
 
 
-def _threshold(*spectra: np.ndarray) -> np.ndarray:
+def _threshold(lam: np.ndarray) -> np.ndarray:
     """``DEFAULT_CLUSTER_TOL`` times the largest |eigenvalue| of each row
-    (block) of ``spectra``, on a trailing axis of length 1: the zero and
+    (block) of ``lam``, on a trailing axis of length 1: the zero and
     equality threshold of every eigenvalue comparison."""
-    return DEFAULT_CLUSTER_TOL * np.max([np.abs(lam).max(-1, keepdims=True) for lam in spectra], 0)
+    return DEFAULT_CLUSTER_TOL * np.abs(lam).max(-1, keepdims=True)
 
 
 def _cluster_labels(eigenvalues: np.ndarray) -> np.ndarray:
@@ -159,10 +160,10 @@ def quotient(k, l) -> np.ndarray:
     """
     k, l = _as_operators(k, l)
     k_lam = np.linalg.eigvalsh(k)
-    if k_lam[0] < -max(_PSD_TOL, *_threshold(k_lam)):
+    if k_lam[0] < -max(_PSD_TOL, _threshold(k_lam)[0]):
         raise DomainError(f"numerator not PSD: min eigenvalue {k_lam[0]:.3e}")
     l_lam, l_v = _eigh_checked(l)
-    if l_lam[0] <= _threshold(l_lam):
+    if l_lam[0] <= _threshold(l_lam)[0]:
         raise DomainError(
             f"denominator is singular (min eigenvalue {l_lam[0]:.3e}); "
             "regularize it, e.g. mix with eps * identity, before dividing"

@@ -368,7 +368,7 @@ class DualCall(NamedTuple):
     mu: float
     slope: float
     target: float
-    split_tol: float
+    split: bool
 
 
 @contextlib.contextmanager
@@ -381,9 +381,9 @@ def counting_dual_points(monkeypatch):
     calls = []
     dual_point = divergences._dual_point
 
-    def wrapped(rho, sigma, target, mu, split_tol=0.0):
-        out = dual_point(rho, sigma, target, mu, split_tol)
-        calls.append(DualCall(mu, out[1], target, split_tol))
+    def wrapped(rho, sigma, target, mu, split=False):
+        out = dual_point(rho, sigma, target, mu, split)
+        calls.append(DualCall(mu, out[1], target, split))
         return out
 
     with monkeypatch.context() as patch:

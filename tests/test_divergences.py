@@ -24,7 +24,6 @@ from oneshot_qit import (
     spec_count,
 )
 from oneshot_qit.divergences import (
-    _DS_EVENT_TOL,
     _dual_point,
     _hypothesis_test_divergences,
     _model_step,
@@ -248,7 +247,7 @@ def test_ds_point_mass_matches_projector_oracle():
             cs = np.concatenate([pencil, np.geomspace(pencil[0] / 4, pencil[-1] * 4, 40)])
             for c in cs:
                 # with target Tr rho, the slope of a D_s point is the event mass
-                mass = _dual_point(rho, sigma, 1.0, 1.0 / c, _DS_EVENT_TOL)[1]
+                mass = _dual_point(rho, sigma, 1.0, 1.0 / c, True)[1]
                 oracle = np.trace(rho @ projector_leq(rho, c * sigma)).real
                 assert abs(mass - oracle) <= 1e-12, (d, c)
 
@@ -278,7 +277,7 @@ def test_ds_point_mass_non_decreasing_in_threshold():
         cs = np.empty(2 * pencil.size - 1)
         cs[0::2] = pencil
         cs[1::2] = np.sqrt(pencil[:-1] * pencil[1:])
-        masses = [_dual_point(pair.rho, pair.sigma, 1.0, 1.0 / c, _DS_EVENT_TOL)[1]
+        masses = [_dual_point(pair.rho, pair.sigma, 1.0, 1.0 / c, True)[1]
                   for c in cs]
         assert np.all(np.diff(masses) >= -1e-12), (d, k)
 
@@ -308,21 +307,21 @@ def test_dual_point_curvature_matches_central_differences():
         pair = random_noncommuting_pair(rng, d, k)
         rho, sigma = pair.rho, pair.sigma
         crossings = 1.0 / _pencil_points(rho, sigma)
-        for split_tol in (0.0, _DS_EVENT_TOL):
+        for split in (False, True):
             for mu in np.sqrt(crossings[:-1] * crossings[1:]):
                 h = 1e-6 * mu
-                curvature = _dual_point(rho, sigma, 0.7, mu, split_tol)[2]
-                up = _dual_point(rho, sigma, 0.7, mu + h, split_tol)[1]
-                down = _dual_point(rho, sigma, 0.7, mu - h, split_tol)[1]
+                curvature = _dual_point(rho, sigma, 0.7, mu, split)[2]
+                up = _dual_point(rho, sigma, 0.7, mu + h, split)[1]
+                down = _dual_point(rho, sigma, 0.7, mu - h, split)[1]
                 central = (up - down) / (2.0 * h)
                 assert curvature < 0.0
                 assert abs(curvature - central) <= 1e-5 * abs(curvature), (d, k, mu)
             for mu in np.concatenate([crossings * (1.0 + 1e-4), crossings * (1.0 - 1e-4)]):
-                point = _dual_point(rho, sigma, 0.7, mu, split_tol)
+                point = _dual_point(rho, sigma, 0.7, mu, split)
                 root, weight, above = _nearest_crossing(mu, point)
                 slope_x = point[1] + (weight if above else -weight)
                 beyond = root + 0.5 * (root - mu)
-                far = _dual_point(rho, sigma, 0.7, beyond, split_tol)[1]
+                far = _dual_point(rho, sigma, 0.7, beyond, split)[1]
                 expected = slope_x + point[2] * (beyond - mu)
                 assert abs(far - expected) <= 1e-3 * weight, (d, k, mu)
 
@@ -342,11 +341,11 @@ def test_dual_point_crossing_matches_dense_scan_oracle():
             eps = 0.5 * (before + after)
             mu = (1.0 + 1e-3) / c
             for _ in range(4):
-                mu = _nearest_crossing(mu, _dual_point(rho, sigma, 1.0 - eps, mu, _DS_EVENT_TOL))[0]
+                mu = _nearest_crossing(mu, _dual_point(rho, sigma, 1.0 - eps, mu, True))[0]
             assert abs(-math.log2(mu) - crossing(eps)) <= 2e-12, (d, k, c)
             # one estimate from 1e-7 away already lies within the bracket width
             near = mu * (1.0 + 1e-7)
-            point = _dual_point(rho, sigma, 1.0 - eps, near, _DS_EVENT_TOL)
+            point = _dual_point(rho, sigma, 1.0 - eps, near, True)
             assert abs(math.log2(_nearest_crossing(near, point)[0] / mu)) <= 1e-12, (d, k, c)
             step = _model_step(near, point[1], point[2], point[3], point[4])
             assert abs(math.log2(step / mu)) <= 1e-12, (d, k, c)
@@ -758,8 +757,8 @@ def test_dh_monotone_in_eps():
 
 def test_ds_bracket_locates_the_maximum_of_the_dh_dual():
     # 2^-D_s is where the slope of the D_h dual changes sign, so the dual at
-    # the ends of the D_s bracket reaches 2^-D_h; the split at
-    # _DS_EVENT_TOL times the radius moves jump crossings by up to 2e-7
+    # the ends of the D_s bracket reaches 2^-D_h; the split at the threshold
+    # of the whole stack's spectrum moves jump crossings by up to 2e-7
     # bits, about 1e-7 bits in the dual
     for seed in (60, 61):
         rng = np.random.default_rng(seed)
@@ -967,6 +966,13 @@ def test_lazy_commutation_flag_matches_the_eager_one(corpus):
 def test_pair_refuses_operators_of_different_shape():
     with pytest.raises(DomainError, match="dimension mismatch"):
         DivergencePair.of(np.eye(2) / 2, np.eye(3) / 3)
+    # direct construction, as from two states' eigensystems, checks the
+    # shapes too: (2, 2) against (3, 3), and (2, d, d) against (3, d, d)
+    for rho, sigma in ((np.eye(2) / 2, np.eye(3) / 3),
+                       (np.stack([np.eye(2) / 4] * 2), np.stack([np.eye(2) / 6] * 3))):
+        eigs = [np.linalg.eigh(op) for op in (rho, sigma)]
+        with pytest.raises(DomainError, match="dimension mismatch"):
+            DivergencePair(rho, sigma, *eigs)
 
 
 def test_support_violation_rejected():
