@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cq import CQState, _whole
-from .divergences import _commuting_pairs
-from .entropic import _joint_pair, _test_divergences
+from .divergences import _commuting_pairs, _hypothesis_test_divergences
+from .entropic import _joint_pair
 from .errors import DomainError, _check_eps
 from .linalg import _cluster_labels, _threshold
 
@@ -114,6 +114,16 @@ def covering_direct_bound(state: CQState, c: float, m: int) -> float:
     return tail + math.sqrt(nu * c / m)
 
 
+def _log_corrections(nu: int, eps: float, delta: float, c: float) -> tuple[float, float]:
+    """(log2(nu^2 / delta^4), log2((1 + c) / (c delta)) + log2((eps + c) /
+    (delta - c))), the corrections of both size sandwiches, as sums of logs
+    so that no power or product of a tiny delta or c underflows."""
+    penalty = 2.0 * math.log2(nu) - 4.0 * math.log2(delta)
+    slack = (math.log2(1.0 + c) - math.log2(c) - math.log2(delta)
+             + math.log2(eps + c) - math.log2(delta - c))
+    return penalty, slack
+
+
 def pa_size_bounds(state: CQState, eps: float, delta: float, c: float) -> BoundReport:
     """Sandwich on the log of the maximal extractable randomness.
 
@@ -123,10 +133,9 @@ def pa_size_bounds(state: CQState, eps: float, delta: float, c: float) -> BoundR
     """
     validate_sandwich_params(eps, delta, c)
     nu = _marginal_spec_count(state)
-    h_low, h_high = (-value for value in _test_divergences(
-        state, False, (1.0 - eps + 3.0 * delta, 1.0 - eps - 2.0 * delta)))
-    penalty = math.log2(nu * nu / delta ** 4)
-    slack = math.log2((1.0 + c) / (c * delta)) + math.log2((eps + c) / (delta - c))
+    h_low, h_high = (-value for value in _hypothesis_test_divergences(
+        _joint_pair(state, False), (1.0 - eps + 3.0 * delta, 1.0 - eps - 2.0 * delta)))
+    penalty, slack = _log_corrections(nu, eps, delta, c)
     return BoundReport(
         task="pa",
         eps=eps,
@@ -155,10 +164,9 @@ def covering_size_bounds(
     """
     validate_sandwich_params(eps, delta, c)
     nu = _marginal_spec_count(state)
-    i_low, i_high = _test_divergences(
-        state, True, (1.0 - eps - 2.0 * delta, 1.0 - eps + 3.0 * delta))
-    penalty = math.log2(nu * nu / delta ** 4)
-    slack = math.log2((1.0 + c) / (c * delta)) + math.log2((eps + c) / (delta - c))
+    i_low, i_high = _hypothesis_test_divergences(
+        _joint_pair(state, True), (1.0 - eps - 2.0 * delta, 1.0 - eps + 3.0 * delta))
+    penalty, slack = _log_corrections(nu, eps, delta, c)
     return BoundReport(
         task="covering",
         eps=eps,

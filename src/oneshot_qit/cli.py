@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .bounds import covering_size_bounds, pa_size_bounds, validate_sandwich_params
-from .cq import ENUMERATION_CAP, joint_embed, load_state
+from .cq import ENUMERATION_CAP, _whole, joint_embed, load_state
 from .divergences import (
     DivergencePair,
     collision_divergence,
@@ -53,18 +53,17 @@ _CSV_HELP = (
 )
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats: {exc}")
+def _list_of(kind: type):
+    """The argparse type of a comma-separated list of ``kind`` values."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(tok) for tok in text.split(",") if tok != ""]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {kind.__name__}s: {exc}")
+    return parse
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated ints: {exc}")
+_float_list, _int_list = _list_of(float), _list_of(int)
 
 
 def _grid(text: str) -> int:
@@ -201,15 +200,14 @@ def _cmd_divergence(args) -> dict:
 
 
 def _cmd_rates(args) -> dict:
-    quantile = normal_quantile(args.eps)  # refuses a bad level before any solve
-    state = load_state(args.state)
+    quantile = normal_quantile(args.eps)  # every refusal precedes the state's load
     if (args.n is None) == (args.n_list is None):
         raise DomainError("pass exactly one of --n or --n-list")
     n_values = [args.n] if args.n is not None else list(args.n_list)
     if not n_values:
         raise DomainError("--n-list names no blocklength")
-    if any(n < 1 for n in n_values):
-        raise DomainError("blocklengths must be positive")
+    n_values = [_whole("blocklength n", n, 1) for n in n_values]
+    state = load_state(args.state)
     if args.task == "pa":
         first, variance = conditional_entropy_with_variance(state)
         sign = 1.0
@@ -265,13 +263,13 @@ def _cmd_simulate(args) -> dict:
     return out
 
 
-def _cmd_search(args, quiet: bool) -> dict:
+def _cmd_search(args) -> dict:
     state = load_state(args.state)
     if args.task == "pa":
         result = search_max_extractable(state, args.eps, args.cap)
     else:
         result = search_min_codebook(state, args.eps, args.cap)
-    if result.cap_limited and not quiet:
+    if result.cap_limited and not args.quiet:
         print(
             f"note: search is cap-limited at {args.cap}; the certified "
             "answer may lie beyond the cap",
@@ -312,6 +310,16 @@ def _cmd_sweep(args) -> dict:
         for row in sweeps
     ]
     return {"rows": rows}
+
+
+_HANDLERS = {
+    "divergence": _cmd_divergence,
+    "rates": _cmd_rates,
+    "bounds": _cmd_bounds,
+    "simulate": _cmd_simulate,
+    "search": _cmd_search,
+    "sweep": _cmd_sweep,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -364,16 +372,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:  # argparse has already reported on stderr
         return 2 if exc.code not in (0, None) else 0
 
-    handlers = {
-        "divergence": lambda: _cmd_divergence(args),
-        "rates": lambda: _cmd_rates(args),
-        "bounds": lambda: _cmd_bounds(args),
-        "simulate": lambda: _cmd_simulate(args),
-        "search": lambda: _cmd_search(args, args.quiet),
-        "sweep": lambda: _cmd_sweep(args),
-    }
     try:
-        results = handlers[args.subcommand]()
+        results = _HANDLERS[args.subcommand](args)
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -446,13 +446,15 @@ def _type_log_terms(types: np.ndarray, n, log_fact: np.ndarray,
 
 def _whole(name: str, value, least: int | None = None) -> int:
     """value as an int, refused unless it is an integer other than a bool
-    (and >= least)."""
+    (and >= least) within the float range."""
     try:
         whole = int(value)
     except (TypeError, ValueError, OverflowError):
         whole = None
     if whole is None or whole != value or isinstance(value, (bool, np.bool_)):
         raise DomainError(f"{name}={value!r} is not an integer")
+    if abs(whole) > float(np.finfo(float).max):  # an int to float comparison is exact
+        raise DomainError(f"{name} has {whole.bit_length()} bits, beyond the float range")
     if least is not None and whole < least:
         raise DomainError(f"{name} must be >= {least}, got {whole}")
     return whole

@@ -32,20 +32,14 @@ def _joint_pair(state: CQState, weighted: bool) -> DivergencePair:
                           eigs["rho_xb"], eigs[reference])
 
 
-def _test_divergences(state: CQState, weighted: bool, levels) -> list[float]:
-    """D_h of the ``_joint_pair`` at each eps in ``levels``: one pair and
-    one memo of dual points."""
-    return _hypothesis_test_divergences(_joint_pair(state, weighted), levels)
-
-
 def hypothesis_test_information(state: CQState, eps: float) -> float:
     """One-shot information of the joint state against p(x)-weighted marginals."""
-    return _test_divergences(state, True, (eps,))[0]
+    return _hypothesis_test_divergences(_joint_pair(state, True), (eps,))[0]
 
 
 def conditional_test_entropy(state: CQState, eps: float) -> float:
     """One-shot conditional entropy of the classical register given the rest."""
-    return -_test_divergences(state, False, (eps,))[0]
+    return -_hypothesis_test_divergences(_joint_pair(state, False), (eps,))[0]
 
 
 def mutual_information_with_variance(state: CQState) -> tuple[float, float]:

@@ -18,7 +18,9 @@ Exact mode never enumerates tables or codebooks.  A uniformly random
 function sends each x to a given output block independently with
 probability 1/z, and the trace norm adds up over the blocks, so the
 extraction average is z times an average over the 2^|X| preimages S of
-one block.  The covering average depends on a codebook only through its
+one block.  Its subset sums, formed from the state's ρ_XB, do not
+depend on z, so consecutive chunks that need the same subsets reuse
+them.  The covering average depends on a codebook only through its
 type.  The types of every m <= m_cap are the compositions of m_cap into
 |X|+1 parts, the slack m_cap − m first, from ``cq._compositions``, the
 enumerator of ``cq.iid_type_spectrum``, weighted by the same type
@@ -31,17 +33,18 @@ batch, whose terms join one lazy stream; each size is the next run of
 its row count, read by ``islice`` into one exactly rounded
 ``math.fsum``, so memory stays one chunk.  Each curve function counts
 the subsets or types it is about to stream, and covering its type-table
-columns, and ``_within_cap``
-refuses a count beyond ``ENUMERATION_CAP`` before any table, draw or
-eigensolve, so every exact call and search refuses with one message.
+columns, and ``_within_cap`` refuses a count beyond ``ENUMERATION_CAP``
+before any table, draw or eigensolve, so every exact call and search
+refuses with one message.
 
 Monte-Carlo extraction costs O(|X|) per table plus one trace norm per
 output block whose preimage set is not in the run's set table, whatever
 z is.  An occupied block's distance depends only on its preimage set,
 so each call solves, in one batch, the sets it expects to meet: every
 single input, and each size k >= 2 that samples·z^(1−k)·(1−1/z)^(|X|−k)
->= 1 expects in at least one block, up to max(4096, |X|) sets.  Empty
-blocks have a closed form.
+>= 1 expects in at least one block, up to max(4096, |X|) sets, each
+size built from the one below in colex order.  A chunk reads every
+occupied block through one lookup.  Empty blocks have a closed form.
 Both covering modes form a type n of m codewords one way, as
 Σ_x (n_x/m)·ρ_x − ρ_B with one ``_contract`` per chunk.  A Monte-Carlo
 chunk's codebooks are those ``Generator.choice`` draws from the
@@ -62,6 +65,7 @@ neither the value nor the work.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -77,6 +81,7 @@ from .cq import (
     _type_log_terms,
     _type_tables,
     _whole,
+    joint_embed,
 )
 from .errors import DomainError, _check_eps
 
@@ -275,10 +280,11 @@ def _set_ranks(preimages: np.ndarray, first: np.ndarray, sizes: np.ndarray,
                start: np.ndarray, binom: np.ndarray) -> np.ndarray:
     """Index in the set table (see ``_set_table``) of each block (f, s),
     whose increasing preimages are preimages[f : f + s]."""
-    ranks = start[sizes]
-    for i in range(sizes.max(initial=0)):
-        live = sizes > i
-        ranks[live] += binom[preimages[first[live] + i], i + 1]
+    ranks = start[sizes] + binom[:, 1][preimages[first]]  # one column's gather beats a 2-D index
+    live = np.flatnonzero(sizes > 1)
+    for i in range(1, sizes.max(initial=0)):
+        live = live[sizes[live] > i]  # the blocks with an (i+1)-th preimage
+        ranks[live] += binom[:, i + 1][preimages[first[live] + i]]
     return ranks
 
 
@@ -297,11 +303,13 @@ def _set_table(weights: np.ndarray, target: np.ndarray, z_size: int, samples: in
     Returns (distances, start, binom).  The set {x₀ < … < x_{k−1}} sits
     at start[k] + Σᵢ binom[xᵢ, i+1], its colex rank, so the single x sits
     at x; binom[x, j] = C(x, j), clipped at the table size so that it
-    fits int64, which no listed rank reaches.  The sets are summed by
-    ``_block_sums``, as ``_hash_values`` assembles a block, so a listed
-    distance has the bits of a solved one when the table and the chunk's
-    batch of solved blocks take the same ``_half_norms`` kernel, and
-    agrees with it to about 1e-15 relative when they do not.
+    fits int64, which no listed rank reaches.  The k-sets whose largest
+    input is x follow the C(x, k) sets below x: they are the first
+    C(x, k−1) sets of size k−1, each plus weights[x], added last, as
+    ``_block_sums`` assembles a block, so a listed distance has the bits
+    of a solved one when the table and the chunk's batch of solved blocks
+    take the same ``_half_norms`` kernel, and agrees with it to about
+    1e-15 relative when they do not.
     """
     x_size = len(weights)
     z = float(z_size)
@@ -320,14 +328,11 @@ def _set_table(weights: np.ndarray, target: np.ndarray, z_size: int, samples: in
         binom[:, j] = np.minimum(np.cumsum(binom[:, j - 1]) - binom[:, j - 1], total)
     start = np.cumsum([0, 0, *counts[:-1]])
 
-    sizes = np.repeat(np.arange(1, top + 1), counts)
-    first = np.cumsum(sizes) - sizes
-    preimages = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(
-        itertools.combinations(range(x_size), k) for k in range(1, top + 1))), dtype=np.intp)
-    stack = np.empty((total, *weights.shape[1:]), dtype=complex)
-    stack[_set_ranks(preimages, first, sizes, start, binom)] = _block_sums(
-        weights, preimages, first, sizes)
-    return _half_norms(stack - target), start, binom
+    levels = [weights]  # the sums of each listed size, in colex order
+    for k in range(2, top + 1):
+        levels.append(np.concatenate(
+            [levels[-1][:math.comb(x, k - 1)] + weights[x] for x in range(k - 1, x_size)]))
+    return _half_norms(np.concatenate(levels) - target), start, binom
 
 
 def _hash_values(tables: np.ndarray, weights: np.ndarray, z_size: int,
@@ -335,13 +340,13 @@ def _hash_values(tables: np.ndarray, weights: np.ndarray, z_size: int,
     """Evaluate the extraction distance for a batch of function tables.
 
     Only occupied output blocks cost work.  Each of the z − #outputs
-    empty blocks adds ½Tr(target).  A block whose preimage set S is in
-    ``table``, built by ``_set_table``, reads ½‖Σ_{x∈S} weights[x] −
-    target‖₁ from it: a single preimage x directly at x, a larger set at
-    its colex rank.  The other blocks, all with two or more preimages,
-    are assembled and solved in one stacked batch.  Empty, single and
-    larger blocks are added in that order, each in block order, whatever
-    the table holds.
+    empty blocks adds ½Tr(target).  Every occupied block reads ``table``
+    (``_set_table``) once: a listed preimage set S finds ½‖Σ_{x∈S}
+    weights[x] − target‖₁ at its colex rank, a single preimage x at x.
+    The other blocks, all larger than the table's sets, are assembled and
+    solved in one stacked batch.  Empty, single and larger blocks are
+    added in that order, each in block order, by two ``bincount`` passes
+    over the one distance array.
     """
     set_distances, start, binom = table
     batch, x_size = tables.shape
@@ -355,23 +360,17 @@ def _hash_values(tables: np.ndarray, weights: np.ndarray, z_size: int,
     rows = first // x_size
     preimages = order.ravel()
 
-    empty = z_size - starts.sum(axis=1)
-    values = empty * (0.5 * np.trace(target).real)
+    # a block larger than any listed set reads that of its first preimages until solved
+    distances = set_distances[
+        _set_ranks(preimages, first, np.minimum(sizes, len(start) - 1), start, binom)]
+    solve = sizes >= len(start)
+    if solve.any():
+        distances[solve] = _half_norms(
+            _block_sums(weights, preimages, first[solve], sizes[solve]) - target)
+    values = (z_size - starts.sum(axis=1)) * (0.5 * np.trace(target).real)
     single = sizes == 1
-    values += np.bincount(rows[single], weights=set_distances[preimages[first[single]]],
-                          minlength=batch)
-
-    first, sizes, rows = first[~single], sizes[~single], rows[~single]
-    if first.size:
-        distances = np.empty(first.size)
-        known = sizes < len(start)
-        distances[known] = set_distances[
-            _set_ranks(preimages, first[known], sizes[known], start, binom)]
-        solve = ~known
-        if solve.any():
-            distances[solve] = _half_norms(
-                _block_sums(weights, preimages, first[solve], sizes[solve]) - target)
-        values += np.bincount(rows, weights=distances, minlength=batch)
+    for part in (single, ~single):  # adding the other part's zeros keeps the bits
+        values += np.bincount(rows, weights=np.where(part, distances, 0.0), minlength=batch)
     return values
 
 
@@ -401,49 +400,45 @@ def _extraction_curve(state: CQState, sizes: range) -> list[float]:
     The rows of ``_exact_curve`` are the pairs (z, S) in order, S running
     over all 2^|X| subsets at each z, and a chunk holds ``_CHUNK``
     consecutive rows; a curve of more than ``ENUMERATION_CAP`` rows is
-    refused before any is built.  The target ρ_B/z and the weight of
-    each subset size are tabled once per chunk for the sizes it spans.
-    The subset sums Σ_{x∈S} p_x ρ_x do not depend on z.  When one chunk
-    holds every subset they are built once for the whole curve, and a
-    chunk is cut from their differences with the tabled targets; larger
-    alphabets build each chunk's own sums, so memory stays one chunk.
+    refused before any is built.  The subset sums Σ_{x∈S} p_x ρ_x do not
+    depend on z.  A chunk within one size sums exactly the subsets it
+    holds, a chunk that spans sizes all 2^|X| (fewer than ``_CHUNK`` when
+    that is a power of two), and the next chunk that needs the same
+    subsets reuses them.  A chunk tables ρ_B/z and the subset weights of
+    the sizes it spans.
     """
     x_size = state.alphabet_size
     subsets = 1 << x_size
     # from the endpoints: len() of a range longer than 2**63 - 1 overflows
     _within_cap((sizes.stop - sizes.start) * subsets, "preimage subsets")
-    blocks = state.p[:, None, None] * state.rhos
+    blocks = joint_embed(state).rho_xb
     rho_b = state.marginal()
     ks = np.arange(x_size + 1, dtype=float)
 
-    def subset_sums(subset):
-        members = (subset[:, None] >> np.arange(x_size)) & 1
-        return _contract(members.astype(float), blocks), members.sum(axis=1)
+    @functools.lru_cache(maxsize=1)
+    def subset_sums(lo, hi):  # of subsets lo..hi−1, as real rows, and their sizes
+        members = (np.arange(lo, hi)[:, None] >> np.arange(x_size)) & 1
+        sums = _contract(members.astype(float), blocks)
+        return sums.view(float).reshape(hi - lo, -1), members.sum(axis=1)
 
     def chunks():
-        built = subset_sums(np.arange(subsets)) if subsets <= _CHUNK else None
         total = len(sizes) * subsets
         for start in range(0, total, _CHUNK):
             stop = min(start + _CHUNK, total)
             first, last = start // subsets, (stop - 1) // subsets
+            offset = first * subsets
+            lo, hi = (start - offset, stop - offset) if first == last else (0, subsets)
+            sums, count = subset_sums(lo, hi)
             z_sizes = np.arange(sizes[first], sizes[last] + 1)
             z = z_sizes[:, None].astype(float)
             weight = z ** (1.0 - ks) * (1.0 - 1.0 / z) ** (x_size - ks)
             target = rho_b / z_sizes[:, None, None]
-            rows = slice(start - first * subsets, stop - first * subsets)
-            if built is not None:
-                # real and imaginary parts subtract apart: a complex
-                # subtraction broadcast over the sizes is several times slower
-                sums, count = built
-                parts = (sums.view(float).reshape(subsets, -1)
-                         - target.view(float).reshape(len(z_sizes), 1, -1))
-                stack = parts.view(complex).reshape(-1, *rho_b.shape)
-                yield stack[rows], weight[:, count].ravel()[rows]
-            else:
-                index, subset = np.divmod(np.arange(rows.start, rows.stop), subsets)
-                stack, count = subset_sums(subset)
-                stack -= target[index]
-                yield stack, weight[index, count]
+            # real and imaginary parts subtract apart: a complex
+            # subtraction broadcast over the sizes is several times slower
+            parts = sums - target.view(float).reshape(len(z_sizes), 1, -1)
+            rows = slice(start - offset - lo, stop - offset - lo)
+            yield (parts.view(complex).reshape(-1, *rho_b.shape)[rows],
+                   weight[:, count].ravel()[rows])
 
     return _exact_curve([subsets] * len(sizes), chunks())
 
@@ -604,7 +599,7 @@ def simulate_pa(state: CQState, z_size: int, method: str = "exact",
         [value] = _extraction_curve(state, range(z_size, z_size + 1))
         return SimulationEstimate(value, "exact", z_size ** x_size, seed, 0.0)
 
-    weights = state.p[:, None, None] * state.rhos
+    weights = joint_embed(state).rho_xb
     target = state.marginal() / z_size
     table = _set_table(weights, target, z_size, samples)
 

@@ -661,3 +661,63 @@ def test_subcommand_dispatch_parses_as_the_full_parser(capsys, argv):
     if want[1] is not None:  # run() reports the full parser's exit as its own
         assert run(list(argv)) == (0 if want[1] == 0 else 2)
         assert capsys.readouterr()[:] == want[2:]
+
+
+_HUGE = "1" + "0" * 400  # beyond the float range
+_EXTREMES = ("0", "-1", "1e-320", "1e-100", "0.999999", "1e308", "inf", "-inf", "nan",
+             _HUGE, "-" + _HUGE)
+_EXTREME_CALLS = [
+    ["divergence", "--kind", "ds", "--state-a", "{state}", "--state-b", "{state}", "--eps", "{}"],
+    ["divergence", "--kind", "dh", "--state-a", "{state}", "--state-b", "{state}", "--eps", "{}"],
+    ["rates", "--task", "pa", "--state", "{state}", "--eps", "{}", "--n", "10"],
+    ["rates", "--task", "pa", "--state", "{state}", "--eps", "0.2", "--n", "{}"],
+    ["rates", "--task", "covering", "--state", "{state}", "--eps", "0.2", "--n-list", "5,{}"],
+    ["bounds", "--task", "pa", "--state", "{state}", "--eps", "{}", "--delta", "0.01",
+     "--c", "0.001"],
+    ["bounds", "--task", "pa", "--state", "{state}", "--eps", "0.3", "--delta", "{}",
+     "--c", "1e-320"],
+    ["bounds", "--task", "covering", "--state", "{state}", "--eps", "0.3", "--delta", "0.01",
+     "--c", "{}"],
+    ["simulate", "--task", "pa", "--state", "{state}", "--size", "{}", "--method", "exact"],
+    ["simulate", "--task", "covering", "--state", "{state}", "--size", "{}", "--method", "mc",
+     "--samples", "64"],
+    ["simulate", "--task", "pa", "--state", "{state}", "--size", "2", "--method", "mc",
+     "--samples", "{}"],
+    ["simulate", "--task", "pa", "--state", "{state}", "--size", "2", "--method", "mc",
+     "--samples", "64", "--seed", "{}"],
+    ["search", "--task", "pa", "--state", "{state}", "--eps", "{}", "--cap", "4"],
+    ["search", "--task", "covering", "--state", "{state}", "--eps", "0.3", "--cap", "{}"],
+    ["sweep", "--regime", "second", "--p", "0.5,0.5", "--q", "0.4,0.6", "--eps", "{}",
+     "--n-list", "16"],
+    ["sweep", "--regime", "moderate", "--p", "0.5,0.5", "--q", "0.4,0.6", "--t", "{}",
+     "--n-list", "16"],
+    ["sweep", "--regime", "second", "--p", "{},0.5", "--q", "0.4,0.6", "--eps", "0.2",
+     "--n-list", "16"],
+    ["sweep", "--regime", "second", "--p", "0.5,0.5", "--q", "0.4,0.6", "--eps", "0.2",
+     "--n-list", "{}"],
+]
+
+
+def test_extreme_numeric_arguments_exit_with_a_code_not_a_traceback(capsys, bitpair_file):
+    # every value in every numeric slot ends in exit 0, 2 or 3, never in an
+    # exception out of run()
+    for template in _EXTREME_CALLS:
+        for value in _EXTREMES:
+            argv = [arg.replace("{state}", bitpair_file).replace("{}", value)
+                    for arg in template]
+            code = run(argv)
+            captured = capsys.readouterr()
+            assert code in (0, 2, 3), (argv, captured.err)
+            assert (captured.out != "") == (code == 0), argv
+    # a tiny delta and c give finite bits, as sums of logs
+    for task in ("pa", "covering"):
+        payload, _ = run_json(capsys, ["bounds", "--task", task, "--state", bitpair_file,
+                                       "--eps", "0.3", "--delta", "1e-100", "--c", "1e-101"])
+        bits = [payload["results"][key] for key in ("lower_bits", "upper_bits")]
+        assert all(math.isfinite(b) for b in bits), payload
+    # a blocklength beyond the float range is refused before the state file is read
+    for flag, value in (("--n", _HUGE), ("--n-list", f"5,{_HUGE}")):
+        for state in (bitpair_file, bitpair_file + ".missing"):
+            assert run(["rates", "--task", "pa", "--state", state, "--eps", "0.2",
+                        flag, value]) == 2
+            assert "blocklength n has 1329 bits, beyond the float range" in capsys.readouterr().err

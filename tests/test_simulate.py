@@ -206,6 +206,35 @@ def test_pa_monte_carlo_set_table_and_solves_agree_to_the_bit(monkeypatch):
         assert long_values[:48].tobytes() == values.tobytes()
 
 
+def test_pa_monte_carlo_set_table_rows_sit_at_their_colex_ranks():
+    # an independent table: each listed size's sets from
+    # itertools.combinations, summed by _block_sums in input order and
+    # placed at start[k] + sum_i C(x_i, i + 1); (|X|, z, samples, largest
+    # listed size), the last lists every non-empty set
+    for alphabet, z, samples, top in [(8, 16, 2, 1), (8, 16, 48, 2),
+                                      (8, 16, 3 * 4096, 4), (8, 2, 3 * 4096, 8),
+                                      (5, 3, 4096, 5), (1, 2, 2, 1)]:
+        for dim in (1, 2, 3, 4):
+            state = _oracle_state(81, alphabet, dim, False)
+            weights = state.p[:, None, None] * state.rhos
+            target = state.marginal() / z
+            distances, start, binom = simulate._set_table(weights, target, z, samples)
+            assert len(start) - 1 == top
+            assert len(distances) == start[top] + math.comb(alphabet, top)
+            expected = np.empty((len(distances), dim, dim), dtype=complex)
+            for k in range(1, top + 1):
+                sets = np.array(list(itertools.combinations(range(alphabet), k)))
+                ranks = start[k] + sum(np.array([math.comb(int(x), i + 1) for x in sets[:, i]])
+                                       for i in range(k))
+                assert sorted(ranks) == list(range(start[k], start[k] + len(sets)))
+                assert np.array_equal(
+                    ranks, simulate._set_ranks(sets.ravel(), k * np.arange(len(sets)),
+                                               np.full(len(sets), k), start, binom))
+                expected[ranks] = simulate._block_sums(
+                    weights, sets.ravel(), k * np.arange(len(sets)), np.full(len(sets), k))
+            assert distances.tobytes() == simulate._half_norms(expected - target).tobytes()
+
+
 def test_pa_monte_carlo_set_table_is_one_batch_per_call(monkeypatch):
     # at z = 2 every set of the 8 inputs is expected over the run, so the
     # table holds all 255 non-empty sets and no chunk solves a block
@@ -927,6 +956,26 @@ _CLOSED_FORM_CURVES = [
     (search_min_codebook, 3, 4, 40, [4096] * 3 + [52]),
     (search_max_extractable, 10, 3, 3, [3072]),
 ]
+
+
+def test_exact_extraction_curves_agree_across_chunk_sizes(monkeypatch):
+    # chunks of 4096 hold whole runs of sizes, of 512 a part of one size's
+    # 2^10 subsets, of 7 the tail of one size and the head of the next:
+    # the same operators, so the values agree to the bit where every batch
+    # takes one kernel (d = 1, 2, 8), and to 1e-15 relative at d = 3, 4,
+    # where the kernel follows the batch size
+    for alphabet, cap in ((3, 9), (6, 9), (9, 5), (10, 3)):
+        for dim in (1, 2, 3, 4, 8):
+            state = _oracle_state(85, alphabet, dim, False)
+            curves = []
+            for chunk in (4096, 512, 7):
+                monkeypatch.setattr(simulate, "_CHUNK", chunk)
+                curves.append(np.array(simulate._extraction_curve(state, range(1, cap + 1))))
+            for curve in curves[1:]:
+                if dim in (3, 4):
+                    np.testing.assert_allclose(curve, curves[0], rtol=1e-15, atol=0.0)
+                else:
+                    assert curve.tobytes() == curves[0].tobytes()
 
 
 def test_exact_curves_take_the_closed_form_in_large_batches_at_d_3_and_4(monkeypatch):
