@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -47,9 +48,9 @@ SCHEMA = "oneshot-qit/1"
 
 _CSV_HELP = (
     "CSV output: row-shaped results (rates, search curves, sweeps) are "
-    "emitted as a table whose first line names the columns; scalar "
-    "results are emitted as key,value lines.  JSON output carries the "
-    "same data under 'results'."
+    "emitted as a table whose first line names the columns, and each row "
+    "repeats the scalar results; other results are emitted as key,value "
+    "lines.  JSON output carries the same data under 'results'."
 )
 
 
@@ -77,8 +78,6 @@ def _grid(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--quiet", action="store_true",
-                        help="suppress informational notes on stderr")
 
     parser = argparse.ArgumentParser(
         prog="oneshot-qit",
@@ -103,8 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True, choices=("pa", "covering"))
     p.add_argument("--state", required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--n-list", type=_int_list)
+    p.add_argument("--n-list", type=_int_list, required=True)
 
     p = sub.add_parser("bounds", parents=[common],
                        help="explicit sandwich on the log operational size")
@@ -130,6 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--cap", type=int, required=True)
+    p.add_argument("--quiet", action="store_true",
+                   help="suppress the cap-limited note on stderr")
 
     p = sub.add_parser("sweep", parents=[common],
                        help="exact-vs-prediction blocklength sweep on a classical pair")
@@ -201,12 +201,9 @@ def _cmd_divergence(args) -> dict:
 
 def _cmd_rates(args) -> dict:
     quantile = normal_quantile(args.eps)  # every refusal precedes the state's load
-    if (args.n is None) == (args.n_list is None):
-        raise DomainError("pass exactly one of --n or --n-list")
-    n_values = [args.n] if args.n is not None else list(args.n_list)
-    if not n_values:
+    if not args.n_list:
         raise DomainError("--n-list names no blocklength")
-    n_values = [_whole("blocklength n", n, 1) for n in n_values]
+    n_values = [_whole("blocklength n", n, 1) for n in args.n_list]
     state = load_state(args.state)
     if args.task == "pa":
         first, variance = conditional_entropy_with_variance(state)
@@ -250,13 +247,7 @@ def _cmd_simulate(args) -> dict:
     runner = simulate_pa if args.task == "pa" else simulate_covering
     est = runner(state, args.size, args.method, samples=args.samples,
                  seed=args.seed, workers=args.workers)
-    out = {
-        "value": est.value,
-        "method": est.method,
-        "samples": est.samples,
-        "seed": est.seed,
-        "half_width": est.half_width,
-    }
+    out = dataclasses.asdict(est)
     if args.task == "pa":
         out["hash_family"] = uniform_function_family(
             state.alphabet_size, args.size, est.method).kind
@@ -338,10 +329,17 @@ def _flatten(prefix: str, value, into: list) -> None:
     if isinstance(value, dict):
         for key, sub in value.items():
             _flatten(f"{prefix}.{key}" if prefix else str(key), sub, into)
-    elif isinstance(value, list):
-        into.append((prefix, json.dumps(value)))
     else:
         into.append((prefix, value))
+
+
+def _unsigned_zeros(value):
+    """``value`` with each float ``x`` in it as ``x + 0.0``, which reads -0.0 as 0.0."""
+    if isinstance(value, dict):
+        return {key: _unsigned_zeros(sub) for key, sub in value.items()}
+    if isinstance(value, list):
+        return [_unsigned_zeros(sub) for sub in value]
+    return value + 0.0 if isinstance(value, float) else value
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -350,16 +348,19 @@ def _emit(payload: dict, fmt: str) -> None:
         return
     buffer = io.StringIO()
     writer = csv.writer(buffer)
-    rows = payload["results"].get("rows")
-    if rows:
-        header = list(rows[0].keys())
+    results = payload["results"]
+    rows = results.get("rows")
+    if rows:  # each row also carries the scalar results that are not its columns
+        scalars = {key: value for key, value in results.items()
+                   if key != "rows" and key not in rows[0]}
+        header = [*rows[0], *scalars]
         writer.writerow(header)
         for row in rows:
-            writer.writerow([row[column] for column in header])
+            writer.writerow([{**row, **scalars}[column] for column in header])
     else:
         pairs: list = []
         _flatten("", {k: v for k, v in payload.items() if k != "results"}, pairs)
-        _flatten("results", payload["results"], pairs)
+        _flatten("results", results, pairs)
         writer.writerow(["key", "value"])
         for key, value in pairs:
             writer.writerow([key, value])
@@ -387,7 +388,7 @@ def run(argv=None) -> int:
         "library_version": __version__,
         "log_base": 2,
         "params": _params_of(args),
-        "results": results,
+        "results": _unsigned_zeros(results),
     }
     _emit(payload, args.format)
     return 0

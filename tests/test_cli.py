@@ -1,8 +1,11 @@
 """Command-line interface: dispatch, formats, exit codes, channels."""
 
+import csv
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,7 +15,8 @@ import numpy as np
 import pytest
 
 import oneshot_qit
-from oneshot_qit import CQState, DivergencePair, dump_state, joint_embed, load_state
+from oneshot_qit import (
+    CQState, DivergencePair, NumericalError, dump_state, joint_embed, load_state)
 from oneshot_qit import cli
 from oneshot_qit.cli import run
 
@@ -562,6 +566,29 @@ def test_csv_scalar_output(capsys, bitpair_file):
     assert any(line.startswith("results.value_bits,") for line in lines)
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--task", "pa", "--state", "{state}", "--eps", "0.9", "--cap", "3", "--quiet"],
+    ["search", "--task", "covering", "--state", "{state}", "--eps", "0.25", "--cap", "1",
+     "--quiet"],
+    ["rates", "--task", "covering", "--state", "{state}", "--eps", "0.2", "--n-list", "10,100"],
+], ids=["search-pa", "search-covering-none-found", "rates"])
+def test_csv_rows_carry_the_scalar_results(capsys, antipodal_file, argv):
+    argv = [arg.replace("{state}", antipodal_file) for arg in argv]
+    results = run_json(capsys, argv)[0]["results"]
+    assert run([*argv, "--format", "csv"]) == 0
+    table = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    columns = list(results["rows"][0])
+    scalars = {key: value for key, value in results.items()
+               if key != "rows" and key not in columns}
+    header = list(table[0])  # the JSON document sorts its keys, the table does not
+    assert sorted(header[:len(columns)]) == columns and sorted(header[len(columns):]) == [*scalars]
+    assert [{key: row[key] for key in columns} for row in table] == [
+        {key: str(value) for key, value in row.items()} for row in results["rows"]]
+    for row in table:
+        assert {key: row[key] for key in scalars} == {
+            key: "" if value is None else str(value) for key, value in scalars.items()}
+
+
 def test_cached_parser_matches_fresh_parsers(capsys, monkeypatch, bitpair_file,
                                              antipodal_file):
     sequence = [
@@ -573,7 +600,7 @@ def test_cached_parser_matches_fresh_parsers(capsys, monkeypatch, bitpair_file,
          "--n-list", "10,100"],
         ["divergence", "--kind", "ds", "--state-a", bitpair_file],  # usage error
         ["bounds", "--task", "pa", "--state", antipodal_file, "--eps", "0.3",
-         "--delta", "0.09", "--c", "0.04", "--quiet"],
+         "--delta", "0.09", "--c", "0.04"],
         ["sweep", "--regime", "second", "--p", "0.3,0.7", "--q", "0.5,0.5",
          "--eps", "0.2", "--n-list", "4"],
         ["simulate", "--task", "pa", "--state", bitpair_file, "--size", "2",
@@ -721,3 +748,49 @@ def test_extreme_numeric_arguments_exit_with_a_code_not_a_traceback(capsys, bitp
             assert run(["rates", "--task", "pa", "--state", state, "--eps", "0.2",
                         flag, value]) == 2
             assert "blocklength n has 1329 bits, beyond the float range" in capsys.readouterr().err
+
+
+_NEGATIVE_ZERO = re.compile(r"(?<![\w.])-0\.0(?![\w.])")
+
+
+def test_emitted_documents_carry_no_negative_zero(capsys, tmp_path, bitpair_file,
+                                                  antipodal_file):
+    # -log2(1 - 1e-320), H(X|B) = 0 and a quantile of 0 are -0.0 in the library
+    one_letter = str(tmp_path / "one-letter.json")
+    dump_state(CQState(p=[1.0], rhos=[[[1.0]]]), one_letter)
+    states = (bitpair_file, antipodal_file, one_letter)
+    argvs = [["divergence", "--kind", "dh", "--state-a", state, "--state-b", state,
+              "--eps", "1e-320"] for state in states]
+    argvs += [["rates", "--task", task, "--state", state, "--eps", eps, "--n-list", "1,100"]
+              for task, eps in (("pa", "0.2"), ("covering", "0.5")) for state in states]
+    argvs += [[arg.replace("{state}", bitpair_file).replace("{}", value) for arg in template]
+              for template in _EXTREME_CALLS for value in _EXTREMES]
+    for argv in argvs:
+        for fmt in ("json", "csv"):
+            run([*argv, "--format", fmt])
+            out = capsys.readouterr().out
+            assert not _NEGATIVE_ZERO.search(out), (argv, fmt, out)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--regime", "second", "--p", "0.5,0.5", "--q", "0.4,0.6", "--n-list", "4"],
+     "--eps is required for the second-order regime"),
+    (["sweep", "--regime", "moderate", "--p", "0.5,0.5", "--q", "0.4,0.6", "--n-list", "4"],
+     "--t is required for the moderate regime"),
+], ids=["second-without-eps", "moderate-without-t"])
+def test_sweep_refuses_a_regime_without_its_level(capsys, argv, message):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_numerical_failure_exit_code(capsys, monkeypatch, bitpair_file):
+    def fail(pair):
+        raise NumericalError("eigensolver did not converge")
+
+    monkeypatch.setattr(cli, "relative_entropy", fail)
+    code = run(["divergence", "--kind", "kl", "--state-a", bitpair_file,
+                "--state-b", bitpair_file])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "numerical failure: eigensolver did not converge\n"

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import sys
 import threading
 import warnings
@@ -24,6 +25,7 @@ from oneshot_qit import (
 )
 
 from oneshot_qit import cq
+from oneshot_qit.cli import run
 from oneshot_qit.cq import _compositions, _type_tables
 
 from conftest import (
@@ -470,3 +472,46 @@ def test_type_spectrum_caps_entries_before_building_them(monkeypatch):
     uniform = np.full(k, 1.0 / k)
     with pytest.raises(DomainError, match="cap"):
         iid_type_spectrum(uniform, uniform, 2)
+
+
+def _antipodal_document(**changes) -> dict:
+    return {**state_to_document(binary_antipodal()), **changes}
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: CQState(p=[], rhos=np.zeros((0, 1, 1))), "p must be a non-empty probability vector"),
+    (_antipodal_document(p=[[0.5, 0.5]]), "p must be a non-empty probability vector"),
+    (_antipodal_document(p=[1.5, -0.5]), "negative probability -5.000e-01"),
+    (lambda: CQState(p=[0.5, 0.5], rhos=np.eye(2) / 2),
+     "rhos must have shape (alphabet, d, d); got (2, 2)"),
+    (_antipodal_document(p=[0.5, 0.25, 0.25]), "p has 3 entries but alphabet_size=2"),
+    (_antipodal_document(dim_b=1), "rhos must be [alphabet][dim_b][dim_b][re, im]; "
+                                   "got shape (2, 2, 2, 2)"),
+    (lambda: HashFamily(0, 2, "exhaustive-uniform-function"), "hash family sizes must be positive"),
+    (lambda: HashFamily(2, 2, "keyed"), "unknown hash family kind 'keyed'"),
+    (([0.5, 0.5], [0.3, 0.3]), "q must be a probability vector"),
+], ids=["p-empty", "p-2d", "p-negative", "rhos-shape", "document-p-size", "document-rhos-shape",
+        "hash-sizes", "hash-kind", "q-sum"])
+def test_boundary_refusals(capsys, tmp_path, refused, message):
+    # a state document is refused by load_state and, through a state file, by
+    # the CLI with exit code 2; a classical pair by iid_type_spectrum and sweep
+    if callable(refused):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            refused()
+        return
+    if isinstance(refused, dict):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(refused))
+        with pytest.raises(DomainError, match=re.escape(message)):
+            load_state(path)
+        argv = ["simulate", "--task", "pa", "--state", str(path), "--size", "2",
+                "--method", "exact"]
+    else:
+        p, q = refused
+        with pytest.raises(DomainError, match=re.escape(message)):
+            iid_type_spectrum(p, q, 4)
+        argv = ["sweep", "--regime", "second", "--p", ",".join(map(str, p)),
+                "--q", ",".join(map(str, q)), "--eps", "0.2", "--n-list", "4"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err

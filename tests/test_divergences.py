@@ -1,6 +1,7 @@
 """Divergence definitions, dual optimality, and operator inequalities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -1176,3 +1177,13 @@ def test_block_stacks_match_dense_block_diagonal_operators():
         assert pair.commuting
         value, lower, upper = info_spectrum_divergence_bracket(pair, 0.3)
         assert lower == value == upper
+
+
+@pytest.mark.parametrize("rho, sigma, message", [
+    (np.diag([1.2, -0.2]), np.eye(2) / 2, "rho is not PSD: eigenvalue -2.000e-01"),
+    (np.eye(2) / 2, np.diag([1.2, -0.2]), "sigma is not PSD: eigenvalue -2.000e-01"),
+    (np.diag([0.75, 0.5]), np.eye(2) / 2, "rho has trace 1.25, expected 1"),
+], ids=["rho-not-psd", "sigma-not-psd", "rho-trace"])
+def test_pair_boundary_refusals(rho, sigma, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        DivergencePair.of(rho, sigma)

@@ -333,3 +333,8 @@ def test_threshold_rule_is_per_block_in_a_stack():
     support = _on_support(stack, np.log)
     assert support[1].tolist() == [0.0, *np.log(1e-7 * block[1:])]
     assert (support[0] == _on_support(block, np.log)).all()
+
+
+def test_quotient_refuses_a_numerator_that_is_not_psd():
+    with pytest.raises(DomainError, match="numerator not PSD: min eigenvalue -5.000e-01"):
+        quotient(np.diag([1.0, -0.5]), np.eye(2))

@@ -1226,3 +1226,9 @@ def test_near_cap_search_memory_is_one_batch():
     assert result.curve[-1][1].value == simulate_pa(state, 1953, "exact").value
     # a stacked batch of 4096 complex 1x1 operators takes 66 kB
     assert peak < 16e6
+
+
+@pytest.mark.parametrize("runner", [simulate_pa, simulate_covering])
+def test_unknown_method_refused(runner):
+    with pytest.raises(DomainError, match="method must be 'exact' or 'mc', got 'sampled'"):
+        runner(binary_antipodal(), 2, "sampled")
