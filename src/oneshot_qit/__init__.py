@@ -15,7 +15,6 @@ from .bounds import (
 )
 from .cq import (
     CQState,
-    HashFamily,
     JointEmbedding,
     TypeClassSpectrum,
     dump_state,
@@ -70,7 +69,6 @@ from .simulate import (
     search_min_codebook,
     simulate_covering,
     simulate_pa,
-    uniform_function_family,
 )
 
 __version__ = "0.1.0"

@@ -41,10 +41,12 @@ from .simulate import (
     search_min_codebook,
     simulate_covering,
     simulate_pa,
-    uniform_function_family,
 )
 
 SCHEMA = "oneshot-qit/1"
+# the uniform random-function family behind an extraction estimate, by its method
+_HASH_FAMILY = {"exact": "exhaustive-uniform-function",
+                "monte-carlo": "sampled-uniform-function"}
 
 _CSV_HELP = (
     "CSV output: row-shaped results (rates, search curves, sweeps) are "
@@ -86,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_CSV_HELP,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    parser.commands = sub.choices  # each subcommand's own parser, by name, for _parse
 
     p = sub.add_parser("divergence", parents=[common],
                        help="divergence between the joint states of two files")
@@ -160,9 +163,7 @@ def _parse(argv) -> argparse.Namespace:
     """
     parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    [commands] = [action.choices for action in parser._actions
-                  if isinstance(action, argparse._SubParsersAction)]
-    command = commands.get(argv[0]) if argv else None
+    command = parser.commands.get(argv[0]) if argv else None
     if command is not None:
         args, extras = command.parse_known_args(argv[1:])
         if not extras:
@@ -249,8 +250,7 @@ def _cmd_simulate(args) -> dict:
                  seed=args.seed, workers=args.workers)
     out = dataclasses.asdict(est)
     if args.task == "pa":
-        out["hash_family"] = uniform_function_family(
-            state.alphabet_size, args.size, est.method).kind
+        out["hash_family"] = _HASH_FAMILY[est.method]
     return out
 
 
@@ -275,8 +275,8 @@ def _cmd_search(args) -> dict:
         "cap_limited": result.cap_limited,
         "rows": rows,
     }
-    if result.family is not None:
-        out["hash_family"] = result.family.kind
+    if args.task == "pa":
+        out["hash_family"] = _HASH_FAMILY["exact"]
     return out
 
 

@@ -1,5 +1,5 @@
-"""Classical-quantum states, the hash-family descriptor, state-file I/O,
-and exact type-class spectra of i.i.d. classical pairs.
+"""Classical-quantum states, state-file I/O, and exact type-class spectra
+of i.i.d. classical pairs.
 
 A classical-quantum state couples a distribution ``p`` over a finite
 alphabet to one density operator per symbol.  The JSON state-file format
@@ -181,35 +181,6 @@ def joint_embed(state: CQState) -> JointEmbedding:
     of the state first reads them.
     """
     return state._joint_embedding
-
-
-# ---------------------------------------------------------------------------
-# Hash-family descriptor
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HashFamily:
-    """The uniform random-function family h: [domain] -> [range].
-
-    All range**domain function tables are equiprobable, which makes the
-    outputs on any two distinct inputs uniform and pairwise independent.
-    ``kind`` records whether estimates came from full enumeration or
-    from sampled tables.
-    """
-
-    domain_size: int
-    range_size: int
-    kind: str  # "exhaustive-uniform-function" | "sampled-uniform-function"
-
-    def __post_init__(self):
-        if self.domain_size < 1 or self.range_size < 1:
-            raise DomainError("hash family sizes must be positive")
-        if self.kind not in ("exhaustive-uniform-function", "sampled-uniform-function"):
-            raise DomainError(f"unknown hash family kind {self.kind!r}")
-
-    @property
-    def table_count(self) -> int:
-        return self.range_size ** self.domain_size
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ def _eigh_checked(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     try:
         lam, v = np.linalg.eigh(stack)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver did not converge: {exc}") from exc
     recon = (v * lam[..., None, :]) @ v.conj().swapaxes(-1, -2)
     residual = np.abs(recon - stack).max(axis=(-2, -1))

@@ -76,7 +76,6 @@ from .cq import (
     ENUMERATION_CAP,
     MC_SAMPLE_CAP,
     CQState,
-    HashFamily,
     _compositions,
     _type_log_terms,
     _type_tables,
@@ -111,12 +110,6 @@ class SimulationEstimate:
     samples: int
     seed: int
     half_width: float
-
-
-def uniform_function_family(domain_size: int, range_size: int, method: str) -> HashFamily:
-    """Descriptor of the hash family behind an estimate."""
-    kind = "exhaustive-uniform-function" if method == "exact" else "sampled-uniform-function"
-    return HashFamily(domain_size, range_size, kind)
 
 
 def _check_run(method: str, samples, seed, workers) -> tuple[int, int]:
@@ -668,7 +661,6 @@ class SearchResult:
     found: int | None
     curve: list[tuple[int, SimulationEstimate]]
     cap_limited: bool
-    family: HashFamily | None = None
 
 
 def search_max_extractable(state: CQState, eps: float, z_cap: int) -> SearchResult:
@@ -686,10 +678,7 @@ def search_max_extractable(state: CQState, eps: float, z_cap: int) -> SearchResu
     qualifying = [z for z, est in curve if est.value <= eps + 1e-12]
     found = max(qualifying)  # z=1 gives distance 0, so this is never empty
     cap_limited = curve[-1][1].value <= eps + 1e-12
-    return SearchResult(
-        found, curve, cap_limited,
-        family=uniform_function_family(state.alphabet_size, found, "exact"),
-    )
+    return SearchResult(found, curve, cap_limited)
 
 
 def search_min_codebook(state: CQState, eps: float, m_cap: int) -> SearchResult:

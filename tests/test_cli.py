@@ -474,6 +474,23 @@ def test_search_covering(capsys, antipodal_file):
     assert payload["results"]["rows"][0]["value"] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("argv, family", [
+    (["simulate", "--task", "pa", "--size", "2", "--method", "exact"],
+     "exhaustive-uniform-function"),
+    (["simulate", "--task", "pa", "--size", "2", "--method", "mc", "--samples", "64"],
+     "sampled-uniform-function"),
+    (["search", "--task", "pa", "--eps", "0.3", "--cap", "3"], "exhaustive-uniform-function"),
+    (["simulate", "--task", "covering", "--size", "2", "--method", "exact"], None),
+    (["simulate", "--task", "covering", "--size", "2", "--method", "mc", "--samples", "64"],
+     None),
+    (["search", "--task", "covering", "--eps", "0.3", "--cap", "3"], None),
+], ids=["simulate-exact", "simulate-mc", "search", "covering-exact", "covering-mc",
+        "covering-search"])
+def test_hash_family_names_the_extraction_family(capsys, antipodal_file, argv, family):
+    payload, _ = run_json(capsys, [*argv, "--state", antipodal_file])
+    assert payload["results"].get("hash_family") == family
+
+
 def test_rates_covering_sign(capsys, antipodal_file):
     payload, _ = run_json(capsys, [
         "rates", "--task", "covering", "--state", antipodal_file,
@@ -794,3 +811,18 @@ def test_numerical_failure_exit_code(capsys, monkeypatch, bitpair_file):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err == "numerical failure: eigensolver did not converge\n"
+
+
+def test_eigensolver_failure_exit_code(capsys, monkeypatch, bitpair_file):
+    # the first solve fails, whether of the state's validation, its marginal
+    # or the dual of D_h, as the process-wide state memo has it
+    def fail(stack):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    code = run(["divergence", "--kind", "dh", "--state-a", bitpair_file,
+                "--state-b", bitpair_file, "--eps", "0.3"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == ("numerical failure: eigensolver did not converge: "
+                            "Eigenvalues did not converge\n")

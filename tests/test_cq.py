@@ -15,7 +15,6 @@ import pytest
 from oneshot_qit import (
     CQState,
     DomainError,
-    HashFamily,
     dump_state,
     iid_type_spectrum,
     joint_embed,
@@ -350,27 +349,6 @@ def test_state_memo_under_concurrent_loads(tmp_path, monkeypatch, cold_state_mem
 
 
 # ---------------------------------------------------------------------------
-# Hash family and codebook descriptors
-# ---------------------------------------------------------------------------
-
-def test_uniform_function_family_pairwise_uniform():
-    domain, rng_size = 3, 2
-    family = HashFamily(domain, rng_size, "exhaustive-uniform-function")
-    tables = [
-        [(idx // rng_size ** pos) % rng_size for pos in range(domain)]
-        for idx in range(family.table_count)
-    ]
-    for x in range(domain):
-        for x2 in range(domain):
-            if x == x2:
-                continue
-            for z in range(rng_size):
-                for z2 in range(rng_size):
-                    hits = sum(1 for t in tables if t[x] == z and t[x2] == z2)
-                    assert hits * rng_size ** 2 == family.table_count
-
-
-# ---------------------------------------------------------------------------
 # Type spectra
 # ---------------------------------------------------------------------------
 
@@ -487,11 +465,9 @@ def _antipodal_document(**changes) -> dict:
     (_antipodal_document(p=[0.5, 0.25, 0.25]), "p has 3 entries but alphabet_size=2"),
     (_antipodal_document(dim_b=1), "rhos must be [alphabet][dim_b][dim_b][re, im]; "
                                    "got shape (2, 2, 2, 2)"),
-    (lambda: HashFamily(0, 2, "exhaustive-uniform-function"), "hash family sizes must be positive"),
-    (lambda: HashFamily(2, 2, "keyed"), "unknown hash family kind 'keyed'"),
     (([0.5, 0.5], [0.3, 0.3]), "q must be a probability vector"),
 ], ids=["p-empty", "p-2d", "p-negative", "rhos-shape", "document-p-size", "document-rhos-shape",
-        "hash-sizes", "hash-kind", "q-sum"])
+        "q-sum"])
 def test_boundary_refusals(capsys, tmp_path, refused, message):
     # a state document is refused by load_state and, through a state file, by
     # the CLI with exit code 2; a classical pair by iid_type_spectrum and sweep

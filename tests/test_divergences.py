@@ -352,6 +352,23 @@ def test_dual_point_crossing_matches_dense_scan_oracle():
             assert abs(math.log2(step / mu)) <= 1e-12, (d, k, c)
 
 
+@pytest.mark.parametrize("slope, curvature, branches, weights", [
+    (0.5, -2.0, [0.3, 0.1], [1.0, 1.0]),
+    (0.5, -2.0, [0.3, -0.1], [1.0, 0.0]),
+    (-0.5, -2.0, [-0.3, 0.0], [1.0, 1.0]),
+    (1.0, -0.1, [-0.1, -0.2], [0.1, 0.1]),
+    (-1.0, -0.1, [0.1, 0.2], [0.1, 0.1]),
+], ids=["up-none-below", "up-only-weightless", "down-none-above", "up-short", "down-short"])
+def test_model_step_is_the_newton_step_without_a_modelled_kink(slope, curvature, branches,
+                                                               weights):
+    # no branch crosses the split in the direction of the slope, or the
+    # crossings ahead (at mu +- 1 and 2) take 0.2 off a slope of 1 and the
+    # Newton step lands past both
+    mu = 1.0
+    step = _model_step(mu, slope, curvature, np.array(branches), np.array(weights))
+    assert step == mu - slope / curvature
+
+
 def test_ds_eigensolve_budget(monkeypatch):
     rng = np.random.default_rng(52)
     for d, k in ((16, 0), (4, 4)):

@@ -19,7 +19,6 @@ from oneshot_qit import (
     simulate,
     simulate_covering,
     simulate_pa,
-    uniform_function_family,
 )
 
 from conftest import (
@@ -602,8 +601,6 @@ def test_search_extractable_bit_pair():
     assert curve[1] == pytest.approx(0.0, abs=1e-12)
     assert curve[2] == pytest.approx(0.25, abs=1e-12)
     assert curve[3] > 0.25
-    assert result.family is not None
-    assert result.family.kind == "exhaustive-uniform-function"
 
 
 def test_search_extractable_always_at_least_one(corpus):
@@ -643,14 +640,6 @@ def test_search_refuses_infeasible_enumeration():
     # C(40, 30) ~ 8.5e8 codebook types over the curve up to m=10
     with pytest.raises(DomainError, match="certific"):
         search_min_codebook(state, 0.3, 10)
-
-
-def test_family_descriptor_kinds():
-    fam = uniform_function_family(3, 2, "exact")
-    assert fam.kind == "exhaustive-uniform-function"
-    assert fam.table_count == 8
-    fam = uniform_function_family(3, 2, "mc")
-    assert fam.kind == "sampled-uniform-function"
 
 
 def test_refuses_non_integral_sizes_before_any_work(monkeypatch):
